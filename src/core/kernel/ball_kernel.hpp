@@ -10,7 +10,8 @@
 //                            CounterStream Philox4x32),
 //   execution (exec.hpp)     SequentialExecution (in-place walk) or
 //                            ShardedExecution (two-phase striped
-//                            throw/commit scatter).
+//                            throw/commit scatter, driven by
+//                            pipeline.hpp's run_pipeline).
 //
 // The sequential instantiations reproduce the historical hand-written
 // kernels draw-for-draw (RepeatedBallsProcess, TetrisProcess,
@@ -46,6 +47,9 @@
 // addressed to their own shards, apply the arrivals cache-hot, and
 // rescan for the round statistics, reduced over stripes in fixed
 // order.  No locks, no atomics, no shared cache lines inside a phase.
+// Every sharded round -- step() is run(1) -- goes through run_sharded:
+// a pipelined worker team at width >= 2, the same phases inline at
+// width 1.
 #pragma once
 
 #include <algorithm>
@@ -75,6 +79,13 @@ class BallProcessCore {
   using Stats = typename Variant::Stats;
   static constexpr BallVariantKind kKind = Variant::kKind;
   static constexpr bool kShardedExec = Exec::kSharded;
+  /// Refill variants discard the departing ball and draw a fresh batch
+  /// of arrivals; choose variants resolve candidates against the
+  /// post-departure loads before any arrival commits.
+  static constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
+                                  kKind == BallVariantKind::kLeaky;
+  static constexpr bool kChoose = kKind == BallVariantKind::kDChoices ||
+                                  kKind == BallVariantKind::kThreshold;
 
   static_assert(!kShardedExec || Stream::kScheduleFree,
                 "sharded execution requires a schedule-free (counter) RNG "
@@ -104,41 +115,31 @@ class BallProcessCore {
       buffers_.resize(static_cast<std::size_t>(plan.stripe_count()) *
                       plan.shard_count());
       acc_.resize(plan.stripe_count());
-      if constexpr (kKind == BallVariantKind::kDChoices ||
-                    kKind == BallVariantKind::kThreshold) {
+      if constexpr (kChoose) {
         releasers_.resize(plan.stripe_count());
       }
     }
   }
 
   /// Executes one synchronous round; returns end-of-round statistics.
-  Stats step() {
-    if constexpr (kShardedExec) {
-      step_sharded();
-    } else {
-      step_sequential();
-    }
-    ++round_;
-    return Variant::make_stats(max_load_, empty_, last_departures_, balls_,
-                               last_arrivals_);
-  }
+  Stats step() { return run(1); }
 
   /// Executes `rounds` rounds; returns the stats of the last one (the
-  /// current state when rounds == 0).  Multi-round sharded runs take
-  /// the pipelined path (double-buffered throw/commit overlap on a
-  /// resident worker team -- pipeline.hpp) when the executor can host
-  /// one and RBB_PIPELINE is not 0; trajectories are bit-identical to
-  /// the barriered per-step loop either way (pinned by tests/par/).
+  /// current state, untouched, when rounds == 0).  Sharded rounds run
+  /// through run_sharded (pipelined on a resident worker team --
+  /// pipeline.hpp); trajectories are bit-identical for every split of
+  /// the same rounds into run() calls (pinned by tests/par/).
   Stats run(std::uint64_t rounds) {
-    if constexpr (kShardedExec) {
-      if (rounds > 1 && pipeline_enabled() && run_sharded_pipelined(rounds)) {
-        return Variant::make_stats(max_load_, empty_, last_departures_,
-                                   balls_, last_arrivals_);
-      }
+    if (rounds == 0) {
+      return Variant::make_stats(max_load_, empty_, 0, balls_, 0);
     }
-    Stats stats = Variant::make_stats(max_load_, empty_, 0, balls_, 0);
-    for (std::uint64_t t = 0; t < rounds; ++t) stats = step();
-    return stats;
+    if constexpr (kShardedExec) {
+      run_sharded(rounds);
+    } else {
+      for (std::uint64_t t = 0; t < rounds; ++t) step_sequential();
+    }
+    return Variant::make_stats(max_load_, empty_, last_departures_, balls_,
+                               last_arrivals_);
   }
 
   // --- identity and load-shaped state ---------------------------------------
@@ -182,13 +183,7 @@ class BallProcessCore {
                         scratch_.capacity() * sizeof(bin_index_t) +
                         scratch_dest_.capacity() * sizeof(bin_index_t) +
                         scratch_cand_.capacity() * sizeof(bin_index_t);
-    for (const auto& buf : buffers_) {
-      bytes += buf.capacity() * sizeof(bin_index_t);
-    }
-    for (const auto& buf : buffers_alt_) {
-      bytes += buf.capacity() * sizeof(bin_index_t);
-    }
-    bytes += acc_.capacity() * sizeof(StripeAcc);
+    bytes += buffers_.capacity_bytes() + acc_.capacity() * sizeof(StripeAcc);
     for (const auto& rel : releasers_) {
       bytes += rel.capacity() * sizeof(bin_index_t);
     }
@@ -366,19 +361,8 @@ class BallProcessCore {
             "BallProcessCore: first-empty tracking out of sync");
       }
     }
-    if constexpr (kShardedExec) {
-      for (const auto& buf : buffers_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "BallProcessCore: scatter buffer not drained");
-        }
-      }
-      for (const auto& buf : buffers_alt_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "BallProcessCore: alternate scatter buffer not drained");
-        }
-      }
+    if (!buffers_.drained()) {
+      throw std::logic_error("BallProcessCore: scatter buffer not drained");
     }
   }
 
@@ -431,8 +415,6 @@ class BallProcessCore {
   void step_sequential() {
     const std::uint32_t n = bin_count();
     const std::uint64_t r = round_;
-    constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
-                             kKind == BallVariantKind::kLeaky;
 
     std::uint32_t departures = 0;
     std::uint32_t zeros = 0;
@@ -458,8 +440,7 @@ class BallProcessCore {
           }
           // xoshiro clique path: destinations are block-drawn below so
           // the generator state stays in registers (design choice D4).
-        } else if constexpr (kKind == BallVariantKind::kDChoices ||
-                             kKind == BallVariantKind::kThreshold) {
+        } else if constexpr (kChoose) {
           if constexpr (Stream::kScheduleFree) {
             scratch_.push_back(u);  // releasers; choices read the snapshot
           }
@@ -506,8 +487,7 @@ class BallProcessCore {
             scratch_dest_.data());
         apply_scatter(scratch_dest_);
       }
-    } else if constexpr (kKind == BallVariantKind::kDChoices ||
-                         kKind == BallVariantKind::kThreshold) {
+    } else if constexpr (kChoose) {
       if constexpr (!Stream::kScheduleFree) {
         // Classic online placement: arrivals of the same round are
         // visible to later probes/choices.
@@ -588,15 +568,16 @@ class BallProcessCore {
       }
     }
     last_departures_ = departures;
+    ++round_;
   }
 
   // --- the sharded round ----------------------------------------------------
 
   /// Per-stripe accumulator, cache-line padded so stripe tasks never
   /// share a line.  The per-round fields are reset by each round's
-  /// phase bodies (so after a pipelined run they hold the LAST round's
-  /// values); the cum_* fields accumulate across a pipelined run, whose
-  /// single final reduction replaces the per-round one.
+  /// phase bodies (so after a run they hold the LAST round's values);
+  /// the cum_* fields accumulate across a run, whose single final
+  /// reduction covers all of its rounds.
   struct alignas(64) StripeAcc {
     std::uint32_t departures = 0;
     load_t max = 0;
@@ -623,8 +604,6 @@ class BallProcessCore {
     const ShardPlan& plan = exec_.plan();
     const std::uint32_t shard_count = plan.shard_count();
     const std::uint32_t stripes = plan.stripe_count();
-    constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
-                             kKind == BallVariantKind::kLeaky;
     StripeAcc& acc = acc_[g];
     acc.departures = 0;
     std::vector<bin_index_t>* row =
@@ -659,8 +638,6 @@ class BallProcessCore {
       }
       if (pending > 0) flush();
     } else {
-      constexpr bool kChoose = kKind == BallVariantKind::kDChoices ||
-                               kKind == BallVariantKind::kThreshold;
       if constexpr (kChoose) {
         releasers_[g].clear();
       }
@@ -776,69 +753,15 @@ class BallProcessCore {
     acc.cum_newly_emptied += acc.newly_emptied;
   }
 
-  void step_sharded()
+  /// Runs `rounds` >= 1 sharded rounds through the round driver
+  /// (pipeline.hpp: a resident team at width >= 2, inline at width 1),
+  /// then reduces the stripe accumulators once, in fixed stripe order.
+  /// The counter stream keys every draw by (round, slot), so the
+  /// trajectory is the sequential counter-stream sibling's for every
+  /// thread count, shard size and split into run() calls.
+  void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
-    const std::uint64_t r = round_;
-    const ShardPlan& plan = exec_.plan();
-    const std::uint32_t stripes = plan.stripe_count();
-    constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
-                             kKind == BallVariantKind::kLeaky;
-
-    const ball_count_t arrivals = draw_arrival_count(r);
-
-    exec_.stripes().for_stripes(stripes, [&](std::uint32_t g) {
-      throw_stripe(g, r, arrivals, buffers_.data());
-    });
-    if constexpr (kKind == BallVariantKind::kDChoices ||
-                  kKind == BallVariantKind::kThreshold) {
-      exec_.stripes().for_stripes(stripes, [&](std::uint32_t g) {
-        choose_stripe(g, r, buffers_.data());
-      });
-    }
-    exec_.stripes().for_stripes(stripes, [&](std::uint32_t g) {
-      commit_stripe(g, r, buffers_.data());
-    });
-
-    // Fixed-order reduction over stripes.
-    std::uint32_t departures = 0;
-    max_load_ = 0;
-    empty_ = 0;
-    for (const StripeAcc& acc : acc_) {
-      departures += acc.departures;
-      max_load_ = std::max(max_load_, acc.max);
-      empty_ += acc.zeros;
-      if constexpr (kKind == BallVariantKind::kTetris) {
-        variant_.not_yet_emptied_ -= acc.newly_emptied;
-      }
-    }
-    if constexpr (kRefill) {
-      balls_ -= departures;
-      balls_ += arrivals;
-      last_arrivals_ = arrivals;
-    }
-    last_departures_ = departures;
-  }
-
-  /// The pipelined multi-round path (pipeline.hpp): one resident worker
-  /// team runs all `rounds` rounds, alternating between buffers_ and
-  /// buffers_alt_ by round parity so a worker's throw of round i+1 may
-  /// overlap peers' commits of round i.  Returns false -- having
-  /// executed nothing -- when the executor cannot host a team of at
-  /// least 2; trajectories are bit-identical to `rounds` barriered
-  /// step() calls (same draws, same canonical commit order).
-  bool run_sharded_pipelined(std::uint64_t rounds)
-    requires kShardedExec
-  {
-    const ShardPlan& plan = exec_.plan();
-    const std::uint32_t stripes = plan.stripe_count();
-    const std::uint32_t width = std::min(stripes, exec_.stripes().team_width());
-    if (width < 2) return false;
-    constexpr bool kRefill = kKind == BallVariantKind::kTetris ||
-                             kKind == BallVariantKind::kLeaky;
-    constexpr bool kChoose = kKind == BallVariantKind::kDChoices ||
-                             kKind == BallVariantKind::kThreshold;
-    if (buffers_alt_.empty()) buffers_alt_.resize(buffers_.size());
 
     // Fresh-arrival counts are drawn sequentially up front: the leaky
     // law is a shared distribution object (not thread-safe), and the
@@ -856,26 +779,21 @@ class BallProcessCore {
       acc.cum_newly_emptied = 0;
     }
     const std::uint64_t r0 = round_;
-    const auto bufs = [this](std::uint64_t i) {
-      return (i & 1) == 0 ? buffers_.data() : buffers_alt_.data();
-    };
-    const bool ran = run_pipeline(
-        exec_.stripes(), stripes, width, rounds, kChoose,
-        [&](std::uint32_t g, std::uint64_t i) {
+    using Bufs = std::vector<bin_index_t>*;
+    run_pipeline(
+        exec_.stripes(), exec_.plan().stripe_count(), rounds, kChoose,
+        buffers_,
+        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
           throw_stripe(g, r0 + i,
-                       kRefill ? arrivals_by_round[i] : ball_count_t{0},
-                       bufs(i));
+                       kRefill ? arrivals_by_round[i] : ball_count_t{0}, bufs);
         },
-        [&](std::uint32_t g, std::uint64_t i) {
-          if constexpr (kChoose) choose_stripe(g, r0 + i, bufs(i));
+        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
+          if constexpr (kChoose) choose_stripe(g, r0 + i, bufs);
         },
-        [&](std::uint32_t g, std::uint64_t i) {
-          commit_stripe(g, r0 + i, bufs(i));
+        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
+          commit_stripe(g, r0 + i, bufs);
         });
-    if (!ran) return false;
 
-    // One reduction for the whole run: the per-round acc fields hold
-    // the last round's values, the cum_* fields the run totals.
     std::uint64_t total_departures = 0;
     std::uint32_t departures = 0;
     max_load_ = 0;
@@ -896,7 +814,6 @@ class BallProcessCore {
     }
     last_departures_ = departures;
     round_ += rounds;
-    return true;
   }
 
   LoadConfig loads_;
@@ -916,15 +833,8 @@ class BallProcessCore {
   std::vector<bin_index_t> scratch_dest_;
   std::vector<bin_index_t> scratch_cand_;
 
-  /// buffers_[stripe * shard_count + target_shard]: destinations thrown
-  /// by `stripe` into `target_shard` this round.  Cleared (capacity
-  /// kept) by the phase-2 task that drains them.  Sharded only.
-  /// buffers_alt_ is the odd-parity twin used by the pipelined path
-  /// (run_sharded_pipelined): round i throws into the parity-(i&1) set
-  /// so throw(i+1) never touches buffers a peer is still committing.
-  /// Sized lazily on the first pipelined run.
-  std::vector<std::vector<bin_index_t>> buffers_;
-  std::vector<std::vector<bin_index_t>> buffers_alt_;
+  /// Destinations thrown per (stripe, target shard); sharded only.
+  ScatterBuffers<bin_index_t> buffers_;
   std::vector<StripeAcc> acc_;
   std::vector<std::vector<bin_index_t>> releasers_;  // d-choices, per stripe
 };

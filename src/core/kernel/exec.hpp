@@ -8,34 +8,20 @@
 //     instantiation compiles down to exactly the hand-written
 //     sequential loop (pinned by the engine parity tests).
 //   * ShardedExecution -- the two-phase striped throw/commit scatter:
-//     a ShardPlan partitions the bins, a StripeExecutor dispatches the
-//     per-stripe phase bodies onto a thread pool.  Requires a
-//     schedule-free RNG stream policy (stream.hpp); the core
-//     static_asserts the combination.
+//     a ShardPlan partitions the bins, a StripeExecutor hosts the worker
+//     team that pipeline.hpp's round driver runs the per-stripe phase
+//     bodies on (inline at width 1).  Requires a schedule-free RNG
+//     stream policy (stream.hpp); the core static_asserts the
+//     combination.
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <string_view>
 
 #include "core/kernel/shard.hpp"
 #include "support/thread_pool.hpp"
 
 namespace rbb::kernel {
-
-/// Runtime switch for the pipelined round loop (double-buffered
-/// throw/commit overlap, core/kernel/pipeline.hpp).  Defaults on;
-/// RBB_PIPELINE=0 pins the barriered per-round path (CI runs the parity
-/// suites both ways).  Read once -- flipping the variable mid-process
-/// has no effect, which keeps every run's execution mode well-defined.
-[[nodiscard]] inline bool pipeline_enabled() noexcept {
-  static const bool enabled = [] {
-    const char* env = std::getenv("RBB_PIPELINE");
-    return env == nullptr || std::string_view(env) != "0";
-  }();
-  return enabled;
-}
 
 /// Execution knobs shared by the sharded instantiations (ignored by
 /// SequentialExecution).
@@ -53,17 +39,17 @@ struct ExecOptions {
   std::uint32_t shard_size = 0;
 };
 
-/// Runs phase bodies over [0, stripe_count) per the `threads` knob:
+/// Hosts the round driver's worker team per the `threads` knob:
 ///   0  -- the process-wide ThreadPool::global(),
 ///   1  -- strictly inline on the calling thread (no pool),
 ///   k  -- a private pool sized k-1 workers: the submitting thread
-///         drains its own batches (ThreadPool::run_batch), so k-1
-///         workers + the submitter = exactly k runnable threads.  This
-///         keeps the `threads` label of perf tables honest and the
+///         joins its own team (ThreadPool::run_team), so k-1 workers +
+///         the submitter = exactly k runnable threads.  This keeps
+///         the `threads` label of perf tables honest and the
 ///         k = hardware row from oversubscribing by one.
 /// Note a private pool only helps at the TOP of the nesting hierarchy:
-/// inside another pool's task every submission runs inline
-/// (thread_pool.hpp nesting rule), so processes driven under
+/// inside another pool's task every team is refused and the rounds run
+/// inline (thread_pool.hpp nesting rule), so processes driven under
 /// for_each_trial should use threads <= 1 and let the trial sweep own
 /// the cores.
 class StripeExecutor {
@@ -77,17 +63,6 @@ class StripeExecutor {
     }
   }
 
-  template <typename Fn>
-  void for_stripes(std::uint32_t stripe_count, Fn&& fn) {
-    if (pool_ == nullptr || stripe_count == 1) {
-      for (std::uint32_t g = 0; g < stripe_count; ++g) fn(g);
-      return;
-    }
-    pool_->for_each(stripe_count, [&fn](std::uint64_t g) {
-      fn(static_cast<std::uint32_t>(g));
-    });
-  }
-
   /// Widest concurrent team the executor can host: workers + the
   /// submitting thread, or 1 when execution is inline.
   [[nodiscard]] unsigned team_width() const noexcept {
@@ -97,8 +72,8 @@ class StripeExecutor {
   /// Runs fn(w) for w in [0, width) as a resident team (every task on
   /// its own thread for the whole call -- ThreadPool::run_team).
   /// Returns false without running anything when no pool is attached or
-  /// the pool cannot guarantee team concurrency; the caller falls back
-  /// to barriered for_stripes rounds.
+  /// the pool cannot guarantee team concurrency; the caller then runs
+  /// the rounds inline.
   template <typename Fn>
   bool run_team(std::uint32_t width, Fn&& fn) {
     if (pool_ == nullptr) return false;

@@ -147,28 +147,18 @@ class MixedProcessCore {
   }
 
   /// Executes one synchronous round; returns end-of-round statistics.
-  Stats step() {
-    if constexpr (kShardedExec) {
-      step_sharded();
-    } else {
-      step_sequential();
-    }
-    ++round_;
-    return current_stats();
-  }
+  Stats step() { return run(1); }
 
   /// Executes `rounds` rounds; returns the stats of the last one (the
-  /// current state when rounds == 0).  Multi-round sharded runs take
-  /// the pipelined path (pipeline.hpp) when the executor can host a
-  /// resident team and RBB_PIPELINE is not 0; trajectories are
-  /// bit-identical either way.
+  /// current state, untouched, when rounds == 0).  Sharded rounds run
+  /// through run_sharded (pipeline.hpp); trajectories are bit-identical
+  /// for every split of the same rounds into run() calls.
   Stats run(std::uint64_t rounds) {
     if constexpr (kShardedExec) {
-      if (rounds > 1 && pipeline_enabled() && run_sharded_pipelined(rounds)) {
-        return current_stats();
-      }
+      if (rounds > 0) run_sharded(rounds);
+    } else {
+      for (std::uint64_t t = 0; t < rounds; ++t) step_sequential();
     }
-    for (std::uint64_t t = 0; t < rounds; ++t) step();
     return current_stats();
   }
 
@@ -244,15 +234,9 @@ class MixedProcessCore {
                         rates_.capacity() * sizeof(std::uint32_t) +
                         caps_.capacity() * sizeof(load_t) +
                         scratch_.capacity() * sizeof(std::uint64_t);
-    for (const auto& buf : buffers_) {
-      bytes += buf.capacity() * sizeof(std::uint64_t);
-    }
-    for (const auto& buf : buffers_alt_) {
-      bytes += buf.capacity() * sizeof(std::uint64_t);
-    }
-    bytes += acc_.capacity() * sizeof(StripeAcc) +
-             class_acc_.capacity() * sizeof(ball_count_t);
-    return bytes;
+    return bytes + buffers_.capacity_bytes() +
+           acc_.capacity() * sizeof(StripeAcc) +
+           class_acc_.capacity() * sizeof(ball_count_t);
   }
 
   /// Adversarial reassignment (Sect. 4.1 semantics, extended to the
@@ -398,19 +382,8 @@ class MixedProcessCore {
     if (max != max_load_ || zeros != empty_ || max_w != max_wload_) {
       throw std::logic_error("MixedProcessCore: round stats out of sync");
     }
-    if constexpr (kShardedExec) {
-      for (const auto& buf : buffers_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "MixedProcessCore: scatter buffer not drained");
-        }
-      }
-      for (const auto& buf : buffers_alt_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "MixedProcessCore: alternate scatter buffer not drained");
-        }
-      }
+    if (!buffers_.drained()) {
+      throw std::logic_error("MixedProcessCore: scatter buffer not drained");
     }
   }
 
@@ -548,7 +521,14 @@ class MixedProcessCore {
         dropped_w += weights_.class_weights[cls];
       }
     }
-    finish_round(drops, dropped_w);
+    balls_ -= drops;
+    total_weight_ -= dropped_w;
+    dropped_balls_ += drops;
+    dropped_weight_ += dropped_w;
+    last_drops_ = drops;
+    if (drops != 0) obs::add(obs::Counter::kMixedDrops, drops);
+    rescan_stats();
+    ++round_;
   }
 
   // --- the sharded round ----------------------------------------------------
@@ -556,7 +536,7 @@ class MixedProcessCore {
   /// Per-stripe accumulator, cache-line padded so stripe tasks never
   /// share a line (per-class departure counts live in class_acc_).
   /// Per-round fields are reset by each round's phase bodies; cum_*
-  /// fields accumulate across a pipelined run.
+  /// fields accumulate across a run.
   struct alignas(64) StripeAcc {
     ball_count_t departures = 0;
     ball_count_t drops = 0;
@@ -668,89 +648,34 @@ class MixedProcessCore {
     acc.cum_dropped_weight += acc.dropped_weight;
   }
 
-  void step_sharded()
+  /// Runs `rounds` >= 1 sharded rounds through the round driver
+  /// (pipeline.hpp), then reduces the stripe accumulators once, in fixed
+  /// stripe order: last round's stats from the per-round fields,
+  /// cumulative drop accounting from the cum_* fields.  class_acc_ rows
+  /// are per-stripe and reset by each round's throw, so they hold the
+  /// LAST round's per-class departures -- exactly what
+  /// last_departures_by_class_ reports.
+  void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
     const std::uint32_t k = class_count();
-    const std::uint64_t r = round_;
     const std::uint32_t stripes = exec_.plan().stripe_count();
-
-    exec_.stripes().for_stripes(stripes, [&](std::uint32_t g) {
-      throw_stripe(g, r, buffers_.data());
-    });
-    exec_.stripes().for_stripes(stripes, [&](std::uint32_t g) {
-      commit_stripe(g, r, buffers_.data());
-    });
-
-    // Fixed-order reduction over stripes.
-    ball_count_t departures = 0;
-    ball_count_t drops = 0;
-    weighted_load_t dropped_w = 0;
-    max_load_ = 0;
-    empty_ = 0;
-    max_wload_ = 0;
-    max_utilization_ = 0.0;
-    std::fill(last_departures_by_class_.begin(),
-              last_departures_by_class_.end(), 0);
-    for (std::uint32_t g = 0; g < stripes; ++g) {
-      const StripeAcc& acc = acc_[g];
-      departures += acc.departures;
-      drops += acc.drops;
-      dropped_w += acc.dropped_weight;
-      max_load_ = std::max(max_load_, acc.max);
-      empty_ += acc.zeros;
-      max_wload_ = std::max(max_wload_, acc.max_w);
-      max_utilization_ = std::max(max_utilization_, acc.max_util);
-      for (std::uint32_t c = 0; c < k; ++c) {
-        last_departures_by_class_[c] +=
-            class_acc_[static_cast<std::size_t>(g) * k + c];
-      }
-    }
-    last_departures_ = departures;
-    balls_ -= drops;
-    total_weight_ -= dropped_w;
-    dropped_balls_ += drops;
-    dropped_weight_ += dropped_w;
-    last_drops_ = drops;
-    if (drops != 0) obs::add(obs::Counter::kMixedDrops, drops);
-  }
-
-  /// The pipelined multi-round path (pipeline.hpp): one resident team,
-  /// buffers alternating by round parity, bit-identical to `rounds`
-  /// barriered steps.  class_acc_ rows are per-stripe and reset by each
-  /// round's throw, so after the run they hold the LAST round's
-  /// per-class departures -- exactly what last_departures_by_class_
-  /// reports.  Returns false when no team can be hosted.
-  bool run_sharded_pipelined(std::uint64_t rounds)
-    requires kShardedExec
-  {
-    const ShardPlan& plan = exec_.plan();
-    const std::uint32_t k = class_count();
-    const std::uint32_t stripes = plan.stripe_count();
-    const std::uint32_t width = std::min(stripes, exec_.stripes().team_width());
-    if (width < 2) return false;
-    if (buffers_alt_.empty()) buffers_alt_.resize(buffers_.size());
     for (StripeAcc& acc : acc_) {
       acc.cum_drops = 0;
       acc.cum_dropped_weight = 0;
     }
     const std::uint64_t r0 = round_;
-    const auto bufs = [this](std::uint64_t i) {
-      return (i & 1) == 0 ? buffers_.data() : buffers_alt_.data();
-    };
-    const bool ran = run_pipeline(
-        exec_.stripes(), stripes, width, rounds, /*has_choose=*/false,
-        [&](std::uint32_t g, std::uint64_t i) {
-          throw_stripe(g, r0 + i, bufs(i));
+    using Bufs = std::vector<std::uint64_t>*;
+    run_pipeline(
+        exec_.stripes(), stripes, rounds, /*has_choose=*/false, buffers_,
+        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
+          throw_stripe(g, r0 + i, bufs);
         },
-        [](std::uint32_t, std::uint64_t) {},
-        [&](std::uint32_t g, std::uint64_t i) {
-          commit_stripe(g, r0 + i, bufs(i));
+        [](std::uint32_t, std::uint64_t, Bufs) {},
+        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
+          commit_stripe(g, r0 + i, bufs);
         });
-    if (!ran) return false;
 
-    // One reduction for the run: last round's stats from the per-round
-    // fields, cumulative drop accounting from the cum_* fields.
     ball_count_t departures = 0;
     ball_count_t total_drops = 0;
     weighted_load_t total_dropped_w = 0;
@@ -784,18 +709,6 @@ class MixedProcessCore {
     last_drops_ = last_drops;
     if (total_drops != 0) obs::add(obs::Counter::kMixedDrops, total_drops);
     round_ += rounds;
-    return true;
-  }
-
-  /// Sequential-path epilogue: totals, drop accounting, stats rescan.
-  void finish_round(ball_count_t drops, weighted_load_t dropped_w) {
-    balls_ -= drops;
-    total_weight_ -= dropped_w;
-    dropped_balls_ += drops;
-    dropped_weight_ += dropped_w;
-    last_drops_ = drops;
-    if (drops != 0) obs::add(obs::Counter::kMixedDrops, drops);
-    rescan_stats();
   }
 
   WeightProfile weights_;
@@ -827,12 +740,8 @@ class MixedProcessCore {
 
   std::vector<std::uint64_t> scratch_;  // sequential (class, dest) words
 
-  /// buffers_[stripe * shard_count + target_shard]: packed arrivals
-  /// thrown by `stripe` into `target_shard` this round.  Sharded only.
-  /// buffers_alt_ is the odd-parity twin of the pipelined path, sized
-  /// lazily on first use.
-  std::vector<std::vector<std::uint64_t>> buffers_;
-  std::vector<std::vector<std::uint64_t>> buffers_alt_;
+  /// Packed arrivals per (stripe, target shard); sharded only.
+  ScatterBuffers<std::uint64_t> buffers_;
   std::vector<StripeAcc> acc_;
   std::vector<ball_count_t> class_acc_;  // stripes x k departure counts
 };

@@ -1,15 +1,17 @@
-// Pipelined round loop for the sharded kernels (DESIGN.md Sect. 5,
-// "Pipelined execution").
+// The sharded round driver (DESIGN.md Sect. 5, "Pipelined multi-round
+// execution").
 //
-// The barriered path runs every round as two (or three) fork/join
-// for_stripes batches with a full pool barrier between phases.  This
-// driver replaces that with ONE resident worker team for the whole
-// multi-round run: stripes are statically assigned to team workers
-// (stripe g -> worker g % width), and workers advance through the
-// phase sequence by publishing per-worker epoch counters
-// (acquire/release; no locks, no pool traffic on the hot path).
+// Every sharded kernel core runs its rounds through run_pipeline, one
+// driver for one round or many.  A round is throw -> [choose] -> commit
+// per stripe.  With a team width of at least 2, ONE resident worker team
+// runs the whole multi-round call: stripes are statically assigned to
+// team workers (stripe g -> worker g % width), and workers advance
+// through the phase sequence by publishing per-worker epoch counters
+// (acquire/release; no locks, no pool traffic on the hot path).  At
+// width 1 -- and when the executor refuses a team -- the same phase
+// sequence runs inline on the calling thread.
 //
-// Per round i, each worker executes
+// Per round i, each team worker executes
 //
 //   throw own stripes        (round i draws into the parity-(i&1)
 //                             buffer set; reads/writes OWN bins only)
@@ -39,10 +41,12 @@
 // TSan at RBB_THREADS=4).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <cstddef>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -65,20 +69,82 @@ struct alignas(64) EpochCell {
 
 }  // namespace detail
 
-/// Runs `rounds` pipelined rounds of (throw_fn, [choose_fn,] commit_fn)
-/// over stripes [0, stripe_count) on a resident team of `width` workers
-/// (width <= stripe_count; callers clamp).  Phase callables receive
-/// (stripe, round_index).  Returns false -- having executed nothing --
-/// when the executor cannot host a concurrent team (inline execution,
-/// pool busy, nested without a grant); the caller then falls back to
-/// barriered rounds.  The first exception thrown by a phase body aborts
-/// the remaining rounds cooperatively and is rethrown here, leaving
-/// kernel state partially advanced exactly like the barriered path.
-template <typename ThrowFn, typename ChooseFn, typename CommitFn>
-bool run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
-                  std::uint32_t width, std::uint64_t rounds, bool has_choose,
-                  ThrowFn&& throw_fn, ChooseFn&& choose_fn,
-                  CommitFn&& commit_fn) {
+/// The per-(stripe, target shard) scatter buffers of a sharded kernel:
+/// row g * shard_count + s holds the arrivals stripe g throws into shard
+/// s.  Set 0 carries every round run inline or alone; set 1 is the
+/// odd-round twin of a multi-round team run, allocated by the first such
+/// run -- so a width-1 process never holds a second set.  Each commit
+/// clears (capacity kept) the rows it drains.
+template <typename T>
+class ScatterBuffers {
+ public:
+  void resize(std::size_t rows) { sets_[0].resize(rows); }
+
+  [[nodiscard]] std::vector<T>* set(std::uint64_t parity) noexcept {
+    return sets_[parity & 1].data();
+  }
+
+  void ensure_second_set() {
+    if (sets_[1].empty()) sets_[1].resize(sets_[0].size());
+  }
+
+  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
+    std::size_t bytes = 0;
+    for (const auto& rows : sets_) {
+      for (const std::vector<T>& row : rows) {
+        bytes += row.capacity() * sizeof(T);
+      }
+    }
+    return bytes;
+  }
+
+  /// True at every round boundary (check_invariants hooks).
+  [[nodiscard]] bool drained() const noexcept {
+    for (const auto& rows : sets_) {
+      for (const std::vector<T>& row : rows) {
+        if (!row.empty()) return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  std::vector<std::vector<T>> sets_[2];
+};
+
+/// Runs `rounds` rounds of (throw_fn, [choose_fn,] commit_fn) over
+/// stripes [0, stripe_count).  Phase callables receive (stripe,
+/// round_index, buffer rows), the rows being a set of `buffers`.  With
+/// min(stripe_count, team_width) >= 2 the rounds run pipelined on a
+/// resident team, round i on set i & 1.  Otherwise -- and when the
+/// executor refuses the team (pool busy, nested without a grant) -- they
+/// run inline on the calling thread, every round on set 0; that is the
+/// schedule a refused for_each would run too, so the thread count never
+/// changes.  The first exception thrown by a phase body aborts the
+/// remaining rounds (cooperatively on a team) and is rethrown here,
+/// leaving kernel state partially advanced.
+template <typename T, typename ThrowFn, typename ChooseFn, typename CommitFn>
+void run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
+                  std::uint64_t rounds, bool has_choose,
+                  ScatterBuffers<T>& buffers, ThrowFn&& throw_fn,
+                  ChooseFn&& choose_fn, CommitFn&& commit_fn) {
+  const auto run_inline = [&] {
+    std::vector<T>* bufs = buffers.set(0);
+    for (std::uint64_t i = 0; i < rounds; ++i) {
+      for (std::uint32_t g = 0; g < stripe_count; ++g) throw_fn(g, i, bufs);
+      if (has_choose) {
+        for (std::uint32_t g = 0; g < stripe_count; ++g) choose_fn(g, i, bufs);
+      }
+      for (std::uint32_t g = 0; g < stripe_count; ++g) commit_fn(g, i, bufs);
+    }
+  };
+  const std::uint32_t width = std::min(stripe_count, stripes.team_width());
+  if (width < 2) {
+    run_inline();
+    return;
+  }
+  if (rounds > 1) buffers.ensure_second_set();
+
   std::vector<detail::EpochCell> throw_done(width);
   std::vector<detail::EpochCell> choose_done(has_choose ? width : 0);
   std::vector<detail::EpochCell> commit_done(width);
@@ -132,7 +198,7 @@ bool run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
 
         // Overlap telemetry: if any peer is still committing round i-1
         // when this worker starts throwing round i, the whole throw
-        // block is work hidden behind a commit that the barriered path
+        // block is work hidden behind a commit that a per-round barrier
         // would have stalled on.  Granularity is one throw phase --
         // an honest upper-bound sample, documented in metrics.hpp.
         std::uint64_t o0 = 0;
@@ -144,8 +210,9 @@ bool run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
             }
           }
         }
+        std::vector<T>* bufs = buffers.set(i);
         for (std::uint32_t g = w; g < stripe_count; g += width) {
-          throw_fn(g, i);
+          throw_fn(g, i, bufs);
         }
         if (o0 != 0) {
           obs::add_phase_ns(obs::Phase::kOverlap, obs::now_ns() - o0);
@@ -158,14 +225,14 @@ bool run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
           // needs all throws of round i (the wait above) and must fully
           // precede any commit of round i (the wait below).
           for (std::uint32_t g = w; g < stripe_count; g += width) {
-            choose_fn(g, i);
+            choose_fn(g, i, bufs);
           }
           choose_done[w].value.store(i + 1, std::memory_order_release);
           if (!wait_all(choose_done, i + 1)) return;
         }
 
         for (std::uint32_t g = w; g < stripe_count; g += width) {
-          commit_fn(g, i);
+          commit_fn(g, i, bufs);
         }
         commit_done[w].value.store(i + 1, std::memory_order_release);
       }
@@ -177,9 +244,11 @@ bool run_pipeline(StripeExecutor& stripes, std::uint32_t stripe_count,
       abort.store(true, std::memory_order_release);
     }
   });
-  if (!ran) return false;
+  if (!ran) {
+    run_inline();
+    return;
+  }
   if (first_error) std::rethrow_exception(first_error);
-  return true;
 }
 
 }  // namespace rbb::kernel

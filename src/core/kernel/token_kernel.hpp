@@ -5,8 +5,8 @@
 // load vector, so the identity-tracking process gets its own core
 // template -- but the policy axes are the same types: the sequential
 // instantiations are plain single-threaded loops (xoshiro draws or the
-// counter-RNG parity oracle), the sharded instantiation executes one
-// round across all cores.
+// counter-RNG parity oracle), the sharded instantiation executes its
+// rounds across all cores through pipeline.hpp's round driver.
 //
 // Queue state is the flat implicit-FIFO store of token_store.hpp: one
 // contiguous token-link array plus per-bin {head, tail, count} headers,
@@ -125,25 +125,18 @@ class TokenProcessCore {
 
   /// One synchronous round: every non-empty bin releases one token per
   /// the queue policy.
-  void step() {
-    if constexpr (kShardedExec) {
-      step_sharded();
-    } else {
-      step_sequential();
-    }
-    ++round_;
-  }
+  void step() { run(1); }
 
-  /// Runs `rounds` rounds.  Multi-round sharded runs take the pipelined
-  /// path (pipeline.hpp) when the executor can host a resident team and
-  /// RBB_PIPELINE is not 0; trajectories are bit-identical either way.
+  /// Runs `rounds` rounds (none when rounds == 0).  Sharded rounds run
+  /// through run_sharded (pipeline.hpp); trajectories are bit-identical
+  /// for every split of the same rounds into run() calls.
   void run(std::uint64_t rounds) {
+    if (rounds == 0) return;
     if constexpr (kShardedExec) {
-      if (rounds > 1 && pipeline_enabled() && run_sharded_pipelined(rounds)) {
-        return;
-      }
+      run_sharded(rounds);
+    } else {
+      for (std::uint64_t t = 0; t < rounds; ++t) step_sequential();
     }
-    for (std::uint64_t t = 0; t < rounds; ++t) step();
   }
 
   /// Runs until every token has covered all bins or `max_rounds`
@@ -264,16 +257,8 @@ class TokenProcessCore {
         seq_slots_.capacity() * sizeof(bin_index_t) +
         seq_tokens_.capacity() * sizeof(std::uint32_t) +
         seq_dests_.capacity() * sizeof(bin_index_t);
-    if constexpr (kShardedExec) {
-      for (const auto& buf : buffers_) {
-        bytes += buf.capacity() * sizeof(Arrival);
-      }
-      for (const auto& buf : buffers_alt_) {
-        bytes += buf.capacity() * sizeof(Arrival);
-      }
-      bytes += acc_.capacity() * sizeof(StripeAcc);
-    }
-    return bytes;
+    return bytes + buffers_.capacity_bytes() +
+           acc_.capacity() * sizeof(StripeAcc);
   }
 
   /// Adversarial reassignment (Sect. 4.1 semantics, as in
@@ -382,19 +367,8 @@ class TokenProcessCore {
     if (queued != progress_.size()) {
       throw std::logic_error("TokenProcessCore: token count drifted");
     }
-    if constexpr (kShardedExec) {
-      for (const auto& buf : buffers_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "TokenProcessCore: scatter buffer not drained");
-        }
-      }
-      for (const auto& buf : buffers_alt_) {
-        if (!buf.empty()) {
-          throw std::logic_error(
-              "TokenProcessCore: alternate scatter buffer not drained");
-        }
-      }
+    if (!buffers_.drained()) {
+      throw std::logic_error("TokenProcessCore: scatter buffer not drained");
     }
   }
 
@@ -408,7 +382,7 @@ class TokenProcessCore {
     load_t max = 0;
     std::uint32_t zeros = 0;
     std::uint32_t newly_covered = 0;
-    std::uint32_t cum_newly_covered = 0;  // across a pipelined run
+    std::uint32_t cum_newly_covered = 0;  // across a run
   };
 
   /// Scatter loops prefetch this many arrivals ahead: at mega n the
@@ -512,6 +486,7 @@ class TokenProcessCore {
       }
     }
     stats_dirty_ = true;  // recomputed lazily on the next stats query
+    ++round_;
   }
 
   /// Phase 1 (throw) for one stripe of round r: releases the stripe's
@@ -616,58 +591,28 @@ class TokenProcessCore {
     acc.cum_newly_covered += acc.newly_covered;
   }
 
-  void step_sharded()
+  /// Runs `rounds` >= 1 sharded rounds through the round driver
+  /// (pipeline.hpp), then reduces the stripe accumulators once, in fixed
+  /// stripe order.  The token-store happens-before chain across a team
+  /// is the epoch protocol: a pop (throw, own bins) is ordered before
+  /// the committer's push of the same token by the released/acquired
+  /// throw_done epoch.
+  void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
-    const std::uint64_t r = round_;
-    const ShardPlan& plan = exec_.plan();
-
-    exec_.stripes().for_stripes(plan.stripe_count(), [&](std::uint32_t g) {
-      throw_stripe(g, r, buffers_.data());
-    });
-    exec_.stripes().for_stripes(plan.stripe_count(), [&](std::uint32_t g) {
-      commit_stripe(g, r, buffers_.data());
-    });
-
-    max_load_ = 0;
-    empty_ = 0;
-    for (const StripeAcc& acc : acc_) {
-      max_load_ = std::max(max_load_, acc.max);
-      empty_ += acc.zeros;
-      covered_tokens_ += acc.newly_covered;
-    }
-    stats_dirty_ = false;  // the commit rescan just paid for them
-  }
-
-  /// The pipelined multi-round path (pipeline.hpp): one resident team,
-  /// buffers alternating by round parity, bit-identical to `rounds`
-  /// barriered steps.  The token-store happens-before chain is the
-  /// epoch protocol: a pop (throw, own bins) is ordered before the
-  /// committer's push of the same token by the released/acquired
-  /// throw_done epoch.  Returns false when no team can be hosted.
-  bool run_sharded_pipelined(std::uint64_t rounds)
-    requires kShardedExec
-  {
-    const ShardPlan& plan = exec_.plan();
-    const std::uint32_t stripes = plan.stripe_count();
-    const std::uint32_t width = std::min(stripes, exec_.stripes().team_width());
-    if (width < 2) return false;
-    if (buffers_alt_.empty()) buffers_alt_.resize(buffers_.size());
     for (StripeAcc& acc : acc_) acc.cum_newly_covered = 0;
     const std::uint64_t r0 = round_;
-    const auto bufs = [this](std::uint64_t i) {
-      return (i & 1) == 0 ? buffers_.data() : buffers_alt_.data();
-    };
-    const bool ran = run_pipeline(
-        exec_.stripes(), stripes, width, rounds, /*has_choose=*/false,
-        [&](std::uint32_t g, std::uint64_t i) {
-          throw_stripe(g, r0 + i, bufs(i));
+    using Bufs = std::vector<Arrival>*;
+    run_pipeline(
+        exec_.stripes(), exec_.plan().stripe_count(), rounds,
+        /*has_choose=*/false, buffers_,
+        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
+          throw_stripe(g, r0 + i, bufs);
         },
-        [](std::uint32_t, std::uint64_t) {},
-        [&](std::uint32_t g, std::uint64_t i) {
-          commit_stripe(g, r0 + i, bufs(i));
+        [](std::uint32_t, std::uint64_t, Bufs) {},
+        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
+          commit_stripe(g, r0 + i, bufs);
         });
-    if (!ran) return false;
 
     max_load_ = 0;
     empty_ = 0;
@@ -676,9 +621,8 @@ class TokenProcessCore {
       empty_ += acc.zeros;
       covered_tokens_ += acc.cum_newly_covered;
     }
-    stats_dirty_ = false;
+    stats_dirty_ = false;  // the commit rescan just paid for them
     round_ += rounds;
-    return true;
   }
 
   void rebuild_queues(const std::vector<bin_index_t>& placement) {
@@ -744,11 +688,9 @@ class TokenProcessCore {
   std::vector<std::uint32_t> seq_tokens_;
   std::vector<bin_index_t> seq_dests_;
 
-  /// buffers_[stripe * shard_count + target_shard], ascending releasing
-  /// bin within each buffer.  Sharded only.  buffers_alt_ is the
-  /// odd-parity twin of the pipelined path, sized lazily on first use.
-  std::vector<std::vector<Arrival>> buffers_;
-  std::vector<std::vector<Arrival>> buffers_alt_;
+  /// Arrivals per (stripe, target shard), ascending releasing bin
+  /// within each row.  Sharded only.
+  ScatterBuffers<Arrival> buffers_;
   std::vector<StripeAcc> acc_;
 };
 

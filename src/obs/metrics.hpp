@@ -156,7 +156,7 @@ struct MetricsSnapshot {
   /// `overlap` is throw-phase time spent while some peer was still
   /// committing the previous round and `epoch_wait` is time spent
   /// spinning on peer epochs.  1 = every wait was hidden behind useful
-  /// work; 0 = no overlap happened (barriered execution, one worker, or
+  /// work; 0 = no overlap happened (single rounds, inline execution, or
   /// telemetry off).
   [[nodiscard]] double pipeline_fill_fraction() const noexcept {
     const double overlap = static_cast<double>(phase(Phase::kOverlap));

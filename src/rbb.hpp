@@ -46,7 +46,6 @@
 #include "par/sharded_token_process.hpp"
 #include "par/sharded_variants.hpp"
 #include "runner/docgen.hpp"
-#include "runner/legacy.hpp"
 #include "runner/params.hpp"
 #include "runner/registry.hpp"
 #include "runner/result.hpp"

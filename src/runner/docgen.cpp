@@ -31,12 +31,10 @@ std::string render_experiment_docs(const Registry& registry) {
   out << "\n";
   out << "Auto-generated from the experiment registry (`src/runner/`): "
       << catalog.size()
-      << " experiments, each runnable as `rbb run <name>` (or via its "
-         "back-compat\n";
-  out << "binary `bench/exp_<name>`).  The claim column is the DESIGN.md "
-         "Sect. 4\n";
-  out << "experiment map; extras ride outside the numbered list.  Every "
-         "experiment\n";
+      << " experiments, each runnable as `rbb run <name>`.  The claim "
+         "column is the\n";
+  out << "DESIGN.md Sect. 4 experiment map; extras ride outside the "
+         "numbered list.  Every experiment\n";
   out << "accepts `--scale=smoke|default|paper|mega`, `--format=table|json|csv` "
          "and the\n";
   out << "parameters listed in its section; `rbb sweep <name> "
@@ -64,8 +62,7 @@ std::string render_experiment_docs(const Registry& registry) {
     out << "\n";
     out << e->description << "\n";
     out << "\n";
-    out << "**Run:** `rbb run " << e->name
-        << "` · back-compat binary `exp_" << e->name << "`\n";
+    out << "**Run:** `rbb run " << e->name << "`\n";
     out << "\n";
     out << "| parameter | type | default | description |\n";
     out << "|---|---|---|---|\n";

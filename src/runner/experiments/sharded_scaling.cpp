@@ -72,9 +72,10 @@ void register_sharded_scaling(Registry& registry) {
       "(isolating the RNG swap), and the sharded two-phase kernel "
       "(src/par/) at several worker counts.  One round of one instance "
       "runs across all cores; the timed block is a single batched run() "
-      "so multi-round pipelining (double-buffered throw/commit overlap; "
-      "RBB_PIPELINE=0 falls back to the barriered rounds) is what gets "
-      "measured, and trajectories are bit-identical for every thread "
+      "so multi-round pipelining (double-buffered throw/commit overlap "
+      "on a resident worker team; one worker runs the same phases "
+      "inline) is what gets measured, and trajectories are "
+      "bit-identical for every thread "
       "count and shard size.  n sweeps by scale up to 10^8 at "
       "--scale=mega for all four variants (token rows are uncapped: the "
       "flat implicit-FIFO store is 8m + 12n bytes); --n times a single "

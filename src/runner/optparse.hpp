@@ -1,6 +1,5 @@
-// Shared "--name=value" / "--name value" option splitting, used by both
-// the `rbb` CLI (runner.cpp) and the back-compat bench mains
-// (legacy.cpp) so the two surfaces cannot drift in syntax.
+// Shared "--name=value" / "--name value" option splitting for the `rbb`
+// CLI (runner.cpp).
 #pragma once
 
 #include <string>

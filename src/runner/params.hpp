@@ -2,9 +2,9 @@
 // src/runner/).
 //
 // Every experiment declares its tunables once -- name, type, default,
-// help text -- and the same declaration drives all four consumers: the
-// `rbb run` / `rbb sweep` option parser, the back-compat bench mains,
-// `rbb describe`, and the generated docs/experiments.md catalog.  Values
+// help text -- and the same declaration drives all three consumers: the
+// `rbb run` / `rbb sweep` option parser, `rbb describe`, and the
+// generated docs/experiments.md catalog.  Values
 // are kept as canonical text so run metadata can round-trip them without
 // a per-type variant.
 #pragma once

@@ -9,7 +9,6 @@
 //
 //   rbb list / describe / run / sweep   (runner/runner.cpp)
 //   the generated docs/experiments.md   (runner/docgen.cpp)
-//   the back-compat bench/exp_* mains   (runner/legacy.cpp)
 //   the registry completeness test      (tests/runner/)
 //
 // so the catalog, the CLI surface, and the code can never drift apart.

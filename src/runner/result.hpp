@@ -99,7 +99,7 @@ struct RunMeta {
     double barrier_wait_fraction = 0;
     /// Share of epoch-synchronized time the pipelined round loop spent
     /// doing overlapped work instead of spinning (obs/metrics.hpp);
-    /// exactly 0 for barriered runs.
+    /// exactly 0 when no team ran.
     double pipeline_fill_fraction = 0;
     std::uint32_t effective_parallelism = 0;  // min(runnable, hardware)
   };

@@ -27,9 +27,4 @@ std::string to_string(BenchScale scale) {
   return "default";
 }
 
-std::string csv_dir() {
-  const char* env = std::getenv("RBB_CSV_DIR");
-  return env == nullptr ? std::string{} : std::string(env);
-}
-
 }  // namespace rbb

@@ -1,9 +1,9 @@
 // Markdown table / CSV reporting for the experiment harness.
 //
-// Every bench in bench/exp_*.cpp prints one table per experiment
-// (DESIGN.md Sect. 4 maps them) in GitHub-markdown format, so the
-// harness output can be pasted into the docs verbatim.  An optional CSV
-// mirror (RBB_CSV_DIR) supports downstream plotting.
+// Every experiment prints its tables (DESIGN.md Sect. 4 maps them) in
+// GitHub-markdown format, so the harness output can be pasted into the
+// docs verbatim.  write_csv mirrors a table to a directory for
+// downstream plotting.
 #pragma once
 
 #include <cstdint>

@@ -180,8 +180,8 @@ TEST(CkptRoundtrip, RestoreRejectsMismatchedShape) {
   EXPECT_THROW(big.restore(r), std::exception);
 }
 
-// Pipelined continuation: multi-round sharded runs take the
-// double-buffered pipelined path when enabled; a restored process must
+// Pipelined continuation: multi-round sharded runs at width >= 2 take
+// the double-buffered pipelined team path; a restored process must
 // feed it identically.  Named CkptPipelined.* so the TSan CI job can
 // select it alongside the other pipelined suites.
 TEST(CkptPipelined, RestoredShardedRunMatchesOracle) {

@@ -1,11 +1,12 @@
-// Parity tests for the pipelined multi-round path (core/kernel/
-// pipeline.hpp).  run(rounds) takes the double-buffered epoch-protocol
-// path whenever the executor can host a resident team; these tests pin
-// that the pipelined trajectory is bit-identical to the barriered
-// step() loop AND to the sequential counter-stream oracles -- for every
+// Parity tests for the sharded round driver (core/kernel/pipeline.hpp).
+// run(rounds) takes the double-buffered epoch-protocol path whenever
+// the executor can host a resident team; these tests pin that the
+// trajectory of a step() loop vs run(R) is bit-identical, and both are
+// bit-identical to the sequential counter-stream oracles -- for every
 // kernel family, worker count {1, 2, 8} and shard size {64, 256, 1024}.
-// threads = 1 runs inline (the team is refused, run() falls back to
-// barriered rounds), so that column doubles as a fallback-path check.
+// threads = 1 runs the same phases inline on one buffer set, so that
+// column doubles as a width-1 check; a team refused inside a pool task
+// takes the same inline path.
 //
 // The hot-shard straggler cases are the schedule the pipeline has to
 // survive: one stripe carries (almost) all the work, so its owner
@@ -15,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/config.hpp"
@@ -22,6 +25,8 @@
 #include "par/sharded_process.hpp"
 #include "par/sharded_token_process.hpp"
 #include "par/sharded_variants.hpp"
+#include "support/serial.hpp"
+#include "support/thread_pool.hpp"
 
 namespace rbb::par {
 namespace {
@@ -45,7 +50,7 @@ LoadConfig start_config(InitialConfig kind = InitialConfig::kOnePerBin) {
 
 // --- load-only --------------------------------------------------------------
 
-TEST(PipelinedParity, LoadMatchesBarrieredAndOracle) {
+TEST(PipelinedParity, LoadStepLoopVsRunMatchesOracle) {
   SequentialCounterProcess oracle(start_config(), kSeed);
   RoundStats want{};
   for (std::uint64_t r = 0; r < kRounds; ++r) want = oracle.step();
@@ -60,16 +65,16 @@ TEST(PipelinedParity, LoadMatchesBarrieredAndOracle) {
     EXPECT_EQ(pipelined.round(), kRounds);
     ASSERT_NO_THROW(pipelined.check_invariants());
 
-    ShardedRepeatedBallsProcess barriered(start_config(), kSeed, options);
-    for (std::uint64_t r = 0; r < kRounds; ++r) barriered.step();
-    EXPECT_EQ(pipelined.loads(), barriered.loads());
+    ShardedRepeatedBallsProcess stepped(start_config(), kSeed, options);
+    for (std::uint64_t r = 0; r < kRounds; ++r) stepped.step();
+    EXPECT_EQ(pipelined.loads(), stepped.loads());
   }
 }
 
 TEST(PipelinedParity, LoadRunThenStepContinuesTheSameTrajectory) {
-  // A pipelined run must leave the kernel in a state from which plain
-  // barriered stepping continues the exact oracle trajectory (round
-  // counter, scratch and scatter buffers all consistent).
+  // A pipelined run must leave the kernel in a state from which a
+  // step() loop continues the exact oracle trajectory (round counter,
+  // scratch and scatter buffers all consistent).
   SequentialCounterProcess oracle(start_config(), kSeed);
   ShardedRepeatedBallsProcess sharded(start_config(), kSeed,
                                       {.threads = 2, .shard_size = 256});
@@ -136,7 +141,7 @@ TEST(PipelinedParity, MixedSurvivesSkewedRateStraggler) {
 
 // --- refill variants (tetris, leaky) ----------------------------------------
 
-TEST(PipelinedParity, TetrisMatchesBarrieredAndOracle) {
+TEST(PipelinedParity, TetrisRunMatchesOracle) {
   SequentialCounterTetrisProcess oracle(start_config(InitialConfig::kRandom),
                                         kSeed);
   TetrisRoundStats want{};
@@ -182,7 +187,7 @@ TEST(PipelinedParity, LeakyMatchesOracleIncludingArrivalDraws) {
 
 // --- choose-phase variants (d-choices, threshold) ---------------------------
 
-TEST(PipelinedParity, DChoicesMatchesBarrieredAndOracle) {
+TEST(PipelinedParity, DChoicesRunMatchesOracle) {
   constexpr std::uint32_t kD = 3;
   SequentialCounterDChoicesProcess oracle(start_config(), kD, kSeed);
   DChoicesRoundStats want{};
@@ -215,7 +220,7 @@ TEST(PipelinedParity, ThresholdMatchesOracle) {
 
 // --- token ------------------------------------------------------------------
 
-TEST(PipelinedParity, TokenMatchesBarrieredAndOracle) {
+TEST(PipelinedParity, TokenRunMatchesOracle) {
   SequentialCounterTokenProcess oracle(kN, identity_placement(kN), kSeed);
   for (std::uint64_t r = 0; r < kRounds; ++r) oracle.step();
 
@@ -249,7 +254,7 @@ TEST(PipelinedParity, TokenHotQueueStraggler) {
 
 // --- mixed ------------------------------------------------------------------
 
-TEST(PipelinedParity, MixedMatchesBarrieredAndOracle) {
+TEST(PipelinedParity, MixedRunMatchesOracle) {
   const MixedSpec spec = make_mixed_spec(1024, 8.0, "zipf", "capped");
   SequentialCounterMixedProcess oracle(spec, kSeed);
   MixedRoundStats want{};
@@ -270,6 +275,99 @@ TEST(PipelinedParity, MixedMatchesBarrieredAndOracle) {
     EXPECT_EQ(pipelined.dropped_weight(), oracle.dropped_weight());
     ASSERT_NO_THROW(pipelined.check_invariants());
   }
+}
+
+// --- run(0) ------------------------------------------------------------------
+
+template <typename Proc>
+std::string snapshot_of(const Proc& proc) {
+  serial::ByteWriter w;
+  proc.snapshot(w);
+  return w.take();
+}
+
+/// run(0) on a process that has already run: the round counter, the
+/// complete state and the stats must all stay put.  `stats_of` maps the
+/// process to the comparable stats tuple of its family.
+template <typename Proc, typename StatsOf>
+void expect_run_zero_is_a_no_op(Proc& proc, StatsOf stats_of) {
+  proc.run(5);
+  const std::uint64_t round = proc.round();
+  const std::string state = snapshot_of(proc);
+  const auto stats = stats_of(proc);
+  proc.run(0);
+  EXPECT_EQ(proc.round(), round);
+  EXPECT_EQ(snapshot_of(proc), state);
+  EXPECT_EQ(stats_of(proc), stats);
+  ASSERT_NO_THROW(proc.check_invariants());
+}
+
+TEST(PipelinedParity, RunZeroLeavesEveryShardedFamilyUnchanged) {
+  for (const ShardedOptions& options :
+       {ShardedOptions{.threads = 1, .shard_size = 256},
+        ShardedOptions{.threads = 8, .shard_size = 64}}) {
+    const auto load_stats = [](auto& p) {
+      return std::tuple(p.max_load(), p.empty_bins(), p.total_balls());
+    };
+    ShardedRepeatedBallsProcess load(start_config(), kSeed, options);
+    expect_run_zero_is_a_no_op(load, load_stats);
+    ShardedTetrisProcess tetris(start_config(InitialConfig::kRandom), kSeed, 0,
+                                options);
+    expect_run_zero_is_a_no_op(tetris, load_stats);
+    ShardedLeakyBinsProcess leaky(start_config(), 0.6, kSeed, options);
+    expect_run_zero_is_a_no_op(leaky, load_stats);
+    ShardedDChoicesProcess dchoices(start_config(), 3, kSeed, options);
+    expect_run_zero_is_a_no_op(dchoices, load_stats);
+    ShardedThresholdProcess threshold(start_config(), 4, 2, kSeed, options);
+    expect_run_zero_is_a_no_op(threshold, load_stats);
+    ShardedTokenProcess token(kN, identity_placement(kN), kSeed, options);
+    expect_run_zero_is_a_no_op(token, [](auto& p) {
+      return std::tuple(p.max_load(), p.empty_bins(), p.min_progress());
+    });
+    ShardedMixedProcess mixed(make_mixed_spec(1024, 8.0, "zipf", "capped"),
+                              kSeed, options);
+    expect_run_zero_is_a_no_op(mixed, [](auto& p) {
+      return std::tuple(p.max_load(), p.empty_bins(), p.total_balls(),
+                        p.total_weight(), p.dropped_balls(),
+                        p.max_weighted_load());
+    });
+  }
+}
+
+// --- refused team -------------------------------------------------------------
+
+TEST(PipelinedParity, RefusedTeamInsidePoolTaskRunsInlineAndMatchesOracle) {
+  // threads = 0 attaches the global pool, but inside another pool's task
+  // without a NestedParallelismGrant the team is refused and the driver
+  // runs the rounds inline on the task's thread.
+  SequentialCounterProcess load_oracle(start_config(), kSeed);
+  for (std::uint64_t r = 0; r < kRounds; ++r) load_oracle.step();
+  SequentialCounterTokenProcess token_oracle(kN, identity_placement(kN),
+                                             kSeed);
+  for (std::uint64_t r = 0; r < kRounds; ++r) token_oracle.step();
+
+  ThreadPool outer(2);
+  outer.for_each(1, [&](std::uint64_t) {
+    ASSERT_TRUE(ThreadPool::inside_task());
+    ASSERT_FALSE(ThreadPool::nested_allowed(&ThreadPool::global()));
+
+    ShardedRepeatedBallsProcess load(start_config(), kSeed,
+                                     {.threads = 0, .shard_size = 256});
+    load.run(kRounds);
+    EXPECT_EQ(load.loads(), load_oracle.loads());
+    EXPECT_EQ(load.round(), kRounds);
+    ASSERT_NO_THROW(load.check_invariants());
+
+    ShardedTokenProcess token(kN, identity_placement(kN), kSeed,
+                              {.threads = 0, .shard_size = 256});
+    token.run(kRounds);
+    EXPECT_EQ(token.loads(), token_oracle.loads());
+    for (std::uint32_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(token.token_bin(i), token_oracle.token_bin(i)) << "token " << i;
+      ASSERT_EQ(token.progress(i), token_oracle.progress(i)) << "token " << i;
+    }
+    ASSERT_NO_THROW(token.check_invariants());
+  });
 }
 
 }  // namespace

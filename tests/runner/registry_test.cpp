@@ -2,6 +2,7 @@
 // the registered catalog can never drift apart.
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <set>
 #include <string>
 
@@ -220,6 +221,13 @@ TEST(Registry, TrialPlanSplitsTheThreadBudget) {
   EXPECT_THROW(ctx.trial_plan(4), std::invalid_argument);
   ASSERT_TRUE(values.set("trial-parallelism", "0"));
   EXPECT_THROW(ctx.trial_plan(4), std::invalid_argument);
+}
+
+TEST(Registry, GitRevisionIsAShortHashWithDirtyMarkerOrUnknown) {
+  // Stamped at configure time by `git describe --always --dirty`.
+  const std::string rev = git_revision();
+  EXPECT_TRUE(std::regex_match(rev, std::regex("[0-9a-f]+(-dirty)?|unknown")))
+      << rev;
 }
 
 TEST(Registry, SeedChangesResults) {

@@ -88,16 +88,5 @@ TEST(Scale, ToStringRoundTrip) {
   EXPECT_EQ(to_string(BenchScale::kMega), "mega");
 }
 
-TEST(Scale, CsvDirReflectsEnv) {
-  {
-    const ScopedEnv env("RBB_CSV_DIR", nullptr);
-    EXPECT_TRUE(csv_dir().empty());
-  }
-  {
-    const ScopedEnv env("RBB_CSV_DIR", "/tmp/somewhere");
-    EXPECT_EQ(csv_dir(), "/tmp/somewhere");
-  }
-}
-
 }  // namespace
 }  // namespace rbb
