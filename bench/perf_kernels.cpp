@@ -17,7 +17,7 @@
 #include "baselines/repeated_dchoices.hpp"
 #include "core/config.hpp"
 #include "core/process.hpp"
-#include "core/token_process.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "engine/engine.hpp"
 #include "markov/rbb_chain.hpp"
 #include "support/counter_rng.hpp"
@@ -64,11 +64,7 @@ BENCHMARK(BM_EngineRepeatedBallsRound)->Arg(1024)->Arg(8192)->Arg(65536)
 // per-token bookkeeping; this quantifies the load-only kernel's edge.
 void BM_TokenProcessRound(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  std::vector<std::uint32_t> placement(n);
-  for (std::uint32_t i = 0; i < n; ++i) placement[i] = i;
-  TokenProcess::Options options;
-  options.track_visits = false;
-  TokenProcess proc(n, std::move(placement), options, Rng(2));
+  kernel::SequentialTokenProcess proc(n, identity_placement(n), Rng(2));
   for (auto _ : state) {
     proc.step();
     benchmark::DoNotOptimize(proc.round());
@@ -79,11 +75,9 @@ BENCHMARK(BM_TokenProcessRound)->Arg(1024)->Arg(8192)->Arg(65536);
 
 void BM_TokenProcessRoundWithVisits(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  std::vector<std::uint32_t> placement(n);
-  for (std::uint32_t i = 0; i < n; ++i) placement[i] = i;
-  TokenProcess::Options options;
-  options.track_visits = true;
-  TokenProcess proc(n, std::move(placement), options, Rng(3));
+  kernel::SequentialTokenProcess proc(
+      n, identity_placement(n), Rng(3),
+      kernel::TokenOptions{.track_visits = true});
   for (auto _ : state) {
     proc.step();
     benchmark::DoNotOptimize(proc.round());

@@ -10,6 +10,7 @@
 #include "baselines/oneshot.hpp"
 #include "baselines/repeated_dchoices.hpp"
 #include "baselines/threshold.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "core/mixed_process.hpp"
 #include "core/process.hpp"
 #include "par/sharded_mixed.hpp"
@@ -734,10 +735,9 @@ ProgressResult run_progress(const ProgressParams& p) {
                                        par::ShardedOptions{1, 0},
                                        par::TokenOptions{.policy = p.policy}));
     } else {
-      TokenProcess::Options options;
-      options.policy = p.policy;
-      options.track_visits = false;
-      measure(TokenProcess(p.n, identity_placement(p.n), options, rng));
+      measure(kernel::SequentialTokenProcess(
+          p.n, identity_placement(p.n), rng,
+          kernel::TokenOptions{.policy = p.policy}));
     }
   });
 
@@ -759,12 +759,9 @@ DelayResult run_delays(const DelayParams& p) {
   std::vector<double> max_delay(p.trials, 0.0);
 
   for_each_trial(p.trials, p.seed, [&](std::uint32_t trial, Rng& rng) {
-    TokenProcess::Options options;
-    options.policy = p.policy;
-    options.track_visits = false;
-    options.track_delays = true;
-    Engine engine(
-        TokenProcess(p.n, identity_placement(p.n), options, rng));
+    Engine engine(kernel::SequentialTokenProcess(
+        p.n, identity_placement(p.n), rng,
+        kernel::TokenOptions{.policy = p.policy, .track_delays = true}));
     engine.run_rounds(rounds);
     per_trial[trial] = engine.process().delay_histogram();
     max_delay[trial] = static_cast<double>(per_trial[trial].max_value());
@@ -873,7 +870,7 @@ MixingResult run_mixing(const MixingParams& p) {
     std::vector<std::uint32_t> where;
     std::size_t next = 0;
 
-    void observe(const RoundContext<TokenProcess>& ctx) {
+    void observe(const RoundContext<kernel::SequentialTokenProcess>& ctx) {
       while (next < checkpoints.size() &&
              checkpoints[next] == ctx.round()) {
         where[next] = ctx.process().token_bin(token);
@@ -885,11 +882,9 @@ MixingResult run_mixing(const MixingParams& p) {
   for_each_trial(p.trials, p.seed, [&](std::uint32_t /*trial*/, Rng& rng) {
     std::vector<std::uint32_t> placement =
         make_token_placement(p.placement, p.n, p.n, rng);
-    TokenProcess::Options options;
-    options.policy = p.policy;
-    options.track_visits = false;
-    Engine engine(
-        TokenProcess(p.n, std::move(placement), options, rng.split()));
+    Engine engine(kernel::SequentialTokenProcess(
+        p.n, std::move(placement), rng.split(),
+        kernel::TokenOptions{.policy = p.policy}));
     TokenBinAtCheckpoints tracker{
         p.checkpoints, tracked, std::vector<std::uint32_t>(k, 0), 0};
     engine.run_rounds(p.checkpoints.back(), tracker);

@@ -257,7 +257,7 @@ struct CoverTimeParams {
   std::uint64_t max_rounds = 0;     // 0 = 64 n log2(n)^2
   /// kSharded drives the visit-tracking token core (any queue policy,
   /// clique, no faults); rejected when graph/faults need the
-  /// sequential TokenProcess.
+  /// sequential xoshiro token core.
   Backend backend = Backend::kSeq;
 };
 

@@ -38,7 +38,10 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
+#include "graph/graph.hpp"
 #include "support/counter_rng.hpp"
 #include "support/draw_plane.hpp"
 #include "support/rng.hpp"
@@ -189,5 +192,28 @@ class CounterStream {
   CounterRng rng_;
   DrawPlane plane_;
 };
+
+/// The general-graph rule of every kernel core (ball and token): a
+/// non-null `graph` must have `n` nodes, none of them isolated, and the
+/// core must draw from the SequentialStream -- neighbor sampling
+/// consumes a serial generator.  Throws std::invalid_argument prefixed
+/// with `who`; nullptr (the complete graph) always passes.
+template <typename Stream>
+void validate_graph(const Graph* graph, std::uint32_t n, const char* who) {
+  if (graph == nullptr) return;
+  const std::string prefix = std::string(who) + ": ";
+  if constexpr (Stream::kScheduleFree) {
+    throw std::invalid_argument(
+        prefix +
+        "general graphs need the sequential stream (neighbor sampling "
+        "draws from a serial generator)");
+  }
+  if (graph->node_count() != n) {
+    throw std::invalid_argument(prefix + "graph size != bin count");
+  }
+  if (graph->min_degree() == 0) {
+    throw std::invalid_argument(prefix + "graph has an isolated node");
+  }
+}
 
 }  // namespace rbb::kernel

@@ -25,18 +25,17 @@
 // LIFO the newest, random the k-th oldest where k is drawn uniformly --
 // under the counter stream from the dedicated pop-select slot plane
 // (one draw per (round, releasing bin), schedule-free), under the
-// sequential stream from the process rng interleaved with the
-// destination draws exactly as in TokenProcess.  The random removal is
-// order-preserving (remove the k-th in arrival order), unlike the
-// legacy BallQueue's swap-remove; FIFO and LIFO sequential-stream
-// trajectories are draw-for-draw identical to TokenProcess on the
-// complete graph (pinned by tests/par/token_flat_test.cpp).
+// sequential stream from the process rng, interleaved per releasing
+// bin with its destination draw.  The random removal is
+// order-preserving (remove the k-th in arrival order), so every pop is
+// a uniform member of the queue whatever the leftover order.
 //
-// Scope: the complete graph, per-token progress counters and OPTIONAL
-// per-token visited bitsets (cover-time experiments; m*n bits -- fine
-// at experiment sizes, petabyte-scale at mega n, so visits default
-// off).  General graphs and delay histograms remain on the sequential
-// TokenProcess (core/token_process.hpp).
+// Scope: every instantiation has per-token progress counters and
+// OPTIONAL per-token visited bitsets (cover-time experiments; m*n bits
+// -- fine at experiment sizes, petabyte-scale at mega n, so visits
+// default off).  The sequential xoshiro instantiation alone adds
+// general graphs (uniform-neighbor destinations) and per-release delay
+// histograms; the counter-stream cores reject both at construction.
 #pragma once
 
 #include <algorithm>
@@ -53,8 +52,10 @@
 #include "core/kernel/stream.hpp"
 #include "core/kernel/token_store.hpp"
 #include "core/token_process.hpp"  // QueuePolicy, identity_placement
+#include "graph/graph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/stats.hpp"
 #include "support/types.hpp"
 
 namespace rbb::kernel {
@@ -66,6 +67,12 @@ struct TokenOptions {
   bool track_visits = false;
   /// Which token a non-empty bin releases each round.
   QueuePolicy policy = QueuePolicy::kFifo;
+  /// Released tokens move to a uniform neighbor of their bin instead of
+  /// a uniform bin (nullptr = complete graph).  Sequential stream only.
+  const Graph* graph = nullptr;
+  /// Per-release waiting-time histogram (delay_histogram()); costs one
+  /// round_t per token.  Sequential stream only.
+  bool track_delays = false;
 };
 
 template <typename Exec, typename StreamP = CounterStream>
@@ -82,7 +89,7 @@ class TokenProcessCore {
       std::numeric_limits<std::uint64_t>::max();
 
   /// `start_bin[i]` is the initial bin of token i; co-located tokens
-  /// enqueue in token-id order (as in TokenProcess).
+  /// enqueue in token-id order.
   TokenProcessCore(std::uint32_t bins, std::vector<bin_index_t> start_bin,
                    Stream stream, ExecOptions exec_options = {},
                    TokenOptions options = {})
@@ -106,6 +113,15 @@ class TokenProcessCore {
             "TokenProcessCore: start bin out of range");
       }
     }
+    validate_graph<Stream>(options_.graph, bins_, "TokenProcessCore");
+    if constexpr (Stream::kScheduleFree) {
+      if (options_.track_delays) {
+        throw std::invalid_argument(
+            "TokenProcessCore: delay histograms need the sequential stream "
+            "(the counter-stream cores keep no per-token arrival round)");
+      }
+    }
+    if (options_.track_delays) arrival_round_.resize(start_bin.size());
     if (options_.track_visits) {
       words_per_token_ = (bins_ + 63) / 64;
       visited_.assign(static_cast<std::size_t>(words_per_token_) *
@@ -168,9 +184,8 @@ class TokenProcessCore {
   }
   /// Maximum load over all bins.  Sharded: O(1), maintained by the
   /// commit rescan.  Sequential: computed lazily on first query after a
-  /// round (as in TokenProcess), so an unobserved round pays no O(n)
-  /// stats pass -- this keeps the seq-counter perf rows an honest
-  /// RNG-swap measurement.
+  /// round, so an unobserved round pays no O(n) stats pass -- this
+  /// keeps the seq-counter perf rows an honest RNG-swap measurement.
   [[nodiscard]] load_t max_load() const {
     refresh_stats();
     return max_load_;
@@ -238,6 +253,17 @@ class TokenProcessCore {
     return worst;
   }
 
+  /// Waiting-time histogram: each release records the complete rounds
+  /// the token spent enqueued before the releasing round (0 = released
+  /// on its first opportunity).  Under FIFO the paper bounds every
+  /// delay by O(log n) w.h.p. (Sect. 1.1).  Requires track_delays.
+  [[nodiscard]] const Histogram& delay_histogram() const {
+    if (!options_.track_delays) {
+      throw std::logic_error("delay_histogram: delay tracking disabled");
+    }
+    return delays_;
+  }
+
   [[nodiscard]] const ShardPlan& plan() const noexcept
     requires kShardedExec
   {
@@ -245,12 +271,13 @@ class TokenProcessCore {
   }
 
   /// Bytes of resident kernel state (queue store, progress, visit
-  /// bitsets, scratch and scatter buffers at their current capacity).
-  /// Feeds the memory column of sharded_scaling.
+  /// bitsets, arrival rounds, scratch and scatter buffers at their
+  /// current capacity).  Feeds the memory column of sharded_scaling.
   [[nodiscard]] std::size_t resident_state_bytes() const noexcept {
     std::size_t bytes =
         store_.resident_bytes() +
         progress_.capacity() * sizeof(std::uint64_t) +
+        arrival_round_.capacity() * sizeof(round_t) +
         visited_.capacity() * sizeof(std::uint64_t) +
         visited_count_.capacity() * sizeof(std::uint32_t) +
         cover_round_.capacity() * sizeof(std::uint64_t) +
@@ -261,10 +288,10 @@ class TokenProcessCore {
            acc_.capacity() * sizeof(StripeAcc);
   }
 
-  /// Adversarial reassignment (Sect. 4.1 semantics, as in
-  /// TokenProcess::reassign): every token i moves to new_bin[i]; queues
-  /// are rebuilt in token-id order; progress persists; the reassigned
-  /// position counts as a visit.
+  /// Adversarial reassignment (Sect. 4.1): every token i moves to
+  /// new_bin[i]; queues are rebuilt in token-id order; progress
+  /// persists; the reassigned position counts as a visit and restarts
+  /// the token's arrival clock.
   void reassign(const std::vector<bin_index_t>& new_bin) {
     if (new_bin.size() != progress_.size()) {
       throw std::invalid_argument("reassign: token count mismatch");
@@ -454,11 +481,13 @@ class TokenProcessCore {
                           seq_dests_.data());
     } else {
       // Sequential xoshiro draws: the random-policy pop draw and the
-      // destination draw interleave per releasing bin, draw-for-draw as
-      // in TokenProcess on the complete graph; arrivals apply after the
+      // destination draw (uniform bin, or uniform neighbor of u on a
+      // graph) interleave per releasing bin; arrivals apply after the
       // walk (later bins see pre-move queues, the synchronous-round
-      // convention both realize).
+      // convention).  Every popped token is re-pushed this round, so
+      // its arrival clock restarts at r + 1 here.
       Rng& rng = stream_.rng();
+      const Graph* graph = options_.graph;
       for (bin_index_t u = 0; u < bins_; ++u) {
         if (u + kPrefetchAhead < bins_) prefetch_release(u + kPrefetchAhead);
         if (store_.empty(u)) continue;
@@ -468,8 +497,13 @@ class TokenProcessCore {
                                        rng.below(store_.count(u))))
                 : store_.pop_front(u);
         ++progress_[token];
+        if (options_.track_delays) {
+          delays_.add(r - arrival_round_[token]);
+          arrival_round_[token] = r + 1;
+        }
         seq_tokens_.push_back(token);
-        seq_dests_.push_back(rng.index(bins_));
+        seq_dests_.push_back(graph != nullptr ? graph->sample_neighbor(u, rng)
+                                              : rng.index(bins_));
       }
     }
     const std::size_t moves = seq_dests_.size();
@@ -627,6 +661,7 @@ class TokenProcessCore {
 
   void rebuild_queues(const std::vector<bin_index_t>& placement) {
     store_.rebuild(placement);
+    std::fill(arrival_round_.begin(), arrival_round_.end(), round_);
     for (std::uint32_t token = 0; token < token_count(); ++token) {
       if (mark_visited(token, placement[token], round_)) {
         ++covered_tokens_;
@@ -682,6 +717,11 @@ class TokenProcessCore {
   std::vector<std::uint64_t> cover_round_;
   std::uint32_t covered_tokens_ = 0;
 
+  // Delay tracking (empty when !options_.track_delays): the round each
+  // token joined its current queue.
+  std::vector<round_t> arrival_round_;
+  Histogram delays_;
+
   // Sequential-path scratch: releasing bins (counter path), their
   // tokens, and the destinations, index-aligned.
   std::vector<bin_index_t> seq_slots_;
@@ -695,11 +735,10 @@ class TokenProcessCore {
 };
 
 /// Sequential xoshiro instantiation of the flat token core: the
-/// production single-thread token kernel.  FIFO and LIFO trajectories
-/// are draw-for-draw identical to the classic TokenProcess on the
-/// complete graph (pinned by tests/par/token_flat_test.cpp); random
-/// differs only in the post-removal queue order (order-preserving
-/// versus legacy swap-remove).
+/// single-thread token process of every sequential experiment, and the
+/// only one that walks general graphs (TokenOptions::graph) and records
+/// delay histograms (TokenOptions::track_delays).  Pinned draw for draw
+/// against the naive reference of tests/par/token_reference.hpp.
 class SequentialTokenProcess
     : public TokenProcessCore<SequentialExecution, SequentialStream> {
  public:

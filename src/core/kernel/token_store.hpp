@@ -1,7 +1,6 @@
 // Flat token storage of the token-process core (DESIGN.md Sect. 5).
 //
-// The mega-n replacement for a vector of growable per-bin queues: all
-// queue state lives in two contiguous arrays,
+// All queue state of the token core lives in two contiguous arrays,
 //
 //   slots_[token] = {next, bin}   one 8-byte record per token,
 //   bins_[u]      = {head, tail, count}   one 12-byte header per bin,
@@ -12,23 +11,21 @@
 // and appends at its tail, so head/tail identity is the whole per-bin
 // state -- no per-bin allocation, no compaction, no growth: push and
 // pop_front are O(1) pointer splices into memory that never moves.
-// Resident state is 8m + 12n bytes versus one malloc'd vector per bin,
-// which is what lifts the 10^6 token cap of sharded_scaling.
+// Resident state is 8m + 12n bytes with no per-bin allocation, which is
+// what lets sharded_scaling run token rows at n = 10^8.
 //
 // Policy orientation: FIFO and random push at the tail (list order =
 // arrival order, oldest at head); LIFO pushes at the head (list order =
 // newest first).  All three policies therefore *pop the head* except
 // random, which removes the k-th element in arrival order -- an
-// order-preserving removal, unlike the swap-remove of the legacy
-// BallQueue (see DESIGN.md: the first pop removes the same token, but
-// the legacy swap perturbs the order seen by later pops).
+// order-preserving removal, so each random pop is a uniform member of
+// the queue whatever order earlier pops left behind.
 //
 // Determinism: push order is the only thing that defines a queue's
 // content, and the store performs pushes exactly in the order the core
 // hands them over -- the canonical sorted-by-releasing-bin arrival
-// order of the sharded commit is preserved verbatim, so trajectories
-// are bit-identical to the queue-backed predecessor (pinned by
-// tests/par/).
+// order of the sharded commit is preserved verbatim, so every backend
+// matches the naive per-bin-vector reference of tests/par/ bit for bit.
 #pragma once
 
 #include <algorithm>
@@ -55,7 +52,7 @@ class FlatTokenStore {
 
   /// Drops every queue and re-pushes token 0, 1, ... into
   /// placement[token]: co-located tokens enqueue in token-id order,
-  /// the construction/reassign convention of TokenProcess.
+  /// the construction/reassign convention of the token core.
   void rebuild(const std::vector<bin_index_t>& placement) {
     std::fill(bins_.begin(), bins_.end(), BinList{kNil, kNil, 0});
     for (std::uint32_t token = 0;

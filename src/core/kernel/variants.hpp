@@ -91,21 +91,7 @@ struct LoadOnly {
       : stream_(std::move(stream)), graph_(graph) {}
 
   void validate(std::uint32_t n) const {
-    if (graph_ != nullptr) {
-      if constexpr (Stream::kScheduleFree) {
-        throw std::invalid_argument(
-            "LoadOnly: general graphs need the sequential stream "
-            "(neighbor sampling draws from a serial generator)");
-      }
-      if (graph_->node_count() != n) {
-        throw std::invalid_argument(
-            "RepeatedBallsProcess: graph size != configuration size");
-      }
-      if (graph_->min_degree() == 0) {
-        throw std::invalid_argument(
-            "RepeatedBallsProcess: graph has an isolated node");
-      }
-    }
+    validate_graph<Stream>(graph_, n, "RepeatedBallsProcess");
   }
   void init(const std::vector<load_t>& /*loads*/) {}
 

@@ -9,8 +9,9 @@
 //
 // where W^t is the set of non-empty bins.  Because Theorem 1 is oblivious
 // to the queueing strategy, this kernel tracks *loads only* and is the
-// fastest representation (ablation D2); use TokenProcess when per-ball
-// identities (progress, cover time, FIFO order) are needed.
+// fastest representation (ablation D2); use the token core
+// (core/kernel/token_kernel.hpp) when per-ball identities (progress,
+// cover time, FIFO order) are needed.
 //
 // Since the policy refactor (DESIGN.md Sect. 5), RepeatedBallsProcess is a
 // thin constructor adapter over the process core: the LoadOnly variant on

@@ -1,6 +1,5 @@
 #include "core/token_process.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -20,222 +19,6 @@ QueuePolicy queue_policy_from_string(const std::string& s) {
   if (s == "lifo") return QueuePolicy::kLifo;
   if (s == "random") return QueuePolicy::kRandom;
   throw std::invalid_argument("queue_policy_from_string: unknown: " + s);
-}
-
-std::uint32_t BallQueue::pop(QueuePolicy policy, Rng& rng) {
-  if (empty()) throw std::logic_error("BallQueue::pop: empty queue");
-  switch (policy) {
-    case QueuePolicy::kFifo: {
-      const std::uint32_t token = items_[head_++];
-      maybe_compact();
-      return token;
-    }
-    case QueuePolicy::kLifo: {
-      const std::uint32_t token = items_.back();
-      items_.pop_back();
-      return token;
-    }
-    case QueuePolicy::kRandom: {
-      const std::size_t idx = head_ + static_cast<std::size_t>(rng.below(size()));
-      std::swap(items_[idx], items_.back());
-      const std::uint32_t token = items_.back();
-      items_.pop_back();
-      return token;
-    }
-  }
-  throw std::logic_error("BallQueue::pop: bad policy");
-}
-
-void BallQueue::maybe_compact() {
-  // Proportional compaction: copy the live suffix down only once the
-  // dead prefix is at least as large as it (and at least kMinDeadSlots,
-  // so tiny queues don't churn).  The copy moves `live` elements after
-  // >= max(live, kMinDeadSlots) pops accumulated the dead slots, so the
-  // amortized cost per pop is O(1) and proportional to the queue's live
-  // size -- never to its pop history, however long-lived the bin.
-  const std::size_t live = items_.size() - head_;
-  if (head_ < kMinDeadSlots || head_ < live) return;
-  std::copy(items_.begin() + static_cast<std::ptrdiff_t>(head_),
-            items_.end(), items_.begin());
-  items_.resize(live);
-  head_ = 0;
-  // A long-lived skewed bin would otherwise retain the capacity of a
-  // past load spike forever; release it once the live size has fallen
-  // an order of magnitude below it (rare, so the realloc churn is
-  // negligible against the pops between two compactions).
-  if (items_.capacity() / 8 > std::max(live, kMinDeadSlots)) {
-    items_.shrink_to_fit();
-  }
-}
-
-TokenProcess::TokenProcess(std::uint32_t bins,
-                           std::vector<std::uint32_t> start_bin,
-                           Options options, Rng rng)
-    : bins_(bins),
-      options_(options),
-      rng_(rng),
-      queues_(bins),
-      token_bin_(std::move(start_bin)),
-      progress_(token_bin_.size(), 0) {
-  if (bins_ == 0) throw std::invalid_argument("TokenProcess: bins == 0");
-  if (token_bin_.empty()) {
-    throw std::invalid_argument("TokenProcess: no tokens");
-  }
-  if (options_.graph != nullptr) {
-    if (options_.graph->node_count() != bins_) {
-      throw std::invalid_argument("TokenProcess: graph size != bins");
-    }
-    if (options_.graph->min_degree() == 0) {
-      throw std::invalid_argument("TokenProcess: graph has an isolated node");
-    }
-  }
-  if (options_.track_visits) {
-    words_per_token_ = (bins_ + 63) / 64;
-    visited_.assign(words_per_token_ * token_bin_.size(), 0);
-    visited_count_.assign(token_bin_.size(), 0);
-    cover_round_.assign(token_bin_.size(), kNotCovered);
-  } else {
-    cover_round_.assign(token_bin_.size(), kNotCovered);
-  }
-  if (options_.track_delays) {
-    arrival_round_.assign(token_bin_.size(), 0);
-  }
-  for (std::uint32_t i = 0; i < token_bin_.size(); ++i) {
-    const std::uint32_t bin = token_bin_[i];
-    if (bin >= bins_) {
-      throw std::invalid_argument("TokenProcess: start bin out of range");
-    }
-    queues_[bin].push(i);
-    mark_visited(i, bin);
-  }
-}
-
-void TokenProcess::step() {
-  moves_.clear();
-  const bool clique = options_.graph == nullptr;
-  for (std::uint32_t u = 0; u < bins_; ++u) {
-    if (queues_[u].empty()) continue;
-    const std::uint32_t token = queues_[u].pop(options_.policy, rng_);
-    if (options_.track_delays) {
-      // round_ has not advanced yet: the token waited round_ -
-      // arrival_round_ complete rounds before this releasing round.
-      delays_.add(round_ - arrival_round_[token]);
-    }
-    const std::uint32_t dest =
-        clique ? rng_.index(bins_) : options_.graph->sample_neighbor(u, rng_);
-    moves_.emplace_back(token, dest);
-  }
-  ++round_;
-  for (const auto& [token, dest] : moves_) {
-    ++progress_[token];
-    place(token, dest);
-  }
-}
-
-void TokenProcess::run(std::uint64_t rounds) {
-  for (std::uint64_t t = 0; t < rounds; ++t) step();
-}
-
-std::optional<std::uint64_t> TokenProcess::run_until_covered(
-    std::uint64_t max_rounds) {
-  if (!options_.track_visits) {
-    throw std::logic_error("run_until_covered: visit tracking disabled");
-  }
-  while (!all_covered()) {
-    if (round_ >= max_rounds) return std::nullopt;
-    step();
-  }
-  return global_cover_time();
-}
-
-std::uint32_t TokenProcess::max_load() const {
-  std::uint32_t best = 0;
-  for (const auto& q : queues_) {
-    best = std::max(best, static_cast<std::uint32_t>(q.size()));
-  }
-  return best;
-}
-
-std::uint32_t TokenProcess::empty_bins() const {
-  std::uint32_t count = 0;
-  for (const auto& q : queues_) count += q.empty() ? 1u : 0u;
-  return count;
-}
-
-std::uint64_t TokenProcess::min_progress() const {
-  return *std::min_element(progress_.begin(), progress_.end());
-}
-
-std::uint32_t TokenProcess::visited_count(std::uint32_t token) const {
-  if (!options_.track_visits) {
-    throw std::logic_error("visited_count: visit tracking disabled");
-  }
-  return visited_count_[token];
-}
-
-std::uint64_t TokenProcess::global_cover_time() const {
-  if (!all_covered()) return kNotCovered;
-  return *std::max_element(cover_round_.begin(), cover_round_.end());
-}
-
-void TokenProcess::reassign(const std::vector<std::uint32_t>& new_bin) {
-  if (new_bin.size() != token_bin_.size()) {
-    throw std::invalid_argument("reassign: token count mismatch");
-  }
-  for (auto& q : queues_) q.clear();
-  for (std::uint32_t i = 0; i < new_bin.size(); ++i) {
-    if (new_bin[i] >= bins_) {
-      throw std::invalid_argument("reassign: bin out of range");
-    }
-    token_bin_[i] = new_bin[i];
-    queues_[new_bin[i]].push(i);
-    if (options_.track_delays) arrival_round_[i] = round_;
-    mark_visited(i, new_bin[i]);
-  }
-}
-
-void TokenProcess::place(std::uint32_t token, std::uint32_t bin) {
-  token_bin_[token] = bin;
-  queues_[bin].push(token);
-  if (options_.track_delays) arrival_round_[token] = round_;
-  mark_visited(token, bin);
-}
-
-const Histogram& TokenProcess::delay_histogram() const {
-  if (!options_.track_delays) {
-    throw std::logic_error("delay_histogram: delay tracking disabled");
-  }
-  return delays_;
-}
-
-void TokenProcess::mark_visited(std::uint32_t token, std::uint32_t bin) {
-  if (!options_.track_visits) return;
-  std::uint64_t& word =
-      visited_[static_cast<std::size_t>(token) * words_per_token_ + bin / 64];
-  const std::uint64_t bit = 1ULL << (bin % 64);
-  if ((word & bit) == 0) {
-    word |= bit;
-    if (++visited_count_[token] == bins_ &&
-        cover_round_[token] == kNotCovered) {
-      cover_round_[token] = round_;
-      ++covered_tokens_;
-    }
-  }
-}
-
-void TokenProcess::check_invariants() const {
-  std::uint64_t queued = 0;
-  for (std::uint32_t u = 0; u < bins_; ++u) {
-    for (const std::uint32_t token : queues_[u]) {
-      if (token >= token_bin_.size() || token_bin_[token] != u) {
-        throw std::logic_error("TokenProcess: queue/position mismatch");
-      }
-      ++queued;
-    }
-  }
-  if (queued != token_bin_.size()) {
-    throw std::logic_error("TokenProcess: token count drifted");
-  }
 }
 
 }  // namespace rbb

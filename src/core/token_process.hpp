@@ -1,28 +1,18 @@
-// Identity-tracking repeated balls-into-bins: tokens, queues and policies.
+// The queue-policy vocabulary of the token process (paper, Sect. 4).
 //
 // The load-only kernel (process.hpp) suffices for Theorem 1, which is
 // oblivious to the queueing strategy.  Everything in Sect. 4 of the paper
 // -- token progress, parallel cover time, the multi-token traversal
 // protocol and its adversarial variant -- needs per-ball identities and an
-// explicit queue discipline.  This class simulates n bins and m tokens
-// where each non-empty bin releases one token per round according to a
-// QueuePolicy and the released token moves u.a.r. (complete graph) or to a
-// uniform neighbor (general graph).
-//
-// Per-token instrumentation (optional, enabled with track_visits):
-//   * progress: number of random-walk steps the token has performed,
-//   * visited set + cover round: first round by which the token has
-//     visited every bin (Corollary 1's parallel cover time).
+// explicit queue discipline: each non-empty bin releases one token per
+// round according to a QueuePolicy.  The token process itself is the
+// flat-store core of core/kernel/token_kernel.hpp (SequentialTokenProcess,
+// and the counter-stream/sharded siblings in par/sharded_token_process.hpp).
 #pragma once
 
 #include <cstdint>
-#include <limits>
-#include <optional>
+#include <string>
 #include <vector>
-
-#include "graph/graph.hpp"
-#include "support/rng.hpp"
-#include "support/stats.hpp"
 
 namespace rbb {
 
@@ -46,162 +36,5 @@ enum class QueuePolicy {
   for (std::uint32_t i = 0; i < n; ++i) placement[i] = i;
   return placement;
 }
-
-/// A bin's token queue: contiguous storage with an amortised-O(1) head.
-class BallQueue {
- public:
-  void push(std::uint32_t token) { items_.push_back(token); }
-  [[nodiscard]] bool empty() const noexcept { return head_ == items_.size(); }
-  [[nodiscard]] std::size_t size() const noexcept {
-    return items_.size() - head_;
-  }
-  /// Removes and returns one token per `policy`.  Requires !empty().
-  std::uint32_t pop(QueuePolicy policy, Rng& rng);
-  void clear() noexcept {
-    items_.clear();
-    head_ = 0;
-  }
-  /// Live tokens in queue order (oldest first under FIFO pops; the
-  /// random policy's swap-remove perturbs the interior).  Contiguous
-  /// view, no copy; invalidated by any mutation.
-  [[nodiscard]] const std::uint32_t* begin() const noexcept {
-    return items_.data() + head_;
-  }
-  [[nodiscard]] const std::uint32_t* end() const noexcept {
-    return items_.data() + items_.size();
-  }
-  /// Tokens currently enqueued, in queue order (testing / inspection;
-  /// allocates -- invariant checks iterate begin()/end() instead).
-  [[nodiscard]] std::vector<std::uint32_t> snapshot() const {
-    return {begin(), end()};
-  }
-  /// Heap bytes currently held, dead prefix and spare capacity
-  /// included (compaction tests / memory accounting).
-  [[nodiscard]] std::size_t capacity_bytes() const noexcept {
-    return items_.capacity() * sizeof(std::uint32_t);
-  }
-
- private:
-  /// Dead slots tolerated before a compaction is considered at all;
-  /// below this the erase would cost more than the memory it frees.
-  static constexpr std::size_t kMinDeadSlots = 32;
-
-  void maybe_compact();
-
-  std::vector<std::uint32_t> items_;
-  std::size_t head_ = 0;
-};
-
-/// Identity-tracking repeated balls-into-bins / multi-token traversal.
-class TokenProcess {
- public:
-  static constexpr std::uint64_t kNotCovered =
-      std::numeric_limits<std::uint64_t>::max();
-
-  struct Options {
-    QueuePolicy policy = QueuePolicy::kFifo;
-    const Graph* graph = nullptr;  // nullptr = complete graph
-    bool track_visits = true;      // per-token visited bitsets (m*n bits)
-    bool track_delays = false;     // per-release waiting-time histogram
-  };
-
-  /// `start_bin[i]` is the initial bin of token i; bins are [0, bins).
-  /// Initial placement counts as a visit.  Queue order of co-located
-  /// tokens is by token id (the adversary of Sect. 4.1 controls placement
-  /// but the analysis is oblivious to intra-bin order).
-  TokenProcess(std::uint32_t bins, std::vector<std::uint32_t> start_bin,
-               Options options, Rng rng);
-
-  /// One synchronous round: every non-empty bin releases one token.
-  void step();
-  /// Runs `rounds` rounds.
-  void run(std::uint64_t rounds);
-  /// Runs until every token has covered all bins or `max_rounds` elapse;
-  /// returns the global cover time (rounds from construction) if reached.
-  /// Requires track_visits.
-  std::optional<std::uint64_t> run_until_covered(std::uint64_t max_rounds);
-
-  [[nodiscard]] std::uint32_t bin_count() const noexcept { return bins_; }
-  [[nodiscard]] std::uint32_t token_count() const noexcept {
-    return static_cast<std::uint32_t>(token_bin_.size());
-  }
-  [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
-
-  /// Load of bin u (queue length).
-  [[nodiscard]] std::uint32_t load(std::uint32_t u) const {
-    return static_cast<std::uint32_t>(queues_[u].size());
-  }
-  /// Maximum load over all bins; O(n).
-  [[nodiscard]] std::uint32_t max_load() const;
-  /// Number of empty bins; O(n).
-  [[nodiscard]] std::uint32_t empty_bins() const;
-  /// Current bin of token i.
-  [[nodiscard]] std::uint32_t token_bin(std::uint32_t token) const {
-    return token_bin_[token];
-  }
-  /// Number of walk steps token i has performed (times it was released).
-  [[nodiscard]] std::uint64_t progress(std::uint32_t token) const {
-    return progress_[token];
-  }
-  /// Minimum progress over all tokens (the Sect. 4 guarantee is
-  /// Omega(t / log n) for every token under FIFO).
-  [[nodiscard]] std::uint64_t min_progress() const;
-
-  /// Distinct bins token i has visited.  Requires track_visits.
-  [[nodiscard]] std::uint32_t visited_count(std::uint32_t token) const;
-  /// Round by which token i had visited all bins, or kNotCovered.
-  [[nodiscard]] std::uint64_t cover_round(std::uint32_t token) const {
-    return cover_round_[token];
-  }
-  /// True when every token has visited every bin.
-  [[nodiscard]] bool all_covered() const noexcept {
-    return covered_tokens_ == token_count();
-  }
-  /// max over tokens of cover_round (kNotCovered unless all_covered()).
-  [[nodiscard]] std::uint64_t global_cover_time() const;
-
-  /// Waiting-time histogram: each released token contributes the number
-  /// of complete rounds it spent enqueued before the releasing round
-  /// (0 = released on its first opportunity).  Under FIFO the paper's
-  /// stability theorem bounds every delay by O(log n) w.h.p. (Sect. 1.1:
-  /// "every ball can be delayed for at most O(log n) rounds").
-  /// Requires track_delays.
-  [[nodiscard]] const Histogram& delay_histogram() const;
-
-  /// Adversarial reassignment (Sect. 4.1): every token i is moved to
-  /// `new_bin[i]`; queues are rebuilt in token-id order.  Progress and
-  /// visited sets persist (the reassigned position counts as a visit).
-  void reassign(const std::vector<std::uint32_t>& new_bin);
-
-  /// Testing hook: verifies queue/token-position consistency; throws
-  /// std::logic_error on violation.
-  void check_invariants() const;
-
- private:
-  void place(std::uint32_t token, std::uint32_t bin);
-  void mark_visited(std::uint32_t token, std::uint32_t bin);
-
-  std::uint32_t bins_;
-  Options options_;
-  Rng rng_;
-  std::vector<BallQueue> queues_;
-  std::vector<std::uint32_t> token_bin_;
-  std::vector<std::uint64_t> progress_;
-  std::uint64_t round_ = 0;
-
-  // Visit tracking (empty when !options_.track_visits).
-  std::size_t words_per_token_ = 0;
-  std::vector<std::uint64_t> visited_;
-  std::vector<std::uint32_t> visited_count_;
-  std::vector<std::uint64_t> cover_round_;
-  std::uint32_t covered_tokens_ = 0;
-
-  // Delay tracking (empty when !options_.track_delays).
-  std::vector<std::uint64_t> arrival_round_;
-  Histogram delays_;
-
-  // Per-round scratch: (token, destination) pairs.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> moves_;
-};
 
 }  // namespace rbb

@@ -11,15 +11,14 @@
 //
 // Generic overloads cover any type with the conventional member surface
 // (step / round / bin_count / max_load / empty_bins / loads /
-// check_invariants); the token-carrying variants that lack a LoadConfig
-// (TokenProcess, IsraeliJalfonProcess) get explicit overloads below.
+// check_invariants); Israeli-Jalfon, whose state is token presence per
+// node rather than a LoadConfig, gets explicit overloads below.
 #pragma once
 
 #include <concepts>
 #include <cstdint>
 
 #include "core/config.hpp"
-#include "core/token_process.hpp"
 #include "selfstab/israeli_jalfon.hpp"
 
 namespace rbb {
@@ -124,12 +123,6 @@ template <typename P>
   }
 [[nodiscard]] LoadConfig engine_loads(const P& p) {
   return p.loads();
-}
-
-[[nodiscard]] inline LoadConfig engine_loads(const TokenProcess& p) {
-  LoadConfig loads(p.bin_count(), 0);
-  for (std::uint32_t u = 0; u < p.bin_count(); ++u) loads[u] = p.load(u);
-  return loads;
 }
 
 [[nodiscard]] inline LoadConfig engine_loads(const IsraeliJalfonProcess& p) {

@@ -7,14 +7,14 @@
 //   SequentialCounterTokenProcess  Token x CounterStream x Sequential
 //                                  (the parity oracle of tests/par/)
 //
-// Scope of the port (the mega-n subset): all three queue policies
+// Scope (the mega-n subset): all three queue policies
 // (TokenOptions::policy -- FIFO, LIFO, random with schedule-free
 // pop-select draws) on the complete graph, per-token progress
 // counters, and OPTIONAL per-token visited bitsets (cover-time
-// experiments; m*n bits -- leave off at mega n).  The delay
-// histograms and general-graph support of core/token_process.hpp are
-// deliberately absent; delay experiments stay on the sequential
-// TokenProcess.  Queue state is the flat implicit-FIFO store
+// experiments; m*n bits -- leave off at mega n).  TokenOptions::graph
+// and ::track_delays need the sequential xoshiro core
+// (kernel::SequentialTokenProcess); both classes here reject them at
+// construction.  Queue state is the flat implicit-FIFO store
 // (core/kernel/token_store.hpp): 8m + 12n bytes, no per-bin
 // allocation, which is what makes token rows benchable at n = 10^8.
 #pragma once
@@ -35,7 +35,7 @@ class ShardedTokenProcess
     : public kernel::TokenProcessCore<kernel::ShardedExecution> {
  public:
   /// `start_bin[i]` is the initial bin of token i; co-located tokens
-  /// enqueue in token-id order (as in TokenProcess).
+  /// enqueue in token-id order.
   ShardedTokenProcess(std::uint32_t bins,
                       std::vector<std::uint32_t> start_bin,
                       std::uint64_t seed, ShardedOptions options = {},

@@ -18,7 +18,7 @@
 //   markov/   dense_matrix, state_space, rbb_chain, zchain_exact
 //   selfstab/ israeli_jalfon, certifier
 //   analysis/ experiments
-//   runner/   params, result, registry, docgen, legacy, runner
+//   runner/   params, result, registry, docgen, runner
 #pragma once
 
 #include "analysis/experiments.hpp"

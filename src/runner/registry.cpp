@@ -76,8 +76,8 @@ void Registry::add(Experiment experiment) {
     // seed/trials are prepended below; scale/format/out/check/help are
     // intercepted by the CLI frontends before parameter assignment, so a
     // parameter with one of these names would be silently unsettable via
-    // `rbb run` (while the legacy shim *would* set it) -- exactly the
-    // frontend drift the registry exists to prevent.
+    // `rbb run` -- exactly the frontend drift the registry exists to
+    // prevent.
     for (const char* reserved :
          {"seed", "trials", "backend", "threads", "metrics", "trace",
           "repeat", "trial-parallelism", "checkpoint-dir", "checkpoint-every",

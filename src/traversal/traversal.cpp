@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/kernel/token_kernel.hpp"
 #include "support/bounds.hpp"
 
 namespace rbb {
@@ -54,16 +55,14 @@ TraversalResult run_traversal(const TraversalParams& params,
           ? params.max_rounds
           : static_cast<std::uint64_t>(64.0 * parallel_cover_scale(params.n));
 
-  TokenProcess::Options options;
-  options.policy = params.policy;
-  options.graph = params.graph;
-  options.track_visits = true;
-
-  TokenProcess process(
+  kernel::SequentialTokenProcess process(
       params.n,
       make_token_placement(params.placement, params.n, params.n,
                            placement_rng),
-      options, process_rng);
+      process_rng,
+      kernel::TokenOptions{.track_visits = true,
+                           .policy = params.policy,
+                           .graph = params.graph});
 
   const FaultSchedule faults(params.fault_period);
   TraversalResult result;
@@ -81,7 +80,7 @@ TraversalResult run_traversal(const TraversalParams& params,
   result.min_progress = process.min_progress();
   if (process.all_covered()) {
     result.cover_time = process.global_cover_time();
-    std::uint64_t first = TokenProcess::kNotCovered;
+    std::uint64_t first = kernel::SequentialTokenProcess::kNotCovered;
     std::uint64_t last = 0;
     for (std::uint32_t i = 0; i < process.token_count(); ++i) {
       first = std::min(first, process.cover_round(i));

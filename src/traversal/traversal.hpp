@@ -1,4 +1,5 @@
-// Multi-token traversal (paper, Sect. 4) on top of the TokenProcess.
+// Multi-token traversal (paper, Sect. 4) on top of the sequential token
+// core (core/kernel/token_kernel.hpp).
 //
 // n tokens -- one per node initially, or adversarially placed -- perform
 // the random-walk protocol with the one-token-per-node-per-round

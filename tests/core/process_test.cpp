@@ -154,6 +154,21 @@ TEST(ProcessOnGraph, RequiresMatchingSize) {
                std::invalid_argument);
 }
 
+TEST(ProcessOnGraph, RejectsIsolatedNodeAndCounterStream) {
+  const Graph isolated(4, {{0, 1}, {1, 2}});  // node 3 has no edge
+  EXPECT_THROW(RepeatedBallsProcess(LoadConfig(4, 1), &isolated, Rng(1)),
+               std::invalid_argument);
+  // Neighbor sampling needs the serial xoshiro generator: the
+  // counter-stream ball core refuses any graph, even a valid one.
+  using CounterLoadOnly = kernel::LoadOnly<kernel::CounterStream>;
+  const Graph cycle = make_cycle(4);
+  EXPECT_THROW((kernel::BallProcessCore<CounterLoadOnly,
+                                        kernel::SequentialExecution>(
+                   LoadConfig(4, 1),
+                   CounterLoadOnly(kernel::CounterStream(1), &cycle))),
+               std::invalid_argument);
+}
+
 TEST(ProcessOnGraph, BallsStayOnGraphAndConserve) {
   Rng rng(12);
   const Graph g = make_cycle(16);

@@ -1,15 +1,21 @@
-// Tests for the identity-tracking token process: queue policies, token
-// conservation, visit/cover tracking, progress accounting, reassignment.
+// Tests for the sequential token core: queue policies, token
+// conservation, visit/cover tracking, progress accounting, reassignment,
+// general-graph walks and per-release delay histograms.
 #include "core/token_process.hpp"
 
 #include <gtest/gtest.h>
 
 #include <numeric>
-#include <set>
 #include <tuple>
+
+#include "core/kernel/token_kernel.hpp"
+#include "graph/graph.hpp"
 
 namespace rbb {
 namespace {
+
+using kernel::SequentialTokenProcess;
+using kernel::TokenOptions;
 
 std::vector<std::uint32_t> one_per_bin(std::uint32_t n) {
   std::vector<std::uint32_t> pos(n);
@@ -17,73 +23,8 @@ std::vector<std::uint32_t> one_per_bin(std::uint32_t n) {
   return pos;
 }
 
-TokenProcess::Options fifo_options() {
-  TokenProcess::Options o;
-  o.policy = QueuePolicy::kFifo;
-  return o;
-}
-
-TEST(BallQueue, FifoOrder) {
-  BallQueue q;
-  Rng rng(1);
-  q.push(10);
-  q.push(20);
-  q.push(30);
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.pop(QueuePolicy::kFifo, rng), 10u);
-  EXPECT_EQ(q.pop(QueuePolicy::kFifo, rng), 20u);
-  q.push(40);
-  EXPECT_EQ(q.pop(QueuePolicy::kFifo, rng), 30u);
-  EXPECT_EQ(q.pop(QueuePolicy::kFifo, rng), 40u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(BallQueue, LifoOrder) {
-  BallQueue q;
-  Rng rng(2);
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  EXPECT_EQ(q.pop(QueuePolicy::kLifo, rng), 3u);
-  EXPECT_EQ(q.pop(QueuePolicy::kLifo, rng), 2u);
-  EXPECT_EQ(q.pop(QueuePolicy::kLifo, rng), 1u);
-}
-
-TEST(BallQueue, RandomPopReturnsMember) {
-  BallQueue q;
-  Rng rng(3);
-  for (std::uint32_t i = 0; i < 10; ++i) q.push(i);
-  std::set<std::uint32_t> seen;
-  while (!q.empty()) {
-    const std::uint32_t t = q.pop(QueuePolicy::kRandom, rng);
-    EXPECT_TRUE(seen.insert(t).second);  // no duplicates
-    EXPECT_LT(t, 10u);
-  }
-  EXPECT_EQ(seen.size(), 10u);
-}
-
-TEST(BallQueue, PopEmptyThrows) {
-  BallQueue q;
-  Rng rng(4);
-  EXPECT_THROW((void)q.pop(QueuePolicy::kFifo, rng), std::logic_error);
-}
-
-TEST(BallQueue, CompactionPreservesOrder) {
-  BallQueue q;
-  Rng rng(5);
-  // Interleave pushes and FIFO pops past the compaction threshold.
-  std::uint32_t next_push = 0;
-  std::uint32_t next_expect = 0;
-  for (int i = 0; i < 500; ++i) {
-    q.push(next_push++);
-    q.push(next_push++);
-    ASSERT_EQ(q.pop(QueuePolicy::kFifo, rng), next_expect++);
-  }
-  while (!q.empty()) {
-    ASSERT_EQ(q.pop(QueuePolicy::kFifo, rng), next_expect++);
-  }
-  EXPECT_EQ(next_expect, next_push);
-}
+constexpr TokenOptions kVisits{.track_visits = true};
+constexpr TokenOptions kDelays{.track_delays = true};
 
 TEST(QueuePolicyNames, RoundTrip) {
   for (const auto p :
@@ -93,17 +34,22 @@ TEST(QueuePolicyNames, RoundTrip) {
   EXPECT_THROW((void)queue_policy_from_string("??"), std::invalid_argument);
 }
 
-TEST(TokenProcess, RejectsBadConstruction) {
-  EXPECT_THROW(TokenProcess(0, {0}, fifo_options(), Rng(1)),
-               std::invalid_argument);
-  EXPECT_THROW(TokenProcess(4, {}, fifo_options(), Rng(1)),
-               std::invalid_argument);
-  EXPECT_THROW(TokenProcess(4, {4}, fifo_options(), Rng(1)),
+TEST(SequentialTokenProcess, RejectsBadConstruction) {
+  EXPECT_THROW(SequentialTokenProcess(0, {0}, Rng(1)), std::invalid_argument);
+  EXPECT_THROW(SequentialTokenProcess(4, {}, Rng(1)), std::invalid_argument);
+  EXPECT_THROW(SequentialTokenProcess(4, {4}, Rng(1)), std::invalid_argument);
+  const Graph cycle = make_cycle(8);
+  EXPECT_THROW(SequentialTokenProcess(4, one_per_bin(4), Rng(1),
+                                      TokenOptions{.graph = &cycle}),
+               std::invalid_argument);  // graph size != bins
+  const Graph isolated(4, {{0, 1}, {1, 2}});  // node 3 has no edge
+  EXPECT_THROW(SequentialTokenProcess(4, one_per_bin(4), Rng(1),
+                                      TokenOptions{.graph = &isolated}),
                std::invalid_argument);
 }
 
-TEST(TokenProcess, InitialPlacementCountsAsVisit) {
-  TokenProcess proc(4, {0, 1, 2, 3}, fifo_options(), Rng(1));
+TEST(SequentialTokenProcess, InitialPlacementCountsAsVisit) {
+  SequentialTokenProcess proc(4, {0, 1, 2, 3}, Rng(1), kVisits);
   for (std::uint32_t i = 0; i < 4; ++i) {
     EXPECT_EQ(proc.visited_count(i), 1u);
     EXPECT_EQ(proc.token_bin(i), i);
@@ -112,8 +58,8 @@ TEST(TokenProcess, InitialPlacementCountsAsVisit) {
   EXPECT_FALSE(proc.all_covered());
 }
 
-TEST(TokenProcess, TokensConservedAcrossRounds) {
-  TokenProcess proc(16, one_per_bin(16), fifo_options(), Rng(2));
+TEST(SequentialTokenProcess, TokensConservedAcrossRounds) {
+  SequentialTokenProcess proc(16, one_per_bin(16), Rng(2));
   for (int t = 0; t < 200; ++t) {
     proc.step();
     proc.check_invariants();
@@ -123,10 +69,10 @@ TEST(TokenProcess, TokensConservedAcrossRounds) {
   EXPECT_EQ(total, 16u);
 }
 
-TEST(TokenProcess, ProgressSumsToDepartures) {
+TEST(SequentialTokenProcess, ProgressSumsToDepartures) {
   // Total progress after T rounds = sum over rounds of #non-empty bins;
   // every round moves at least 1 and at most n tokens.
-  TokenProcess proc(8, one_per_bin(8), fifo_options(), Rng(3));
+  SequentialTokenProcess proc(8, one_per_bin(8), Rng(3));
   proc.run(50);
   std::uint64_t total = 0;
   for (std::uint32_t i = 0; i < 8; ++i) total += proc.progress(i);
@@ -134,16 +80,16 @@ TEST(TokenProcess, ProgressSumsToDepartures) {
   EXPECT_LE(total, 50u * 8u);
 }
 
-TEST(TokenProcess, SingleTokenWalksEveryRound) {
-  TokenProcess proc(8, {3}, fifo_options(), Rng(4));
+TEST(SequentialTokenProcess, SingleTokenWalksEveryRound) {
+  SequentialTokenProcess proc(8, {3}, Rng(4));
   proc.run(100);
   EXPECT_EQ(proc.progress(0), 100u);
   EXPECT_EQ(proc.min_progress(), 100u);
 }
 
-TEST(TokenProcess, CoverageDetectedOnCompleteGraph) {
+TEST(SequentialTokenProcess, CoverageDetectedOnCompleteGraph) {
   // n = 4, plenty of rounds: every token covers all bins quickly.
-  TokenProcess proc(4, one_per_bin(4), fifo_options(), Rng(5));
+  SequentialTokenProcess proc(4, one_per_bin(4), Rng(5), kVisits);
   const auto cover = proc.run_until_covered(10000);
   ASSERT_TRUE(cover.has_value());
   EXPECT_TRUE(proc.all_covered());
@@ -154,27 +100,24 @@ TEST(TokenProcess, CoverageDetectedOnCompleteGraph) {
   }
 }
 
-TEST(TokenProcess, RunUntilCoveredRespectsCap) {
-  TokenProcess proc(64, one_per_bin(64), fifo_options(), Rng(6));
+TEST(SequentialTokenProcess, RunUntilCoveredRespectsCap) {
+  SequentialTokenProcess proc(64, one_per_bin(64), Rng(6), kVisits);
   EXPECT_FALSE(proc.run_until_covered(2).has_value());
   EXPECT_EQ(proc.round(), 2u);
 }
 
-TEST(TokenProcess, VisitTrackingDisabledThrows) {
-  TokenProcess::Options o = fifo_options();
-  o.track_visits = false;
-  TokenProcess proc(4, one_per_bin(4), o, Rng(7));
+TEST(SequentialTokenProcess, VisitTrackingDisabledThrows) {
+  SequentialTokenProcess proc(4, one_per_bin(4), Rng(7));
   proc.run(10);  // progress still works
   EXPECT_GT(proc.progress(0), 0u);
   EXPECT_THROW((void)proc.visited_count(0), std::logic_error);
   EXPECT_THROW((void)proc.run_until_covered(10), std::logic_error);
 }
 
-TEST(TokenProcess, ReassignMovesEveryToken) {
-  TokenProcess proc(8, one_per_bin(8), fifo_options(), Rng(8));
+TEST(SequentialTokenProcess, ReassignMovesEveryToken) {
+  SequentialTokenProcess proc(8, one_per_bin(8), Rng(8));
   proc.run(5);
-  std::vector<std::uint32_t> all_to_three(8, 3);
-  proc.reassign(all_to_three);
+  proc.reassign(std::vector<std::uint32_t>(8, 3));
   EXPECT_EQ(proc.load(3), 8u);
   EXPECT_EQ(proc.max_load(), 8u);
   EXPECT_EQ(proc.empty_bins(), 7u);
@@ -182,17 +125,16 @@ TEST(TokenProcess, ReassignMovesEveryToken) {
   proc.check_invariants();
 }
 
-TEST(TokenProcess, ReassignValidation) {
-  TokenProcess proc(4, one_per_bin(4), fifo_options(), Rng(9));
+TEST(SequentialTokenProcess, ReassignValidation) {
+  SequentialTokenProcess proc(4, one_per_bin(4), Rng(9));
   EXPECT_THROW(proc.reassign({0, 1}), std::invalid_argument);
   EXPECT_THROW(proc.reassign({0, 1, 2, 9}), std::invalid_argument);
 }
 
-TEST(TokenProcess, GraphModeKeepsTokensOnEdges) {
+TEST(SequentialTokenProcess, GraphModeKeepsTokensOnEdges) {
   const Graph g = make_cycle(8);
-  TokenProcess::Options o = fifo_options();
-  o.graph = &g;
-  TokenProcess proc(8, one_per_bin(8), o, Rng(10));
+  SequentialTokenProcess proc(8, one_per_bin(8), Rng(10),
+                              TokenOptions{.graph = &g});
   for (int t = 0; t < 50; ++t) {
     std::vector<std::uint32_t> before(8);
     for (std::uint32_t i = 0; i < 8; ++i) before[i] = proc.token_bin(i);
@@ -207,157 +149,75 @@ TEST(TokenProcess, GraphModeKeepsTokensOnEdges) {
   }
 }
 
-TEST(TokenProcess, FifoReleasesOldestToken) {
+TEST(SequentialTokenProcess, FifoReleasesOldestToken) {
   // Two tokens in one bin: FIFO releases the lower id first (queue order
   // is id order at construction).
-  TokenProcess proc(2, {0, 0}, fifo_options(), Rng(11));
+  SequentialTokenProcess proc(2, {0, 0}, Rng(11));
   proc.step();
   EXPECT_EQ(proc.progress(0), 1u);
   EXPECT_EQ(proc.progress(1), 0u);
 }
 
-TEST(TokenProcess, LifoReleasesNewestToken) {
-  TokenProcess::Options o = fifo_options();
-  o.policy = QueuePolicy::kLifo;
-  TokenProcess proc(2, {0, 0}, o, Rng(12));
+TEST(SequentialTokenProcess, LifoReleasesNewestToken) {
+  SequentialTokenProcess proc(2, {0, 0}, Rng(12),
+                              TokenOptions{.policy = QueuePolicy::kLifo});
   proc.step();
   EXPECT_EQ(proc.progress(0), 0u);
   EXPECT_EQ(proc.progress(1), 1u);
 }
 
-TEST(TokenProcessDelays, DisabledByDefault) {
-  TokenProcess proc(4, one_per_bin(4), fifo_options(), Rng(20));
+TEST(SequentialTokenDelays, DisabledByDefault) {
+  SequentialTokenProcess proc(4, one_per_bin(4), Rng(20));
   EXPECT_THROW((void)proc.delay_histogram(), std::logic_error);
 }
 
-TEST(TokenProcessDelays, LoneTokenNeverWaits) {
-  TokenProcess::Options o = fifo_options();
-  o.track_visits = false;
-  o.track_delays = true;
-  TokenProcess proc(16, {3}, o, Rng(21));
+TEST(SequentialTokenDelays, LoneTokenNeverWaits) {
+  SequentialTokenProcess proc(16, {3}, Rng(21), kDelays);
   proc.run(50);
   const Histogram& delays = proc.delay_histogram();
-  EXPECT_EQ(delays.total(), 50u);   // one release per round
+  EXPECT_EQ(delays.total(), 50u);     // one release per round
   EXPECT_EQ(delays.max_value(), 0u);  // never queued behind anyone
 }
 
-TEST(TokenProcessDelays, FifoPileDelaysAreExact) {
-  // n tokens piled in one bin, FIFO: token i waits exactly i rounds
-  // before its first release, so the first n recorded delays are
-  // 0, 1, ..., n-1 (one of each).
+TEST(SequentialTokenDelays, FifoPileDelaysAreExact) {
+  // n tokens piled in bin 0, FIFO: bin 0 releases token r in round r
+  // after exactly r rounds of waiting.  Every other release in round r
+  // is of a token that arrived at round >= 1, so it waited < r: the
+  // maximum recorded delay after round r is exactly r.
   constexpr std::uint32_t n = 16;
-  TokenProcess::Options o = fifo_options();
-  o.track_visits = false;
-  o.track_delays = true;
-  TokenProcess proc(n, std::vector<std::uint32_t>(n, 0), o, Rng(22));
-  proc.run(n);  // exactly drains the initial pile (plus re-released ones)
-  const Histogram& delays = proc.delay_histogram();
-  // Every delay value 0..n-1 appears at least once (the pile drain)...
-  for (std::uint32_t d = 0; d < n; ++d) {
-    EXPECT_GE(delays.count_at(d), 1u) << "delay " << d;
+  SequentialTokenProcess proc(n, std::vector<std::uint32_t>(n, 0), Rng(22),
+                              kDelays);
+  for (std::uint32_t r = 0; r < n; ++r) {
+    proc.step();
+    EXPECT_EQ(proc.delay_histogram().max_value(), r) << "round " << r;
+    EXPECT_EQ(proc.progress(r), 1u) << "token " << r;
   }
-  // ...and nothing can wait longer than the initial pile.
-  EXPECT_LE(delays.max_value(), n - 1);
+  for (std::uint32_t d = 0; d < n; ++d) {
+    EXPECT_GE(proc.delay_histogram().count_at(d), 1u) << "delay " << d;
+  }
 }
 
-TEST(TokenProcessDelays, LifoBuriesTheOldest) {
+TEST(SequentialTokenDelays, LifoBuriesTheOldest) {
   // LIFO on a pile: the newest token leaves immediately every round while
   // the bottom token starves -- max delay far above FIFO's.
   constexpr std::uint32_t n = 16;
-  TokenProcess::Options o = fifo_options();
-  o.policy = QueuePolicy::kLifo;
-  o.track_visits = false;
-  o.track_delays = true;
-  TokenProcess proc(n, std::vector<std::uint32_t>(n, 0), o, Rng(23));
+  SequentialTokenProcess proc(
+      n, std::vector<std::uint32_t>(n, 0), Rng(23),
+      TokenOptions{.policy = QueuePolicy::kLifo, .track_delays = true});
   proc.run(10 * n);
   EXPECT_GE(proc.delay_histogram().max_value(), n - 1);
 }
 
-TEST(TokenProcessDelays, ReassignResetsArrivalClock) {
-  TokenProcess::Options o = fifo_options();
-  o.track_visits = false;
-  o.track_delays = true;
-  TokenProcess proc(8, one_per_bin(8), o, Rng(24));
+TEST(SequentialTokenDelays, ReassignResetsArrivalClock) {
+  SequentialTokenProcess proc(8, one_per_bin(8), Rng(24), kDelays);
   proc.run(100);
+  const std::uint64_t before = proc.delay_histogram().total();
   proc.reassign(std::vector<std::uint32_t>(8, 0));
-  // After reassignment at round 100, the very next releases wait at most
-  // the pile height, not 100+ rounds.
+  // After the pile-up at round 100, FIFO drains it in order: the k-th
+  // release of bin 0 waited exactly k rounds, never 100+.
   proc.run(8);
-  EXPECT_LE(proc.delay_histogram().max_value(), 32u);
-}
-
-TEST(BallQueue, SnapshotAndRangeViewAgree) {
-  BallQueue q;
-  Rng rng(7);
-  for (std::uint32_t t = 0; t < 8; ++t) q.push(t);
-  q.pop(QueuePolicy::kFifo, rng);
-  q.pop(QueuePolicy::kFifo, rng);
-  const std::vector<std::uint32_t> snap = q.snapshot();
-  const std::vector<std::uint32_t> view(q.begin(), q.end());
-  EXPECT_EQ(snap, view);
-  EXPECT_EQ(snap, (std::vector<std::uint32_t>{2, 3, 4, 5, 6, 7}));
-  EXPECT_EQ(static_cast<std::size_t>(q.end() - q.begin()), q.size());
-}
-
-TEST(BallQueue, SteadyChurnKeepsCostProportionalToLive) {
-  // The long-lived skewed-bin regime: a hot queue holding a handful of
-  // live tokens, popped and refilled millions of times.  Compaction
-  // cost must track the LIVE count, not the dead prefix -- the queue's
-  // footprint has to stay within a small constant of the live size.
-  BallQueue q;
-  Rng rng(3);
-  for (std::uint32_t t = 0; t < 4; ++t) q.push(t);
-  for (std::uint32_t t = 0; t < 1'000'000; ++t) {
-    const std::uint32_t token = q.pop(QueuePolicy::kFifo, rng);
-    q.push(token);
-  }
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.snapshot().size(), 4u);
-  // 4 live + <= 32 tolerated dead slots, times vector growth slack.
-  EXPECT_LE(q.capacity_bytes(), 256 * sizeof(std::uint32_t));
-}
-
-TEST(BallQueue, SpikeThenDrainReleasesCapacity) {
-  // An adversarial pile-up (reassign-all-to-one-bin) followed by a long
-  // drain must hand the spike's heap back: after the queue shrinks to a
-  // few live tokens, the retained capacity is a small multiple of the
-  // live size, not the high-water mark.
-  BallQueue q;
-  Rng rng(5);
-  constexpr std::uint32_t kSpike = 100'000;
-  for (std::uint32_t t = 0; t < kSpike; ++t) q.push(t);
-  const std::size_t peak = q.capacity_bytes();
-  EXPECT_GE(peak, kSpike * sizeof(std::uint32_t));
-  for (std::uint32_t t = 0; t < kSpike - 4; ++t) {
-    q.pop(QueuePolicy::kFifo, rng);
-  }
-  // Keep churning at the small size so compaction gets its chances.
-  for (std::uint32_t t = 0; t < 1024; ++t) {
-    q.push(q.pop(QueuePolicy::kFifo, rng));
-  }
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_LT(q.capacity_bytes(), peak / 64);
-}
-
-TEST(BallQueue, PopAcrossCompactionPreservesOrderEveryPolicy) {
-  // Push/pop sequences long enough to cross several compactions must
-  // keep FIFO order exact and LIFO popping the most recent push.
-  BallQueue fifo;
-  Rng rng(9);
-  std::uint32_t next_push = 0;
-  std::uint32_t next_pop = 0;
-  for (std::uint32_t round = 0; round < 5000; ++round) {
-    fifo.push(next_push++);
-    fifo.push(next_push++);
-    ASSERT_EQ(fifo.pop(QueuePolicy::kFifo, rng), next_pop++);
-  }
-  BallQueue lifo;
-  for (std::uint32_t round = 0; round < 5000; ++round) {
-    lifo.push(round);
-    lifo.push(round + 1'000'000);
-    ASSERT_EQ(lifo.pop(QueuePolicy::kLifo, rng), round + 1'000'000);
-  }
-  EXPECT_EQ(lifo.size(), 5000u);
+  EXPECT_EQ(proc.delay_histogram().max_value(), 7u);
+  EXPECT_GT(proc.delay_histogram().total(), before);
 }
 
 // Property sweep: across policies and sizes, tokens are conserved, loads
@@ -368,10 +228,9 @@ class TokenSweep
 
 TEST_P(TokenSweep, InvariantsHoldOverWindow) {
   const auto [policy, n] = GetParam();
-  TokenProcess::Options o;
-  o.policy = policy;
-  o.track_visits = true;
-  TokenProcess proc(n, one_per_bin(n), o, Rng(13 + n));
+  SequentialTokenProcess proc(
+      n, one_per_bin(n), Rng(13 + n),
+      TokenOptions{.track_visits = true, .policy = policy});
   for (std::uint32_t t = 0; t < 10 * n; ++t) proc.step();
   proc.check_invariants();
   std::uint32_t total = 0;

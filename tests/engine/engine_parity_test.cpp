@@ -12,7 +12,7 @@
 #include "baselines/independent_walks.hpp"
 #include "baselines/repeated_dchoices.hpp"
 #include "core/process.hpp"
-#include "core/token_process.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "engine/engine.hpp"
 #include "graph/graph.hpp"
 #include "selfstab/israeli_jalfon.hpp"
@@ -59,24 +59,24 @@ TEST(EngineParity, RepeatedBallsRing) {
       RepeatedBallsProcess(std::move(start), &ring, rng.split()));
 }
 
-TEST(EngineParity, TokenProcessCompleteGraph) {
+TEST(EngineParity, TokenCoreCompleteGraph) {
   Rng rng(103);
   std::vector<std::uint32_t> placement(kBins);
   for (std::uint32_t i = 0; i < kBins; ++i) placement[i] = rng.index(kBins);
-  TokenProcess::Options options;
-  options.policy = QueuePolicy::kFifo;
-  expect_parity(TokenProcess(kBins, placement, options, rng.split()));
+  expect_parity(kernel::SequentialTokenProcess(
+      kBins, placement, rng.split(),
+      kernel::TokenOptions{.track_visits = true}));
 }
 
-TEST(EngineParity, TokenProcessRing) {
+TEST(EngineParity, TokenCoreRing) {
   const Graph ring = make_cycle(kBins);
   Rng rng(104);
   std::vector<std::uint32_t> placement(kBins);
   for (std::uint32_t i = 0; i < kBins; ++i) placement[i] = i;
-  TokenProcess::Options options;
-  options.policy = QueuePolicy::kRandom;  // pops consume process RNG too
-  options.graph = &ring;
-  expect_parity(TokenProcess(kBins, placement, options, rng.split()));
+  // Random pops consume the process RNG too.
+  expect_parity(kernel::SequentialTokenProcess(
+      kBins, placement, rng.split(),
+      kernel::TokenOptions{.policy = QueuePolicy::kRandom, .graph = &ring}));
 }
 
 TEST(EngineParity, TetrisCliqueOnly) {

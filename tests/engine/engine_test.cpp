@@ -10,7 +10,7 @@
 
 #include "baselines/independent_walks.hpp"
 #include "core/process.hpp"
-#include "core/token_process.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "selfstab/israeli_jalfon.hpp"
 #include "support/bounds.hpp"
 #include "tetris/tetris.hpp"
@@ -163,8 +163,7 @@ TEST(Engine, TokenFaultPlanReassignsAllTokens) {
   const std::uint32_t n = 16;
   std::vector<std::uint32_t> placement(n);
   for (std::uint32_t i = 0; i < n; ++i) placement[i] = i;
-  TokenProcess::Options options;
-  Engine engine(TokenProcess(n, placement, options, Rng(13)));
+  Engine engine(kernel::SequentialTokenProcess(n, placement, Rng(13)));
   auto plan = make_token_fault_plan(5, FaultStrategy::kAllToOne, Rng(97));
   const EngineResult r = engine.run(5, RunForRounds{}, plan);
   EXPECT_EQ(r.faults_injected, 1u);
@@ -198,9 +197,9 @@ TEST(RoundContext, LazyStatsMatchProcessAndMemoize) {
 }
 
 TEST(ProcessInterface, LoadSnapshotsForTokenCarryingVariants) {
-  // TokenProcess: loads come from the per-bin queues.
+  // Token core: loads come from the per-bin queue lengths.
   std::vector<std::uint32_t> placement{0, 0, 3};
-  TokenProcess token(4, placement, TokenProcess::Options{}, Rng(16));
+  const kernel::SequentialTokenProcess token(4, placement, Rng(16));
   EXPECT_EQ(engine_loads(token), (LoadConfig{2, 0, 0, 1}));
   EXPECT_EQ(engine_bin_count(token), 4u);
 

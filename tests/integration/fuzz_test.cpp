@@ -13,7 +13,7 @@
 #include "core/mixed_config.hpp"
 #include "core/mixed_process.hpp"
 #include "core/process.hpp"
-#include "core/token_process.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "engine/engine.hpp"
 #include "graph/graph.hpp"
 #include "par/sharded_mixed.hpp"
@@ -64,18 +64,19 @@ TEST_P(FuzzSweep, RepeatedBallsProcessSurvivesRandomOps) {
   }
 }
 
-TEST_P(FuzzSweep, TokenProcessSurvivesRandomOps) {
+TEST_P(FuzzSweep, TokenCoreSurvivesRandomOps) {
   const auto [n, seed] = GetParam();
   Rng op_rng(static_cast<std::uint64_t>(seed) * 104729 + n);
-  TokenProcess::Options options;
-  options.policy = static_cast<QueuePolicy>(op_rng.below(3));
-  options.track_visits = (n <= 256);
-  options.track_delays = true;
+  const kernel::TokenOptions options{
+      .track_visits = (n <= 256),
+      .policy = static_cast<QueuePolicy>(op_rng.below(3)),
+      .track_delays = true};
   std::vector<std::uint32_t> placement(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     placement[i] = op_rng.index(n);
   }
-  TokenProcess proc(n, std::move(placement), options, op_rng.split());
+  kernel::SequentialTokenProcess proc(n, std::move(placement), op_rng.split(),
+                                      options);
   for (int op = 0; op < 200; ++op) {
     switch (op_rng.below(6)) {
       case 0: {
@@ -329,15 +330,15 @@ TEST_P(FuzzSweep, EngineSurvivesRandomRunsUnderFaultInjection) {
   EXPECT_GT(faults, 0u);
 }
 
-TEST_P(FuzzSweep, EngineTokenProcessSurvivesFaultInjection) {
+TEST_P(FuzzSweep, EngineTokenCoreSurvivesFaultInjection) {
   const auto [n, seed] = GetParam();
   Rng op_rng(static_cast<std::uint64_t>(seed) * 40503 + n);
   std::vector<std::uint32_t> placement(n);
   for (std::uint32_t i = 0; i < n; ++i) placement[i] = op_rng.index(n);
-  TokenProcess::Options options;
-  options.policy = static_cast<QueuePolicy>(op_rng.below(3));
-  Engine engine(TokenProcess(n, std::move(placement), options,
-                             op_rng.split()));
+  const kernel::TokenOptions options{
+      .policy = static_cast<QueuePolicy>(op_rng.below(3))};
+  Engine engine(kernel::SequentialTokenProcess(n, std::move(placement),
+                                               op_rng.split(), options));
   const auto strategy = static_cast<FaultStrategy>(op_rng.below(4));
   auto plan = make_token_fault_plan(1 + op_rng.below(5), strategy,
                                     op_rng.split());

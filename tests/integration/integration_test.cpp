@@ -10,7 +10,7 @@
 #include "baselines/independent_walks.hpp"
 #include "baselines/oneshot.hpp"
 #include "core/process.hpp"
-#include "core/token_process.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "coupling/coupling.hpp"
 #include "graph/graph.hpp"
 #include "support/bounds.hpp"
@@ -36,9 +36,7 @@ TEST(Integration, LoadOnlyAndTokenProcessAgreeInDistribution) {
 
   std::vector<std::uint32_t> placement(n);
   for (std::uint32_t i = 0; i < n; ++i) placement[i] = i;
-  TokenProcess::Options o;
-  o.track_visits = false;
-  TokenProcess tokens(n, std::move(placement), o, Rng(98));
+  kernel::SequentialTokenProcess tokens(n, std::move(placement), Rng(98));
   double empty_b = 0.0;
   for (int t = 0; t < kRounds; ++t) {
     tokens.step();

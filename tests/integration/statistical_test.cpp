@@ -4,9 +4,9 @@
 // All tests use fixed seeds and tolerances wide enough to be flake-free.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "analysis/experiments.hpp"
 #include "coupling/coupling.hpp"
@@ -14,29 +14,44 @@
 #include "baselines/independent_walks.hpp"
 #include "core/config.hpp"
 #include "core/process.hpp"
+#include "core/kernel/token_kernel.hpp"
 #include "core/token_process.hpp"
+#include "par/sharded_token_process.hpp"
 #include "support/bounds.hpp"
+#include "../statistical/stat_oracle.hpp"
 
 namespace rbb {
 namespace {
 
 TEST(Statistical, RandomPolicyPopIsUniform) {
-  // BallQueue kRandom must pick uniformly among the queued tokens: pop
-  // one of 5 tokens many times and chi-square the frequencies.
+  // The token core's random policy must release a uniform member of the
+  // queue on both streams (xoshiro below(count) and the counter stream's
+  // pop-select slot): pile 5 tokens in bin 0, run one round -- only bin
+  // 0 releases -- and chi-square which token moved.
+  constexpr std::uint32_t kPile = 5;
+  constexpr std::uint64_t kDraws = 50000;
+  const std::vector<std::uint32_t> pile(kPile, 0u);
+  const kernel::TokenOptions random{.policy = QueuePolicy::kRandom};
+  // Exactly one token moved: the one with progress 1.
+  const auto released = [](const auto& proc) {
+    std::uint32_t t = 0;
+    while (proc.progress(t) == 0) ++t;
+    return t;
+  };
+  std::vector<std::uint64_t> seq(kPile, 0);
+  std::vector<std::uint64_t> counter(kPile, 0);
   Rng rng(1);
-  std::array<int, 5> counts{};
-  constexpr int kDraws = 50000;
-  for (int i = 0; i < kDraws; ++i) {
-    BallQueue q;
-    for (std::uint32_t t = 0; t < 5; ++t) q.push(t);
-    ++counts[q.pop(QueuePolicy::kRandom, rng)];
+  for (std::uint64_t i = 0; i < kDraws; ++i) {
+    kernel::SequentialTokenProcess a(8, pile, rng.split(), random);
+    a.step();
+    ++seq[released(a)];
+    par::SequentialCounterTokenProcess b(8, pile, i, random);
+    b.step();
+    ++counter[released(b)];
   }
-  const double expected = kDraws / 5.0;
-  double chi2 = 0.0;
-  for (const int c : counts) {
-    chi2 += (c - expected) * (c - expected) / expected;
-  }
-  EXPECT_LT(chi2, 25.0);  // df = 4; p ~ 5e-5 at 25
+  const double bound = testing::chi_square_bound(kPile - 1);
+  EXPECT_LT(testing::chi_square_uniform(seq), bound);
+  EXPECT_LT(testing::chi_square_uniform(counter), bound);
 }
 
 TEST(Statistical, SingleRoundArrivalsAreBinomial) {

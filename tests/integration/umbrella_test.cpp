@@ -27,9 +27,9 @@ TEST(Umbrella, EverySubsystemReachable) {
   process.run(16);
   EXPECT_EQ(total_balls(process.loads()), 8u);
 
-  TokenProcess::Options options;                     // core/token_process
-  options.track_visits = false;
-  TokenProcess tokens(8, {0, 1, 2, 3}, options, rng.split());
+  kernel::SequentialTokenProcess tokens(             // core/kernel
+      8, identity_placement(4), rng.split(),
+      kernel::TokenOptions{.policy = QueuePolicy::kLifo});
   tokens.run(4);
 
   const LoadConfig faulted =                         // core/faults

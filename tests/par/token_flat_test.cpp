@@ -3,9 +3,10 @@
 // (token_reference.hpp), across QueuePolicy {FIFO, LIFO, random} x
 // backends {seq xoshiro, seq-counter, sharded 1/2/8 workers x shard
 // sizes {64, 256, 1024}} -- including cover-time visit tracking,
-// mid-run reassign() rebuilds, and the check_invariants / snapshot
-// inspection hooks.  This is the contract that replacing the per-bin
-// BallQueues with flat storage changed no trajectory bit.
+// mid-run reassign() rebuilds, the check_invariants / snapshot
+// inspection hooks, and on the seq-xoshiro core general-graph walks and
+// delay histograms.  This is the contract that the flat storage makes
+// exactly the moves the transparent per-bin-vector semantics define.
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "core/kernel/token_kernel.hpp"
 #include "core/token_process.hpp"
 #include "engine/engine.hpp"
+#include "graph/graph.hpp"
 #include "par/sharded_token_process.hpp"
 #include "token_reference.hpp"
 
@@ -59,19 +61,31 @@ void expect_same_state(const Core& core, const Ref& ref,
 }
 
 TEST(FlatTokenParity, SeqXoshiroMatchesReferenceEveryPolicy) {
-  for (const QueuePolicy policy : kPolicies) {
-    const TokenOptions options{.track_visits = false, .policy = policy};
-    SequentialTokenProcess core(kN, skewed_placement(kN), Rng(kSeed),
-                                options);
-    ReferenceTokenProcess<kernel::SequentialStream> ref(
-        kN, skewed_placement(kN), kernel::SequentialStream(Rng(kSeed)),
-        options);
-    for (std::uint64_t r = 0; r < kRounds; ++r) {
-      core.step();
-      ref.step();
-      expect_same_state(core, ref, to_string(policy));
+  // The complete graph, then neighbor destinations (cycle: degree 2,
+  // torus: degree 4) drawn in the same slot of the draw order as the
+  // clique's uniform bin.
+  const Graph cycle = make_cycle(kN);
+  const Graph torus = make_torus(16, kN / 16);
+  for (const Graph* graph : {static_cast<const Graph*>(nullptr), &cycle,
+                             &torus}) {
+    for (const QueuePolicy policy : kPolicies) {
+      const TokenOptions options{
+          .track_visits = true, .policy = policy, .graph = graph};
+      SequentialTokenProcess core(kN, skewed_placement(kN), Rng(kSeed),
+                                  options);
+      ReferenceTokenProcess<kernel::SequentialStream> ref(
+          kN, skewed_placement(kN), kernel::SequentialStream(Rng(kSeed)),
+          options);
+      for (std::uint64_t r = 0; r < kRounds; ++r) {
+        core.step();
+        ref.step();
+        expect_same_state(core, ref, to_string(policy));
+      }
+      for (std::uint32_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(core.visited_count(i), ref.visited_count(i));
+      }
+      ASSERT_NO_THROW(core.check_invariants());
     }
-    ASSERT_NO_THROW(core.check_invariants());
   }
 }
 
@@ -157,34 +171,32 @@ TEST(FlatTokenParity, CoverTimeMatchesReferenceEveryPolicy) {
   }
 }
 
-TEST(FlatTokenParity, FifoAndLifoMatchLegacyTokenProcessDrawForDraw) {
-  // The flat seq-xoshiro kernel must reproduce the classic TokenProcess
-  // bit for bit under FIFO and LIFO on the complete graph (no pop
-  // draws, so storage is the only thing that changed).  Random is
-  // exempt by design: the flat store removes the k-th in arrival order
-  // where the legacy BallQueue swap-removes (same first token, different
-  // residual order) -- pinned instead by the reference suites above.
-  for (const QueuePolicy policy : {QueuePolicy::kFifo, QueuePolicy::kLifo}) {
-    TokenProcess::Options legacy_options;
-    legacy_options.policy = policy;
-    legacy_options.track_visits = false;
-    TokenProcess legacy(kN, skewed_placement(kN), legacy_options,
-                        Rng(kSeed));
-    SequentialTokenProcess flat(
-        kN, skewed_placement(kN), Rng(kSeed),
-        TokenOptions{.track_visits = false, .policy = policy});
-    for (std::uint64_t r = 0; r < kRounds; ++r) {
-      legacy.step();
-      flat.step();
-      for (std::uint32_t i = 0; i < kN; ++i) {
-        ASSERT_EQ(flat.token_bin(i), legacy.token_bin(i))
-            << to_string(policy) << " token " << i << " round " << r;
-        ASSERT_EQ(flat.progress(i), legacy.progress(i))
-            << to_string(policy) << " token " << i << " round " << r;
-      }
+TEST(FlatTokenParity, DelayHistogramMatchesReferenceEveryPolicy) {
+  // Per-release waiting times, across a mid-run adversarial pile-up
+  // that restarts every arrival clock.
+  for (const QueuePolicy policy : kPolicies) {
+    const TokenOptions options{.policy = policy, .track_delays = true};
+    SequentialTokenProcess core(kN, skewed_placement(kN), Rng(kSeed),
+                                options);
+    ReferenceTokenProcess<kernel::SequentialStream> ref(
+        kN, skewed_placement(kN), kernel::SequentialStream(Rng(kSeed)),
+        options);
+    core.run(kRounds);
+    ref.run(kRounds);
+    const std::vector<std::uint32_t> pile(kN, 3u);
+    core.reassign(pile);
+    ref.reassign(pile);
+    core.run(kRounds);
+    ref.run(kRounds);
+    expect_same_state(core, ref, to_string(policy));
+    EXPECT_EQ(core.delay_histogram().counts(),
+              ref.delay_histogram().counts())
+        << to_string(policy);
+    if (policy == QueuePolicy::kFifo) {
+      // Bin 3 drains the pile in order: its last release waited the
+      // whole second run.
+      EXPECT_GE(core.delay_histogram().max_value(), kRounds - 1);
     }
-    EXPECT_EQ(flat.max_load(), legacy.max_load());
-    EXPECT_EQ(flat.empty_bins(), legacy.empty_bins());
   }
 }
 
@@ -225,6 +237,22 @@ TEST(FlatTokenParity, RejectsBadConstructionAndReassign) {
   SequentialTokenProcess proc(8, {1u, 1u, 2u}, Rng(1), options);
   EXPECT_THROW(proc.reassign({0u}), std::invalid_argument);
   EXPECT_THROW(proc.reassign({0u, 1u, 8u}), std::invalid_argument);
+}
+
+TEST(FlatTokenParity, CounterStreamCoresRejectGraphsAndDelays) {
+  // General graphs and delay histograms are sequential-stream features:
+  // both counter-stream instantiations refuse them at construction, so
+  // snapshot()/restore() and the sharded stripes never see them.
+  const Graph cycle = make_cycle(8);
+  const std::vector<std::uint32_t> placement{0u, 1u, 2u, 3u};
+  for (const TokenOptions& options :
+       {TokenOptions{.graph = &cycle}, TokenOptions{.track_delays = true}}) {
+    EXPECT_THROW(SequentialCounterTokenProcess(8, placement, kSeed, options),
+                 std::invalid_argument);
+    EXPECT_THROW(ShardedTokenProcess(8, placement, kSeed,
+                                     ShardedOptions{2, 4}, options),
+                 std::invalid_argument);
+  }
 }
 
 static_assert(SimProcess<kernel::SequentialTokenProcess>,

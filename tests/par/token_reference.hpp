@@ -12,14 +12,18 @@
 //     draws, bit-identical to the production kernel's gathered draw
 //     planes by the plane contract.
 //   * SequentialStream: the pop draw (random policy) and the
-//     destination draw interleave per releasing bin, draw-for-draw as
-//     in the classic TokenProcess on the complete graph.
+//     destination draw -- rng.index(n) on the complete graph,
+//     graph->sample_neighbor(u, rng) under TokenOptions::graph --
+//     interleave per releasing bin.
 //
 // Pop semantics (the canonical, order-preserving convention of the
 // flat core): FIFO removes the front, LIFO the back, random the k-th
-// in arrival order via erase(begin() + k) -- NOT the legacy
-// BallQueue swap-remove, which perturbs the order behind the removed
-// element.
+// in arrival order via erase(begin() + k).
+//
+// Delays (TokenOptions::track_delays): every token carries the round
+// it joined its queue -- set on each push (after the round counter
+// advanced) and on every rebuild -- and each release records
+// round - arrival.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,7 @@
 #include "core/kernel/stream.hpp"
 #include "core/kernel/token_kernel.hpp"  // TokenOptions
 #include "core/token_process.hpp"        // QueuePolicy
+#include "support/stats.hpp"
 
 namespace rbb::par::testing {
 
@@ -58,6 +63,7 @@ class ReferenceTokenProcess {
       visited_count_.assign(token_bin_.size(), 0);
       cover_round_.assign(token_bin_.size(), kNotCovered);
     }
+    if (options_.track_delays) arrival_.assign(token_bin_.size(), 0);
     rebuild();
   }
 
@@ -68,10 +74,14 @@ class ReferenceTokenProcess {
       if (queues_[u].empty()) continue;
       const std::uint32_t token = release(u, r);
       ++progress_[token];
+      if (options_.track_delays) delays_.add(r - arrival_[token]);
       if constexpr (StreamP::kScheduleFree) {
         moves_.emplace_back(token,
                             stream_.index(r, kernel::relaunch_slot(u),
                                           bins_));
+      } else if (options_.graph != nullptr) {
+        moves_.emplace_back(token,
+                            options_.graph->sample_neighbor(u, stream_.rng()));
       } else {
         moves_.emplace_back(token, stream_.rng().index(bins_));
       }
@@ -80,6 +90,7 @@ class ReferenceTokenProcess {
     for (const auto& [token, dest] : moves_) {
       queues_[dest].push_back(token);
       token_bin_[token] = dest;
+      if (options_.track_delays) arrival_[token] = round_;
       mark_visited(token, dest);
     }
   }
@@ -125,6 +136,7 @@ class ReferenceTokenProcess {
   [[nodiscard]] std::uint64_t cover_round(std::uint32_t token) const {
     return cover_round_[token];
   }
+  [[nodiscard]] const Histogram& delay_histogram() const { return delays_; }
 
  private:
   std::uint32_t release(std::uint32_t u, std::uint64_t r) {
@@ -158,6 +170,7 @@ class ReferenceTokenProcess {
         throw std::invalid_argument("reference: bin out of range");
       }
       queues_[token_bin_[token]].push_back(token);
+      if (options_.track_delays) arrival_[token] = round_;
       mark_visited(token, token_bin_[token]);
     }
   }
@@ -190,6 +203,9 @@ class ReferenceTokenProcess {
   std::vector<std::uint32_t> visited_count_;
   std::vector<std::uint64_t> cover_round_;
   std::uint32_t covered_tokens_ = 0;
+
+  std::vector<std::uint64_t> arrival_;
+  Histogram delays_;
 
   std::vector<std::pair<std::uint32_t, std::uint32_t>> moves_;
 };
