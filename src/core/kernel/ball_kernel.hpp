@@ -39,13 +39,14 @@
 //
 // Round anatomy (sharded): phase 1 *throw* -- stripes walk their own
 // bins, perform departures, draw destinations with the counter stream
-// in chunked draw planes and append them to per-(stripe, target-shard)
-// buffers (plus, for refill variants, each stripe draws its contiguous
-// share of the fresh arrivals; for d-choices an extra *choose* phase
-// reads the now-stable post-departure loads); phase 2 *commit* --
-// stripes drain the buffers
-// addressed to their own shards, apply the arrivals cache-hot, and
-// rescan for the round statistics, reduced over stripes in fixed
+// in chunked draw planes and push them to their target shards (plus,
+// for refill variants, each stripe draws its contiguous share of the
+// fresh arrivals; for d-choices an extra *choose* phase reads the
+// now-stable post-departure loads); phase 2 *commit* -- pipeline.hpp's
+// run_pipeline drains every buffer addressed to a stripe's shards in
+// canonical order into this core's apply (one load increment per
+// arrival), then hands each shard to its scan (max load, empty bins,
+// Tetris first-empty marking); the stripe results reduce in fixed
 // order.  No locks, no atomics, no shared cache lines inside a phase.
 // Every sharded round -- step() is run(1) -- goes through run_sharded:
 // a pipelined worker team at width >= 2, the same phases inline at
@@ -65,7 +66,6 @@
 #include "core/kernel/pipeline.hpp"
 #include "core/kernel/variants.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "support/bounds.hpp"
 #include "support/serial.hpp"
 #include "support/types.hpp"
@@ -110,15 +110,7 @@ class BallProcessCore {
     variant_.validate(bin_count());
     variant_.init(loads_);
     recompute_stats();
-    if constexpr (kShardedExec) {
-      const ShardPlan& plan = exec_.plan();
-      buffers_.resize(static_cast<std::size_t>(plan.stripe_count()) *
-                      plan.shard_count());
-      acc_.resize(plan.stripe_count());
-      if constexpr (kChoose) {
-        releasers_.resize(plan.stripe_count());
-      }
-    }
+    if constexpr (kShardedExec) acc_.resize(exec_.plan().stripe_count());
   }
 
   /// Executes one synchronous round; returns end-of-round statistics.
@@ -131,15 +123,15 @@ class BallProcessCore {
   /// the same rounds into run() calls (pinned by tests/par/).
   Stats run(std::uint64_t rounds) {
     if (rounds == 0) {
-      return Variant::make_stats(max_load_, empty_, 0, balls_, 0);
+      return Variant::make_stats(stats_.max, stats_.zeros, 0, balls_, 0);
     }
     if constexpr (kShardedExec) {
       run_sharded(rounds);
     } else {
       for (std::uint64_t t = 0; t < rounds; ++t) step_sequential();
     }
-    return Variant::make_stats(max_load_, empty_, last_departures_, balls_,
-                               last_arrivals_);
+    return Variant::make_stats(stats_.max, stats_.zeros, last_departures_,
+                               balls_, last_arrivals_);
   }
 
   // --- identity and load-shaped state ---------------------------------------
@@ -152,12 +144,14 @@ class BallProcessCore {
   [[nodiscard]] const LoadConfig& loads() const noexcept { return loads_; }
   /// Current maximum load (O(1); maintained incrementally / by the
   /// commit rescan).
-  [[nodiscard]] load_t max_load() const noexcept { return max_load_; }
+  [[nodiscard]] load_t max_load() const noexcept { return stats_.max; }
   /// Current number of empty bins (O(1)).
-  [[nodiscard]] std::uint32_t empty_bins() const noexcept { return empty_; }
+  [[nodiscard]] std::uint32_t empty_bins() const noexcept {
+    return stats_.zeros;
+  }
   /// True iff max_load() <= beta * log2(n).
   [[nodiscard]] bool is_legitimate(double beta = 4.0) const {
-    return static_cast<double>(max_load_) <= beta * log2n(bin_count());
+    return static_cast<double>(stats_.max) <= beta * log2n(bin_count());
   }
 
   /// Balls currently in the system (== ball_count() for conserving
@@ -184,8 +178,8 @@ class BallProcessCore {
                         scratch_dest_.capacity() * sizeof(bin_index_t) +
                         scratch_cand_.capacity() * sizeof(bin_index_t);
     bytes += buffers_.capacity_bytes() + acc_.capacity() * sizeof(StripeAcc);
-    for (const auto& rel : releasers_) {
-      bytes += rel.capacity() * sizeof(bin_index_t);
+    for (const StripeAcc& acc : acc_) {
+      bytes += acc.releasers.capacity() * sizeof(bin_index_t);
     }
     if constexpr (kKind == BallVariantKind::kTetris) {
       bytes += variant_.first_empty_.capacity() * sizeof(std::uint64_t) +
@@ -325,11 +319,7 @@ class BallProcessCore {
         throw std::invalid_argument("restore: first-empty size mismatch");
       }
       variant_.first_empty_ = std::move(first_empty);
-      std::uint32_t unseen = 0;
-      for (const std::uint64_t fe : variant_.first_empty_) {
-        if (fe == kNeverEmptied) ++unseen;
-      }
-      variant_.not_yet_emptied_ = unseen;
+      variant_.not_yet_emptied_ = variant_.never_emptied();
     }
     loads_ = std::move(loads);
     balls_ = balls;
@@ -345,18 +335,14 @@ class BallProcessCore {
     if (rbb::total_balls(loads_) != balls_) {
       throw std::logic_error("BallProcessCore: ball count drifted");
     }
-    if (rbb::max_load(loads_) != max_load_) {
+    if (rbb::max_load(loads_) != stats_.max) {
       throw std::logic_error("BallProcessCore: max load out of sync");
     }
-    if (rbb::empty_bins(loads_) != empty_) {
+    if (rbb::empty_bins(loads_) != stats_.zeros) {
       throw std::logic_error("BallProcessCore: empty count out of sync");
     }
     if constexpr (kKind == BallVariantKind::kTetris) {
-      std::uint32_t unseen = 0;
-      for (const std::uint64_t r : variant_.first_empty_) {
-        if (r == kNeverEmptied) ++unseen;
-      }
-      if (unseen != variant_.not_yet_emptied_) {
+      if (variant_.never_emptied() != variant_.not_yet_emptied_) {
         throw std::logic_error(
             "BallProcessCore: first-empty tracking out of sync");
       }
@@ -368,15 +354,16 @@ class BallProcessCore {
 
  private:
   void recompute_stats() {
-    max_load_ = rbb::max_load(loads_);
-    empty_ = rbb::empty_bins(loads_);
+    LoadScan scan;
+    for (const load_t load : loads_) scan.add(load);
+    stats_ = scan;
   }
 
   /// Incremental arrival bookkeeping shared by every sequential path.
   void apply_arrival(bin_index_t v) {
     load_t& load = loads_[v];
-    if (load == 0) --empty_;
-    if (++load > max_load_) max_load_ = load;
+    if (load == 0) --stats_.zeros;
+    if (++load > stats_.max) stats_.max = load;
   }
 
   /// Applies a materialized destination block with a prefetched
@@ -417,8 +404,7 @@ class BallProcessCore {
     const std::uint64_t r = round_;
 
     std::uint32_t departures = 0;
-    std::uint32_t zeros = 0;
-    load_t max_after = 0;
+    LoadScan scan;
     scratch_.clear();
     if constexpr (kKind == BallVariantKind::kTetris) {
       variant_.pending_empty_.clear();
@@ -454,14 +440,9 @@ class BallProcessCore {
           }
         }
       }
-      if (load == 0) {
-        ++zeros;
-      } else if (load > max_after) {
-        max_after = load;
-      }
+      scan.add(load);
     }
-    max_load_ = max_after;
-    empty_ = zeros;
+    stats_ = scan;
 
     if constexpr (kKind == BallVariantKind::kLoadOnly) {
       if constexpr (!Stream::kScheduleFree) {
@@ -575,39 +556,36 @@ class BallProcessCore {
 
   /// Per-stripe accumulator, cache-line padded so stripe tasks never
   /// share a line.  The per-round fields are reset by each round's
-  /// phase bodies (so after a run they hold the LAST round's values);
-  /// the cum_* fields accumulate across a run, whose single final
-  /// reduction covers all of its rounds.
+  /// throw (so after a run they hold the LAST round's values); the
+  /// cum_* fields accumulate across a run, whose single final reduction
+  /// covers all of its rounds.
   struct alignas(64) StripeAcc {
     std::uint32_t departures = 0;
-    load_t max = 0;
-    std::uint32_t zeros = 0;
-    std::uint32_t newly_emptied = 0;  // Tetris first-empty bookkeeping
+    LoadScan scan;
     std::uint64_t cum_departures = 0;
-    std::uint32_t cum_newly_emptied = 0;
+    std::uint32_t cum_newly_emptied = 0;  // Tetris first-empty bookkeeping
+    std::vector<bin_index_t> releasers;   // d-choices / threshold
   };
 
+  using Rows = ShardRows<bin_index_t>;
+
   /// Phase 1 (throw) for one stripe of round r: departures +
-  /// destination draws into the stripe's rows of `bufs` (the
-  /// parity-selected buffer base; bufs[g * shard_count + s] receives
-  /// stripe g's throws into shard s).  The counter stream keys every
-  /// draw by (round, slot), so the round's randomness is independent of
-  /// the schedule.  Reads and writes only the stripe's own bins; refill
-  /// variants also draw their contiguous share of the round's fresh
-  /// arrivals here -- those draws read no loads.
+  /// destination draws pushed to their target shards.  The counter
+  /// stream keys every draw by (round, slot), so the round's randomness
+  /// is independent of the schedule.  Reads and writes only the
+  /// stripe's own bins; refill variants also draw their contiguous
+  /// share of the round's fresh arrivals here -- those draws read no
+  /// loads.
   void throw_stripe(std::uint32_t g, std::uint64_t r, ball_count_t arrivals,
-                    std::vector<bin_index_t>* bufs)
+                    Rows rows)
     requires kShardedExec
   {
-    const obs::ScopedPhase phase_span(obs::Phase::kThrow);
     const std::uint32_t n = bin_count();
     const ShardPlan& plan = exec_.plan();
-    const std::uint32_t shard_count = plan.shard_count();
     const std::uint32_t stripes = plan.stripe_count();
     StripeAcc& acc = acc_[g];
     acc.departures = 0;
-    std::vector<bin_index_t>* row =
-        bufs + static_cast<std::size_t>(g) * shard_count;
+    acc.scan = LoadScan{};
     const bin_index_t begin = plan.stripe_begin_bin(g);
     const bin_index_t end = plan.stripe_end_bin(g);
     if constexpr (kKind == BallVariantKind::kLoadOnly) {
@@ -622,8 +600,7 @@ class BallProcessCore {
         obs::add(obs::Counter::kChunkFlushes);
         variant_.stream_.fill_gather(r, slot_buf, 0, pending, n, dest_buf);
         for (std::uint32_t i = 0; i < pending; ++i) {
-          const bin_index_t dest = dest_buf[i];
-          row[plan.shard_of(dest)].push_back(dest);
+          rows.push(dest_buf[i], dest_buf[i]);
         }
         pending = 0;
       };
@@ -639,7 +616,7 @@ class BallProcessCore {
       if (pending > 0) flush();
     } else {
       if constexpr (kChoose) {
-        releasers_[g].clear();
+        acc.releasers.clear();
       }
       for (bin_index_t u = begin; u < end; ++u) {
         load_t& load = loads_[u];
@@ -647,7 +624,7 @@ class BallProcessCore {
           --load;
           ++acc.departures;
           if constexpr (kChoose) {
-            releasers_[g].push_back(u);
+            acc.releasers.push_back(u);
           }
           // refill: the ball leaves; nothing to scatter for it.
         }
@@ -662,9 +639,7 @@ class BallProcessCore {
             std::min<ball_count_t>(kDrawChunk, hi - i));
         obs::add(obs::Counter::kChunkFlushes);
         variant_.stream_.fill_range(r, fresh_arrival_slot(i), len, n, chunk);
-        for (std::uint32_t k = 0; k < len; ++k) {
-          row[plan.shard_of(chunk[k])].push_back(chunk[k]);
-        }
+        for (std::uint32_t k = 0; k < len; ++k) rows.push(chunk[k], chunk[k]);
         i += len;
       }
     }
@@ -677,80 +652,43 @@ class BallProcessCore {
   /// read, never written, so the phase is race-free; the choices are
   /// the batch-snapshot convention the sequential counter-stream
   /// sibling realizes (variants.hpp).
-  void choose_stripe(std::uint32_t g, std::uint64_t r,
-                     std::vector<bin_index_t>* bufs)
+  void choose_stripe(std::uint32_t g, std::uint64_t r, Rows rows)
     requires kShardedExec
   {
-    const obs::ScopedPhase phase_span(obs::Phase::kChoose);
     const std::uint32_t n = bin_count();
-    const ShardPlan& plan = exec_.plan();
-    std::vector<bin_index_t>* row =
-        bufs + static_cast<std::size_t>(g) * plan.shard_count();
-    const std::vector<bin_index_t>& rel = releasers_[g];
+    const std::vector<bin_index_t>& rel = acc_[g].releasers;
     bin_index_t best[kDrawChunk];
     bin_index_t cand[kDrawChunk];
     for (std::size_t i = 0; i < rel.size();) {
       const auto len = static_cast<std::uint32_t>(
           std::min<std::size_t>(kDrawChunk, rel.size() - i));
       variant_.choose_batch(r, rel.data() + i, len, n, loads_, best, cand);
-      for (std::uint32_t k = 0; k < len; ++k) {
-        row[plan.shard_of(best[k])].push_back(best[k]);
-      }
+      for (std::uint32_t k = 0; k < len; ++k) rows.push(best[k], best[k]);
       i += len;
     }
   }
 
-  /// Phase 2 (commit) for one stripe: drains every stripe's `bufs`
-  /// buffers addressed to its own shards (ascending source stripe --
-  /// the canonical arrival order) and rescans them for the round
-  /// statistics.  The shard's loads are cache-hot, so the random
-  /// within-shard scatter is cheap.
-  void commit_stripe(std::uint32_t g, std::uint64_t r,
-                     std::vector<bin_index_t>* bufs)
+  /// Phase 2 (commit) epilogue for one shard [begin, end) of stripe g:
+  /// the round statistics, plus Tetris first-empty marking.
+  void scan_shard(std::uint32_t g, std::uint64_t r, bin_index_t begin,
+                  bin_index_t end)
     requires kShardedExec
   {
-    const obs::ScopedPhase phase_span(obs::Phase::kCommit);
-    const ShardPlan& plan = exec_.plan();
-    const std::uint32_t shard_count = plan.shard_count();
-    const std::uint32_t stripes = plan.stripe_count();
-    StripeAcc& acc = acc_[g];
-    acc.max = 0;
-    acc.zeros = 0;
-    acc.newly_emptied = 0;
-    for (std::uint32_t s = plan.stripe_begin_shard(g);
-         s < plan.stripe_end_shard(g); ++s) {
-      for (std::uint32_t src = 0; src < stripes; ++src) {
-        std::vector<bin_index_t>& buf =
-            bufs[static_cast<std::size_t>(src) * shard_count + s];
-        for (const bin_index_t dest : buf) ++loads_[dest];
-        buf.clear();
-      }
-      const std::uint64_t rs0 = obs::enabled() ? obs::now_ns() : 0;
-      for (bin_index_t u = plan.shard_begin(s); u < plan.shard_end(s); ++u) {
-        const load_t load = loads_[u];
-        if (load == 0) {
-          ++acc.zeros;
-          if constexpr (kKind == BallVariantKind::kTetris) {
-            // End-load zero means the bin emptied this round (or was
-            // marked before): equivalent to the sequential pending
-            // logic, since arrivals only add and departures remove
-            // at most one ball.
-            if (variant_.first_empty_[u] == kNeverEmptied) {
-              variant_.first_empty_[u] = r + 1;
-              ++acc.newly_emptied;
-            }
-          }
-        } else if (load > acc.max) {
-          acc.max = load;
+    LoadScan scan;
+    for (bin_index_t u = begin; u < end; ++u) {
+      const load_t load = loads_[u];
+      scan.add(load);
+      if constexpr (kKind == BallVariantKind::kTetris) {
+        // End-load zero means the bin emptied this round (or was marked
+        // before): equivalent to the sequential pending logic, since
+        // arrivals only add and departures remove at most one ball.
+        if (load == 0 && variant_.first_empty_[u] == kNeverEmptied) {
+          variant_.first_empty_[u] = r + 1;
+          ++acc_[g].cum_newly_emptied;
         }
       }
-      if (rs0 != 0) {
-        const std::uint64_t rs1 = obs::now_ns();
-        obs::add_phase_ns(obs::Phase::kRescan, rs1 - rs0);
-        obs::record_span("rescan", rs0, rs1);
-      }
     }
-    acc.cum_newly_emptied += acc.newly_emptied;
+    acc_[g].scan.merge(scan);
   }
 
   /// Runs `rounds` >= 1 sharded rounds through the round driver
@@ -762,7 +700,6 @@ class BallProcessCore {
   void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
-
     // Fresh-arrival counts are drawn sequentially up front: the leaky
     // law is a shared distribution object (not thread-safe), and the
     // draws are schedule-free by (round) key, so hoisting them changes
@@ -779,30 +716,35 @@ class BallProcessCore {
       acc.cum_newly_emptied = 0;
     }
     const std::uint64_t r0 = round_;
-    using Bufs = std::vector<bin_index_t>*;
     run_pipeline(
-        exec_.stripes(), exec_.plan().stripe_count(), rounds, kChoose,
-        buffers_,
-        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
+        exec_, rounds, buffers_,
+        [&](std::uint32_t g, std::uint64_t i, Rows rows) {
           throw_stripe(g, r0 + i,
-                       kRefill ? arrivals_by_round[i] : ball_count_t{0}, bufs);
+                       kRefill ? arrivals_by_round[i] : ball_count_t{0}, rows);
         },
-        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
-          if constexpr (kChoose) choose_stripe(g, r0 + i, bufs);
+        [&] {
+          if constexpr (kChoose) {
+            return [&](std::uint32_t g, std::uint64_t i, Rows rows) {
+              choose_stripe(g, r0 + i, rows);
+            };
+          } else {
+            return NoChoose{};
+          }
+        }(),
+        [&](std::uint32_t, std::uint64_t,
+            const std::vector<bin_index_t>& arrivals) {
+          for (const bin_index_t dest : arrivals) ++loads_[dest];
         },
-        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
-          commit_stripe(g, r0 + i, bufs);
-        });
+        [&](std::uint32_t g, std::uint64_t i, bin_index_t begin,
+            bin_index_t end) { scan_shard(g, r0 + i, begin, end); });
 
     std::uint64_t total_departures = 0;
     std::uint32_t departures = 0;
-    max_load_ = 0;
-    empty_ = 0;
+    stats_ = LoadScan{};
     for (const StripeAcc& acc : acc_) {
       total_departures += acc.cum_departures;
       departures += acc.departures;
-      max_load_ = std::max(max_load_, acc.max);
-      empty_ += acc.zeros;
+      stats_.merge(acc.scan);
       if constexpr (kKind == BallVariantKind::kTetris) {
         variant_.not_yet_emptied_ -= acc.cum_newly_emptied;
       }
@@ -821,8 +763,7 @@ class BallProcessCore {
   Exec exec_;
   ball_count_t balls_;
   std::uint64_t round_ = 0;
-  load_t max_load_ = 0;
-  std::uint32_t empty_ = 0;
+  LoadScan stats_;  // max load / empty bins, maintained incrementally
   std::uint32_t last_departures_ = 0;
   ball_count_t last_arrivals_ = 0;
 
@@ -836,7 +777,6 @@ class BallProcessCore {
   /// Destinations thrown per (stripe, target shard); sharded only.
   ScatterBuffers<bin_index_t> buffers_;
   std::vector<StripeAcc> acc_;
-  std::vector<std::vector<bin_index_t>> releasers_;  // d-choices, per stripe
 };
 
 }  // namespace rbb::kernel

@@ -32,10 +32,11 @@
 // two-phase throw/commit reproduces the sequential counter-stream
 // trajectory bit for bit.  Why the ORDER also matches: the sequential
 // path applies arrivals in ascending global (u, j); the sharded commit
-// drains each destination shard's buffers in ascending source-stripe
-// order, each buffer in push order (ascending (u, j) within the
-// stripe) -- so per destination bin the arrival order is identical,
-// and capacity/drop decisions depend on nothing else.
+// (pipeline.hpp's run_pipeline) drains each destination shard's buffers
+// in ascending source-stripe order, each buffer in push order
+// (ascending (u, j) within the stripe) -- so per destination bin the
+// arrival order is identical, and capacity/drop decisions depend on
+// nothing else.
 #pragma once
 
 #include <algorithm>
@@ -50,7 +51,6 @@
 #include "core/kernel/stream.hpp"
 #include "core/mixed_config.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "support/serial.hpp"
 #include "support/types.hpp"
 
@@ -107,27 +107,10 @@ class MixedProcessCore {
     }
     loads_.assign(n, 0);
     wload_.assign(n, 0);
-    any_cap_ = false;
-    for (std::uint32_t u = 0; u < n; ++u) {
-      load_t load = 0;
-      weighted_load_t w = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        const load_t cnt = counts_[static_cast<std::size_t>(u) * k + c];
-        load += cnt;
-        w += static_cast<weighted_load_t>(cnt) *
-             weights_.class_weights[c];
-      }
-      loads_[u] = load;
-      wload_[u] = w;
-      balls_ += load;
-      total_weight_ += w;
-      if (caps_[u] != 0) {
-        any_cap_ = true;
-        if (load > caps_[u]) {
-          throw std::invalid_argument(
-              "MixedProcessCore: initial load exceeds bin capacity");
-        }
-      }
+    recompute_from_counts();
+    if (over_capacity()) {
+      throw std::invalid_argument(
+          "MixedProcessCore: initial load exceeds bin capacity");
     }
     if (spec.balls != balls_) {
       throw std::invalid_argument(
@@ -138,11 +121,9 @@ class MixedProcessCore {
     last_departures_by_class_.assign(k, 0);
     rescan_stats();
     if constexpr (kShardedExec) {
-      const ShardPlan& plan = exec_.plan();
-      buffers_.resize(static_cast<std::size_t>(plan.stripe_count()) *
-                      plan.shard_count());
-      acc_.resize(plan.stripe_count());
-      class_acc_.assign(static_cast<std::size_t>(plan.stripe_count()) * k, 0);
+      const std::uint32_t stripes = exec_.plan().stripe_count();
+      acc_.resize(stripes);
+      class_acc_.assign(static_cast<std::size_t>(stripes) * k, 0);
     }
   }
 
@@ -169,20 +150,22 @@ class MixedProcessCore {
   }
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
   [[nodiscard]] const LoadConfig& loads() const noexcept { return loads_; }
-  [[nodiscard]] load_t max_load() const noexcept { return max_load_; }
-  [[nodiscard]] std::uint32_t empty_bins() const noexcept { return empty_; }
+  [[nodiscard]] load_t max_load() const noexcept { return stats_.loads.max; }
+  [[nodiscard]] std::uint32_t empty_bins() const noexcept {
+    return stats_.loads.zeros;
+  }
 
   [[nodiscard]] ball_count_t total_balls() const noexcept { return balls_; }
   [[nodiscard]] weighted_load_t total_weight() const noexcept {
     return total_weight_;
   }
   [[nodiscard]] weighted_load_t max_weighted_load() const noexcept {
-    return max_wload_;
+    return stats_.max_w;
   }
   /// Max over capacity-bounded bins of load / capacity (0 when no bin
   /// has a finite capacity).
   [[nodiscard]] double max_utilization() const noexcept {
-    return max_utilization_;
+    return stats_.max_util;
   }
   /// Cumulative arrivals dropped at full bins since construction.
   [[nodiscard]] ball_count_t dropped_balls() const noexcept {
@@ -327,10 +310,8 @@ class MixedProcessCore {
       throw std::invalid_argument(
           "restore: conservation violated (payload from a different spec?)");
     }
-    for (std::uint32_t u = 0; u < bin_count(); ++u) {
-      if (caps_[u] != 0 && loads_[u] > caps_[u]) {
-        throw std::invalid_argument("restore: bin capacity exceeded");
-      }
+    if (over_capacity()) {
+      throw std::invalid_argument("restore: bin capacity exceeded");
     }
     rescan_stats();
   }
@@ -344,9 +325,6 @@ class MixedProcessCore {
     const std::uint32_t k = class_count();
     ball_count_t balls = 0;
     weighted_load_t weight = 0;
-    load_t max = 0;
-    std::uint32_t zeros = 0;
-    weighted_load_t max_w = 0;
     for (std::uint32_t u = 0; u < n; ++u) {
       load_t load = 0;
       weighted_load_t w = 0;
@@ -366,9 +344,6 @@ class MixedProcessCore {
       }
       balls += load;
       weight += w;
-      if (load == 0) ++zeros;
-      max = std::max(max, load);
-      max_w = std::max(max_w, w);
     }
     if (balls != balls_ || weight != total_weight_) {
       throw std::logic_error("MixedProcessCore: totals drifted");
@@ -379,7 +354,11 @@ class MixedProcessCore {
           "MixedProcessCore: conservation violated (initial != current "
           "+ dropped)");
     }
-    if (max != max_load_ || zeros != empty_ || max_w != max_wload_) {
+    // loads_ and wload_ match the census (checked above), so a fresh
+    // scan of them is the census's statistics.
+    const BinScan scan = scan_bins(0, n);
+    if (scan.loads.max != stats_.loads.max ||
+        scan.loads.zeros != stats_.loads.zeros || scan.max_w != stats_.max_w) {
       throw std::logic_error("MixedProcessCore: round stats out of sync");
     }
     if (!buffers_.drained()) {
@@ -388,9 +367,24 @@ class MixedProcessCore {
   }
 
  private:
+  /// Round statistics of a set of bins: max load and empty bins, plus
+  /// the max weighted load and max utilization over capped bins.
+  struct BinScan {
+    LoadScan loads;
+    weighted_load_t max_w = 0;
+    double max_util = 0.0;
+
+    void merge(const BinScan& other) noexcept {
+      loads.merge(other.loads);
+      max_w = std::max(max_w, other.max_w);
+      max_util = std::max(max_util, other.max_util);
+    }
+  };
+
   [[nodiscard]] Stats current_stats() const noexcept {
-    return Stats{max_load_,   empty_,  last_departures_, last_drops_,
-                 max_wload_,  balls_,  total_weight_};
+    return Stats{stats_.loads.max, stats_.loads.zeros, last_departures_,
+                 last_drops_,      stats_.max_w,       balls_,
+                 total_weight_};
   }
 
   /// Arrivals travel as one packed word: class in the high 32 bits,
@@ -419,10 +413,16 @@ class MixedProcessCore {
     return c;
   }
 
-  /// Applies one arrival (or drops it at a full bin); returns true if
-  /// the ball landed.  Caller owns the destination bin's row.
-  bool apply_arrival(bin_index_t v, std::uint32_t cls) {
-    if (caps_[v] != 0 && loads_[v] >= caps_[v]) return false;
+  /// Applies one packed arrival word, or drops it at a full bin and
+  /// adds its weight to `dropped_weight`; returns true if the ball
+  /// landed.  Caller owns the destination bin's row.
+  bool apply_arrival(std::uint64_t word, weighted_load_t& dropped_weight) {
+    const auto cls = static_cast<std::uint32_t>(word >> 32);
+    const auto v = static_cast<bin_index_t>(word);
+    if (caps_[v] != 0 && loads_[v] >= caps_[v]) {
+      dropped_weight += weights_.class_weights[cls];
+      return false;
+    }
     ++counts_[static_cast<std::size_t>(v) * class_count() + cls];
     ++loads_[v];
     wload_[v] += weights_.class_weights[cls];
@@ -430,8 +430,7 @@ class MixedProcessCore {
   }
 
   /// Rebuilds the derived per-bin loads/weighted loads and the system
-  /// totals from the per-class census (reassign / restore epilogue;
-  /// same derivation as the constructor).
+  /// totals from the per-class census (constructor / reassign / restore).
   void recompute_from_counts() {
     const std::uint32_t n = bin_count();
     const std::uint32_t k = class_count();
@@ -452,27 +451,30 @@ class MixedProcessCore {
     }
   }
 
-  void rescan_stats() {
-    const std::uint32_t n = bin_count();
-    max_load_ = 0;
-    empty_ = 0;
-    max_wload_ = 0;
-    max_utilization_ = 0.0;
-    for (std::uint32_t u = 0; u < n; ++u) {
+  /// True when some capacity-bounded bin holds more than its capacity.
+  [[nodiscard]] bool over_capacity() const noexcept {
+    for (std::uint32_t u = 0; u < bin_count(); ++u) {
+      if (caps_[u] != 0 && loads_[u] > caps_[u]) return true;
+    }
+    return false;
+  }
+
+  [[nodiscard]] BinScan scan_bins(bin_index_t begin, bin_index_t end) const {
+    BinScan scan;
+    for (bin_index_t u = begin; u < end; ++u) {
       const load_t load = loads_[u];
-      if (load == 0) {
-        ++empty_;
-      } else if (load > max_load_) {
-        max_load_ = load;
-      }
-      max_wload_ = std::max(max_wload_, wload_[u]);
+      scan.loads.add(load);
+      scan.max_w = std::max(scan.max_w, wload_[u]);
       if (caps_[u] != 0) {
-        max_utilization_ =
-            std::max(max_utilization_, static_cast<double>(load) /
-                                           static_cast<double>(caps_[u]));
+        scan.max_util =
+            std::max(scan.max_util, static_cast<double>(load) /
+                                        static_cast<double>(caps_[u]));
       }
     }
+    return scan;
   }
+
+  void rescan_stats() { stats_ = scan_bins(0, bin_count()); }
 
   // --- the sequential round -------------------------------------------------
 
@@ -514,12 +516,7 @@ class MixedProcessCore {
     ball_count_t drops = 0;
     weighted_load_t dropped_w = 0;
     for (const std::uint64_t word : scratch_) {
-      const auto cls = static_cast<std::uint32_t>(word >> 32);
-      const auto dest = static_cast<bin_index_t>(word);
-      if (!apply_arrival(dest, cls)) {
-        ++drops;
-        dropped_w += weights_.class_weights[cls];
-      }
+      if (!apply_arrival(word, dropped_w)) ++drops;
     }
     balls_ -= drops;
     total_weight_ -= dropped_w;
@@ -535,41 +532,37 @@ class MixedProcessCore {
 
   /// Per-stripe accumulator, cache-line padded so stripe tasks never
   /// share a line (per-class departure counts live in class_acc_).
-  /// Per-round fields are reset by each round's phase bodies; cum_*
-  /// fields accumulate across a run.
+  /// Per-round fields are reset by each round's throw; cum_* fields
+  /// accumulate across a run.
   struct alignas(64) StripeAcc {
     ball_count_t departures = 0;
     ball_count_t drops = 0;
-    weighted_load_t dropped_weight = 0;
-    load_t max = 0;
-    std::uint32_t zeros = 0;
-    weighted_load_t max_w = 0;
-    double max_util = 0.0;
+    BinScan scan;
     ball_count_t cum_drops = 0;
     weighted_load_t cum_dropped_weight = 0;
   };
 
+  using Rows = ShardRows<std::uint64_t>;
+
   /// Phase 1 (throw) for one stripe of round r: walks its own bins,
   /// removes the departing balls (class picks touch only owned rows)
-  /// and scatters the packed (class, destination) words into its rows
-  /// of `bufs` (the parity-selected buffer base) in ascending (u, j)
-  /// order.  The class-draw bound `remaining` reads only own-bin loads,
-  /// whose value at throw start is the post-commit state of the
-  /// previous round -- schedule-independent.
-  void throw_stripe(std::uint32_t g, std::uint64_t r,
-                    std::vector<std::uint64_t>* bufs)
+  /// and pushes the packed (class, destination) words to their target
+  /// shards in ascending (u, j) order.  The class-draw bound
+  /// `remaining` reads only own-bin loads, whose value at throw start
+  /// is the post-commit state of the previous round --
+  /// schedule-independent.
+  void throw_stripe(std::uint32_t g, std::uint64_t r, Rows rows)
     requires kShardedExec
   {
-    const obs::ScopedPhase phase_span(obs::Phase::kThrow);
     const std::uint32_t n = bin_count();
     const std::uint32_t k = class_count();
     const ShardPlan& plan = exec_.plan();
     StripeAcc& acc = acc_[g];
     acc.departures = 0;
+    acc.drops = 0;
+    acc.scan = BinScan{};
     ball_count_t* dep_by_class = &class_acc_[static_cast<std::size_t>(g) * k];
     std::fill(dep_by_class, dep_by_class + k, 0);
-    std::vector<std::uint64_t>* row =
-        bufs + static_cast<std::size_t>(g) * plan.shard_count();
     const bin_index_t begin = plan.stripe_begin_bin(g);
     const bin_index_t end = plan.stripe_end_bin(g);
     for (bin_index_t u = begin; u < end; ++u) {
@@ -583,78 +576,20 @@ class MixedProcessCore {
         const std::uint32_t cls = take_class(u, x);
         ++dep_by_class[cls];
         ++acc.departures;
-        row[plan.shard_of(dest)].push_back(pack(cls, dest));
+        rows.push(dest, pack(cls, dest));
       }
     }
-  }
-
-  /// Phase 2 (commit) for one stripe: drains the `bufs` buffers
-  /// addressed to its shards -- ascending source stripe, each buffer in
-  /// push order, which per destination bin reproduces the sequential
-  /// (u, j) arrival order, so capacity/drop decisions are bit-identical
-  /// -- then rescans its bins for the round statistics.
-  void commit_stripe(std::uint32_t g, std::uint64_t /*r*/,
-                     std::vector<std::uint64_t>* bufs)
-    requires kShardedExec
-  {
-    const obs::ScopedPhase phase_span(obs::Phase::kCommit);
-    const ShardPlan& plan = exec_.plan();
-    const std::uint32_t shard_count = plan.shard_count();
-    const std::uint32_t stripes = plan.stripe_count();
-    StripeAcc& acc = acc_[g];
-    acc.drops = 0;
-    acc.dropped_weight = 0;
-    acc.max = 0;
-    acc.zeros = 0;
-    acc.max_w = 0;
-    acc.max_util = 0.0;
-    for (std::uint32_t s = plan.stripe_begin_shard(g);
-         s < plan.stripe_end_shard(g); ++s) {
-      for (std::uint32_t src = 0; src < stripes; ++src) {
-        std::vector<std::uint64_t>& buf =
-            bufs[static_cast<std::size_t>(src) * shard_count + s];
-        for (const std::uint64_t word : buf) {
-          const auto cls = static_cast<std::uint32_t>(word >> 32);
-          const auto dest = static_cast<bin_index_t>(word);
-          if (!apply_arrival(dest, cls)) {
-            ++acc.drops;
-            acc.dropped_weight += weights_.class_weights[cls];
-          }
-        }
-        buf.clear();
-      }
-      const std::uint64_t rs0 = obs::enabled() ? obs::now_ns() : 0;
-      for (bin_index_t u = plan.shard_begin(s); u < plan.shard_end(s); ++u) {
-        const load_t load = loads_[u];
-        if (load == 0) {
-          ++acc.zeros;
-        } else if (load > acc.max) {
-          acc.max = load;
-        }
-        acc.max_w = std::max(acc.max_w, wload_[u]);
-        if (caps_[u] != 0) {
-          acc.max_util =
-              std::max(acc.max_util, static_cast<double>(load) /
-                                         static_cast<double>(caps_[u]));
-        }
-      }
-      if (rs0 != 0) {
-        const std::uint64_t rs1 = obs::now_ns();
-        obs::add_phase_ns(obs::Phase::kRescan, rs1 - rs0);
-        obs::record_span("rescan", rs0, rs1);
-      }
-    }
-    acc.cum_drops += acc.drops;
-    acc.cum_dropped_weight += acc.dropped_weight;
   }
 
   /// Runs `rounds` >= 1 sharded rounds through the round driver
   /// (pipeline.hpp), then reduces the stripe accumulators once, in fixed
   /// stripe order: last round's stats from the per-round fields,
-  /// cumulative drop accounting from the cum_* fields.  class_acc_ rows
-  /// are per-stripe and reset by each round's throw, so they hold the
-  /// LAST round's per-class departures -- exactly what
-  /// last_departures_by_class_ reports.
+  /// cumulative drop accounting from the cum_* fields.  The driver
+  /// hands each stripe's apply its arrivals in the canonical order, so
+  /// capacity/drop decisions are bit-identical to the sequential
+  /// sibling's.  class_acc_ rows are per-stripe and reset by each
+  /// round's throw, so they hold the LAST round's per-class departures
+  /// -- exactly what last_departures_by_class_ reports.
   void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
@@ -665,37 +600,39 @@ class MixedProcessCore {
       acc.cum_dropped_weight = 0;
     }
     const std::uint64_t r0 = round_;
-    using Bufs = std::vector<std::uint64_t>*;
     run_pipeline(
-        exec_.stripes(), stripes, rounds, /*has_choose=*/false, buffers_,
-        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
-          throw_stripe(g, r0 + i, bufs);
+        exec_, rounds, buffers_,
+        [&](std::uint32_t g, std::uint64_t i, Rows rows) {
+          throw_stripe(g, r0 + i, rows);
         },
-        [](std::uint32_t, std::uint64_t, Bufs) {},
-        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
-          commit_stripe(g, r0 + i, bufs);
-        });
+        NoChoose{},
+        [&](std::uint32_t g, std::uint64_t,
+            const std::vector<std::uint64_t>& words) {
+          StripeAcc& acc = acc_[g];
+          for (const std::uint64_t word : words) {
+            if (!apply_arrival(word, acc.cum_dropped_weight)) {
+              ++acc.drops;
+              ++acc.cum_drops;
+            }
+          }
+        },
+        [&](std::uint32_t g, std::uint64_t, bin_index_t begin,
+            bin_index_t end) { acc_[g].scan.merge(scan_bins(begin, end)); });
 
     ball_count_t departures = 0;
     ball_count_t total_drops = 0;
     weighted_load_t total_dropped_w = 0;
-    max_load_ = 0;
-    empty_ = 0;
-    max_wload_ = 0;
-    max_utilization_ = 0.0;
+    ball_count_t last_drops = 0;
+    stats_ = BinScan{};
     std::fill(last_departures_by_class_.begin(),
               last_departures_by_class_.end(), 0);
-    ball_count_t last_drops = 0;
     for (std::uint32_t g = 0; g < stripes; ++g) {
       const StripeAcc& acc = acc_[g];
       departures += acc.departures;
       last_drops += acc.drops;
       total_drops += acc.cum_drops;
       total_dropped_w += acc.cum_dropped_weight;
-      max_load_ = std::max(max_load_, acc.max);
-      empty_ += acc.zeros;
-      max_wload_ = std::max(max_wload_, acc.max_w);
-      max_utilization_ = std::max(max_utilization_, acc.max_util);
+      stats_.merge(acc.scan);
       for (std::uint32_t c = 0; c < k; ++c) {
         last_departures_by_class_[c] +=
             class_acc_[static_cast<std::size_t>(g) * k + c];
@@ -720,7 +657,6 @@ class MixedProcessCore {
 
   LoadConfig loads_;                    // per-bin ball counts (SimProcess)
   std::vector<weighted_load_t> wload_;  // per-bin weighted loads
-  bool any_cap_ = false;
 
   ball_count_t balls_ = 0;
   weighted_load_t total_weight_ = 0;
@@ -730,10 +666,7 @@ class MixedProcessCore {
   weighted_load_t dropped_weight_ = 0;
 
   std::uint64_t round_ = 0;
-  load_t max_load_ = 0;
-  std::uint32_t empty_ = 0;
-  weighted_load_t max_wload_ = 0;
-  double max_utilization_ = 0.0;
+  BinScan stats_;
   ball_count_t last_departures_ = 0;
   ball_count_t last_drops_ = 0;
   std::vector<ball_count_t> last_departures_by_class_;

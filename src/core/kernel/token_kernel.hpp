@@ -15,9 +15,10 @@
 //
 // Enqueue order is not commutative, so determinism comes from a
 // *canonical arrival order*: stripes are contiguous and walked in
-// ascending bin order, the commit drains per-(stripe, shard) buffers in
-// ascending source-stripe order, hence every bin receives its arrivals
-// sorted by releasing bin -- for every thread count and shard size.
+// ascending bin order, and pipeline.hpp's run_pipeline drains the
+// per-(stripe, shard) buffers in ascending source-stripe order, hence
+// every bin receives its arrivals sorted by releasing bin -- for every
+// thread count and shard size.
 // The sequential instantiation realizes the same order with a plain
 // loop, which is why the two are bit-identical (pinned by tests/par/).
 //
@@ -54,7 +55,6 @@
 #include "core/token_process.hpp"  // QueuePolicy, identity_placement
 #include "graph/graph.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "support/stats.hpp"
 #include "support/types.hpp"
 
@@ -130,12 +130,7 @@ class TokenProcessCore {
       visited_count_.assign(start_bin.size(), 0);
       cover_round_.assign(start_bin.size(), kNotCovered);
     }
-    if constexpr (kShardedExec) {
-      const ShardPlan& plan = exec_.plan();
-      buffers_.resize(static_cast<std::size_t>(plan.stripe_count()) *
-                      plan.shard_count());
-      acc_.resize(plan.stripe_count());
-    }
+    if constexpr (kShardedExec) acc_.resize(exec_.plan().stripe_count());
     rebuild_queues(start_bin);
   }
 
@@ -188,12 +183,12 @@ class TokenProcessCore {
   /// keeps the seq-counter perf rows an honest RNG-swap measurement.
   [[nodiscard]] load_t max_load() const {
     refresh_stats();
-    return max_load_;
+    return stats_.max;
   }
   /// Number of empty bins; same cost contract as max_load().
   [[nodiscard]] std::uint32_t empty_bins() const {
     refresh_stats();
-    return empty_;
+    return stats_.zeros;
   }
   /// Per-bin load snapshot (off the hot path; O(n)).
   [[nodiscard]] LoadConfig loads() const {
@@ -405,12 +400,14 @@ class TokenProcessCore {
     std::uint32_t token;
   };
 
+  /// Per-stripe accumulator: the round's shard scans (reset by each
+  /// round's throw) and the tokens covered across a run.
   struct alignas(64) StripeAcc {
-    load_t max = 0;
-    std::uint32_t zeros = 0;
-    std::uint32_t newly_covered = 0;
-    std::uint32_t cum_newly_covered = 0;  // across a run
+    LoadScan scan;
+    std::uint32_t cum_newly_covered = 0;
   };
+
+  using Rows = ShardRows<Arrival>;
 
   /// Scatter loops prefetch this many arrivals ahead: at mega n the
   /// store out-sizes the cache and each push touches a random header
@@ -524,20 +521,16 @@ class TokenProcessCore {
   }
 
   /// Phase 1 (throw) for one stripe of round r: releases the stripe's
-  /// queue heads in ascending bin order into its rows of `bufs` (the
-  /// parity-selected buffer base), so every buffer is filled sorted by
-  /// releasing bin.  A token sits in exactly one queue and a stripe
-  /// pops only its own bins' lists, so the store and progress_ writes
-  /// are stripe-exclusive.
-  void throw_stripe(std::uint32_t g, std::uint64_t r,
-                    std::vector<Arrival>* bufs)
+  /// queue heads in ascending bin order into its buffer row, so every
+  /// buffer is filled sorted by releasing bin.  A token sits in exactly
+  /// one queue and a stripe pops only its own bins' lists, so the store
+  /// and progress_ writes are stripe-exclusive.
+  void throw_stripe(std::uint32_t g, std::uint64_t r, Rows rows)
     requires kShardedExec
   {
-    const obs::ScopedPhase phase_span(obs::Phase::kThrow);
     const std::uint32_t n = bins_;
     const ShardPlan& plan = exec_.plan();
-    std::vector<Arrival>* row =
-        bufs + static_cast<std::size_t>(g) * plan.shard_count();
+    acc_[g].scan = LoadScan{};
     const bin_index_t begin = plan.stripe_begin_bin(g);
     const bin_index_t end = plan.stripe_end_bin(g);
     // Releasing bins and their tokens bank into stack chunks; each
@@ -552,8 +545,7 @@ class TokenProcessCore {
       obs::add(obs::Counter::kChunkFlushes);
       stream_.fill_gather(r, slot_buf, 0, pending, n, dest_buf);
       for (std::uint32_t i = 0; i < pending; ++i) {
-        const bin_index_t dest = dest_buf[i];
-        row[plan.shard_of(dest)].push_back(Arrival{dest, token_buf[i]});
+        rows.push(dest_buf[i], Arrival{dest_buf[i], token_buf[i]});
       }
       pending = 0;
     };
@@ -569,60 +561,28 @@ class TokenProcessCore {
     if (pending > 0) flush();
   }
 
-  /// Phase 2 (commit) for one stripe: drains `bufs` buffers addressed
-  /// to its shards in ascending source-stripe order so every bin
-  /// enqueues its arrivals sorted by releasing bin -- the canonical
-  /// order the sequential sibling realizes by construction.  A token
-  /// arrives in exactly one buffer and a stripe pushes only into its
-  /// own shards' lists, so the store and visited_ writes are
-  /// stripe-exclusive.
-  void commit_stripe(std::uint32_t g, std::uint64_t r,
-                     std::vector<Arrival>* bufs)
+  /// Phase 2 (commit) for one buffer of arrivals into stripe g's shards,
+  /// handed over by the driver in canonical order (sorted by releasing
+  /// bin per destination).  A token arrives in exactly one buffer and a
+  /// stripe pushes only into its own shards' lists, so the store and
+  /// visited_ writes are stripe-exclusive.
+  void apply_arrivals(std::uint32_t g, std::uint64_t r,
+                      const std::vector<Arrival>& buf)
     requires kShardedExec
   {
-    const obs::ScopedPhase phase_span(obs::Phase::kCommit);
-    const ShardPlan& plan = exec_.plan();
-    const std::uint32_t shard_count = plan.shard_count();
-    StripeAcc& acc = acc_[g];
-    acc.max = 0;
-    acc.zeros = 0;
-    acc.newly_covered = 0;
-    for (std::uint32_t s = plan.stripe_begin_shard(g);
-         s < plan.stripe_end_shard(g); ++s) {
-      for (std::uint32_t src = 0; src < plan.stripe_count(); ++src) {
-        std::vector<Arrival>& buf =
-            bufs[static_cast<std::size_t>(src) * shard_count + s];
-        const std::size_t arrivals = buf.size();
-        for (std::size_t i = 0; i < arrivals; ++i) {
-          if (i + kPrefetchAhead < arrivals) {
-            const Arrival& ahead = buf[i + kPrefetchAhead];
-            store_.prefetch_bin(ahead.dest);
-            store_.prefetch_slot(ahead.token);
-          }
-          const Arrival& arrival = buf[i];
-          store_.push(arrival.dest, arrival.token);
-          if (mark_visited(arrival.token, arrival.dest, r + 1)) {
-            ++acc.newly_covered;
-          }
-        }
-        buf.clear();
+    const std::size_t arrivals = buf.size();
+    for (std::size_t i = 0; i < arrivals; ++i) {
+      if (i + kPrefetchAhead < arrivals) {
+        const Arrival& ahead = buf[i + kPrefetchAhead];
+        store_.prefetch_bin(ahead.dest);
+        store_.prefetch_slot(ahead.token);
       }
-      const std::uint64_t rs0 = obs::enabled() ? obs::now_ns() : 0;
-      for (bin_index_t u = plan.shard_begin(s); u < plan.shard_end(s); ++u) {
-        const auto load = static_cast<load_t>(store_.count(u));
-        if (load == 0) {
-          ++acc.zeros;
-        } else if (load > acc.max) {
-          acc.max = load;
-        }
-      }
-      if (rs0 != 0) {
-        const std::uint64_t rs1 = obs::now_ns();
-        obs::add_phase_ns(obs::Phase::kRescan, rs1 - rs0);
-        obs::record_span("rescan", rs0, rs1);
+      const Arrival& arrival = buf[i];
+      store_.push(arrival.dest, arrival.token);
+      if (mark_visited(arrival.token, arrival.dest, r + 1)) {
+        ++acc_[g].cum_newly_covered;
       }
     }
-    acc.cum_newly_covered += acc.newly_covered;
   }
 
   /// Runs `rounds` >= 1 sharded rounds through the round driver
@@ -636,26 +596,25 @@ class TokenProcessCore {
   {
     for (StripeAcc& acc : acc_) acc.cum_newly_covered = 0;
     const std::uint64_t r0 = round_;
-    using Bufs = std::vector<Arrival>*;
     run_pipeline(
-        exec_.stripes(), exec_.plan().stripe_count(), rounds,
-        /*has_choose=*/false, buffers_,
-        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
-          throw_stripe(g, r0 + i, bufs);
+        exec_, rounds, buffers_,
+        [&](std::uint32_t g, std::uint64_t i, Rows rows) {
+          throw_stripe(g, r0 + i, rows);
         },
-        [](std::uint32_t, std::uint64_t, Bufs) {},
-        [&](std::uint32_t g, std::uint64_t i, Bufs bufs) {
-          commit_stripe(g, r0 + i, bufs);
-        });
+        NoChoose{},
+        [&](std::uint32_t g, std::uint64_t i,
+            const std::vector<Arrival>& buf) {
+          apply_arrivals(g, r0 + i, buf);
+        },
+        [&](std::uint32_t g, std::uint64_t, bin_index_t begin,
+            bin_index_t end) { acc_[g].scan.merge(scan_bins(begin, end)); });
 
-    max_load_ = 0;
-    empty_ = 0;
+    stats_ = LoadScan{};
     for (const StripeAcc& acc : acc_) {
-      max_load_ = std::max(max_load_, acc.max);
-      empty_ += acc.zeros;
+      stats_.merge(acc.scan);
       covered_tokens_ += acc.cum_newly_covered;
     }
-    stats_dirty_ = false;  // the commit rescan just paid for them
+    stats_dirty_ = false;  // the commit scans just paid for them
     round_ += rounds;
   }
 
@@ -670,17 +629,17 @@ class TokenProcessCore {
     rescan_stats();
   }
 
-  void rescan_stats() const {
-    max_load_ = 0;
-    empty_ = 0;
-    for (bin_index_t u = 0; u < bins_; ++u) {
-      const auto load = static_cast<load_t>(store_.count(u));
-      if (load == 0) {
-        ++empty_;
-      } else if (load > max_load_) {
-        max_load_ = load;
-      }
+  /// Max load and empty bins of bins [begin, end).
+  [[nodiscard]] LoadScan scan_bins(bin_index_t begin, bin_index_t end) const {
+    LoadScan scan;
+    for (bin_index_t u = begin; u < end; ++u) {
+      scan.add(static_cast<load_t>(store_.count(u)));
     }
+    return scan;
+  }
+
+  void rescan_stats() const {
+    stats_ = scan_bins(0, bins_);
     stats_dirty_ = false;
   }
 
@@ -706,8 +665,7 @@ class TokenProcessCore {
   std::uint64_t round_ = 0;
   // Lazily maintained stats (refresh_stats); mutable so const queries
   // can pay the rescan on demand.
-  mutable load_t max_load_ = 0;
-  mutable std::uint32_t empty_ = 0;
+  mutable LoadScan stats_;
   mutable bool stats_dirty_ = false;
 
   // Visit tracking (empty when !options_.track_visits).

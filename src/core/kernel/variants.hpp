@@ -18,6 +18,7 @@
 // core re-exposes the user-facing accessors with requires-clauses).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
@@ -287,14 +288,16 @@ struct Tetris {
   void init(const std::vector<load_t>& loads) {
     if (arrivals_ == 0) arrivals_ = loads.size() * 3 / 4;
     first_empty_.assign(loads.size(), kNeverEmptied);
-    not_yet_emptied_ = 0;
     for (std::uint32_t u = 0; u < loads.size(); ++u) {
-      if (loads[u] == 0) {
-        first_empty_[u] = 0;
-      } else {
-        ++not_yet_emptied_;
-      }
+      if (loads[u] == 0) first_empty_[u] = 0;
     }
+    not_yet_emptied_ = never_emptied();
+  }
+
+  /// Bins whose first_empty_ is still unset (recounted, O(n)).
+  [[nodiscard]] std::uint32_t never_emptied() const {
+    return static_cast<std::uint32_t>(
+        std::count(first_empty_.begin(), first_empty_.end(), kNeverEmptied));
   }
 
   static Stats make_stats(std::uint32_t max, std::uint32_t empty,

@@ -15,8 +15,11 @@
 #include "core/token_process.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "core/mixed_config.hpp"
+#include "par/sharded_mixed.hpp"
 #include "par/sharded_process.hpp"
 #include "par/sharded_token_process.hpp"
+#include "par/sharded_variants.hpp"
 
 namespace rbb::obs {
 namespace {
@@ -113,27 +116,65 @@ TEST(ObsParity, TokenKernelStateUnchangedByTelemetry) {
 }
 
 #if RBB_TELEMETRY
-// The parity above must not be vacuous: in the instrumented build a
-// sharded run really records -- throw/commit phase time, draw-chunk
-// flushes, pool batches.  (Under RBB_TELEMETRY=0 it records nothing by
-// design; the zero-cost contract is pinned in metrics_test.cpp.)
-TEST(ObsParity, InstrumentedRunActuallyRecords) {
+/// Telemetry recorded while `make_proc()`'s process runs four rounds.
+template <typename MakeProc>
+MetricsSnapshot record_run(MakeProc make_proc) {
   reset();
   set_enabled(true);
   {
-    Rng cfg_rng(99);
-    par::ShardedRepeatedBallsProcess proc(
-        make_config(InitialConfig::kOnePerBin, kN, kN, cfg_rng), kSeed,
-        par::ShardedOptions{.threads = 2, .shard_size = 256});
-    for (std::uint64_t r = 0; r < 4; ++r) proc.step();
+    auto proc = make_proc();
+    proc.run(4);
   }
   set_enabled(false);
   const MetricsSnapshot snap = scrape();
   reset();
-  EXPECT_GT(snap.phase(Phase::kThrow), 0u);
-  EXPECT_GT(snap.phase(Phase::kCommit), 0u);
-  EXPECT_GT(snap.counter(Counter::kChunkFlushes), 0u);
-  EXPECT_GT(snap.counter(Counter::kPoolBatches), 0u);
+  return snap;
+}
+
+// The parity above must not be vacuous: in the instrumented build every
+// sharded family really records its phases -- throw, commit and the
+// rescan inside it, choose only where the family has that phase -- plus
+// draw-chunk flushes and, on a team, pool batches.  (Under
+// RBB_TELEMETRY=0 it records nothing by design; the zero-cost contract
+// is pinned in metrics_test.cpp.)
+TEST(ObsParity, InstrumentedRunActuallyRecords) {
+  const auto expect_phases = [](const MetricsSnapshot& snap, bool choose,
+                                const char* family) {
+    EXPECT_GT(snap.phase(Phase::kThrow), 0u) << family;
+    EXPECT_GT(snap.phase(Phase::kCommit), 0u) << family;
+    EXPECT_GT(snap.phase(Phase::kRescan), 0u) << family;
+    EXPECT_EQ(snap.phase(Phase::kChoose) > 0, choose) << family;
+  };
+  for (const unsigned threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    const par::ShardedOptions options{.threads = threads, .shard_size = 256};
+    Rng cfg_rng(99);
+    const LoadConfig start =
+        make_config(InitialConfig::kOnePerBin, kN, kN, cfg_rng);
+    const MetricsSnapshot load = record_run([&] {
+      return par::ShardedRepeatedBallsProcess(start, kSeed, options);
+    });
+    expect_phases(load, false, "load");
+    EXPECT_GT(load.counter(Counter::kChunkFlushes), 0u);
+    if (threads > 1) {
+      EXPECT_GT(load.counter(Counter::kPoolBatches), 0u);
+    }
+    expect_phases(record_run([&] {
+                    return par::ShardedTokenProcess(kN, identity_placement(kN),
+                                                    kSeed, options);
+                  }),
+                  false, "token");
+    expect_phases(record_run([&] {
+                    return par::ShardedDChoicesProcess(start, 2, kSeed,
+                                                       options);
+                  }),
+                  true, "dchoices");
+    const MixedSpec spec = make_mixed_spec(kN, 4.0, "zipf", "capped");
+    expect_phases(record_run([&] {
+                    return par::ShardedMixedProcess(spec, kSeed, options);
+                  }),
+                  false, "mixed");
+  }
 }
 #endif  // RBB_TELEMETRY
 

@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/kernel/exec.hpp"
+#include "core/kernel/pipeline.hpp"
 #include "par/sharded_mixed.hpp"
 #include "par/sharded_process.hpp"
 #include "par/sharded_token_process.hpp"
@@ -367,6 +369,79 @@ TEST(PipelinedParity, RefusedTeamInsidePoolTaskRunsInlineAndMatchesOracle) {
       ASSERT_EQ(token.progress(i), token_oracle.progress(i)) << "token " << i;
     }
     ASSERT_NO_THROW(token.check_invariants());
+  });
+}
+
+// --- the driver contract -----------------------------------------------------
+
+/// A synthetic arrival: (source stripe, round thrown, destination bin).
+using Tagged = std::tuple<std::uint32_t, std::uint64_t, bin_index_t>;
+
+/// Drives synthetic rounds in which every stripe throws one arrival into
+/// every shard, and pins the commit side of the driver: each stripe
+/// applies its owned shards in ascending order, each shard's buffers in
+/// ascending source stripe, every buffer exactly once per round and from
+/// that round; the scans tile [0, n) once per round; the buffers end
+/// drained.
+void expect_driver_contract(unsigned threads) {
+  constexpr std::uint32_t kBins = 1000;
+  constexpr std::uint64_t kContractRounds = 5;
+  kernel::ShardedExecution exec(kBins, {.threads = threads, .shard_size = 64});
+  const kernel::ShardPlan& plan = exec.plan();
+  ASSERT_GT(plan.stripe_count(), 4u);
+  kernel::ScatterBuffers<Tagged> buffers;
+  // Per stripe, in call order: (round, arrival) per applied arrival and
+  // (round, begin, end) per scanned shard.
+  using Applied = std::tuple<std::uint64_t, Tagged>;
+  using Scanned = std::tuple<std::uint64_t, bin_index_t, bin_index_t>;
+  std::vector<std::vector<Applied>> applied(plan.stripe_count());
+  std::vector<std::vector<Scanned>> scanned(plan.stripe_count());
+  kernel::run_pipeline(
+      exec, kContractRounds, buffers,
+      [&](std::uint32_t g, std::uint64_t i, kernel::ShardRows<Tagged> rows) {
+        for (std::uint32_t s = 0; s < plan.shard_count(); ++s) {
+          rows.push(plan.shard_begin(s), Tagged{g, i, plan.shard_begin(s)});
+        }
+      },
+      kernel::NoChoose{},
+      [&](std::uint32_t g, std::uint64_t i, const std::vector<Tagged>& buf) {
+        for (const Tagged& t : buf) applied[g].emplace_back(i, t);
+      },
+      [&](std::uint32_t g, std::uint64_t i, bin_index_t begin,
+          bin_index_t end) { scanned[g].emplace_back(i, begin, end); });
+  EXPECT_TRUE(buffers.drained());
+
+  bin_index_t covered = 0;  // end of round 0's scans so far, stripe order
+  for (std::uint32_t g = 0; g < plan.stripe_count(); ++g) {
+    std::vector<Applied> want_applied;
+    std::vector<Scanned> want_scanned;
+    for (std::uint64_t i = 0; i < kContractRounds; ++i) {
+      for (std::uint32_t s = plan.stripe_begin_shard(g);
+           s < plan.stripe_end_shard(g); ++s) {
+        for (std::uint32_t src = 0; src < plan.stripe_count(); ++src) {
+          want_applied.emplace_back(i, Tagged{src, i, plan.shard_begin(s)});
+        }
+        want_scanned.emplace_back(i, plan.shard_begin(s), plan.shard_end(s));
+      }
+    }
+    EXPECT_EQ(applied[g], want_applied) << "stripe " << g;
+    EXPECT_EQ(scanned[g], want_scanned) << "stripe " << g;
+    for (const auto& [i, begin, end] : scanned[g]) {
+      if (i != 0) continue;
+      EXPECT_EQ(begin, covered);
+      covered = end;
+    }
+  }
+  EXPECT_EQ(covered, kBins);
+}
+
+TEST(PipelineDriver, DrainsInCanonicalOrderAndScansEveryShardOnce) {
+  expect_driver_contract(1);
+  expect_driver_contract(4);
+  ThreadPool outer(2);
+  outer.for_each(1, [&](std::uint64_t) {
+    ASSERT_FALSE(ThreadPool::nested_allowed(&ThreadPool::global()));
+    expect_driver_contract(0);  // refused team: inline on the task thread
   });
 }
 
