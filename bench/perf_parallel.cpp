@@ -24,8 +24,8 @@ void BM_TrialSweepThreads(benchmark::State& state) {
   ThreadPool pool(threads);
   constexpr std::int64_t kTrials = 16;
   for (auto _ : state) {
-    pool.parallel_for(kTrials,
-                      [&](std::uint64_t trial) { run_one_trial(7, trial); });
+    pool.for_each(kTrials,
+                  [&](std::uint64_t trial) { run_one_trial(7, trial); });
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           kTrials);
@@ -38,7 +38,7 @@ void BM_DispatchOverhead(benchmark::State& state) {
   ThreadPool pool(2);
   const auto tasks = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
-    pool.parallel_for(tasks, [](std::uint64_t i) {
+    pool.for_each(tasks, [](std::uint64_t i) {
       benchmark::DoNotOptimize(i);
     });
   }

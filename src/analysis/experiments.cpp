@@ -40,49 +40,6 @@ std::vector<std::uint32_t> config_to_positions(const LoadConfig& q) {
   return pos;
 }
 
-/// The one place that seeds a sharded load kernel for trial-level
-/// Monte-Carlo: a counter key mirroring CounterRng(seed, trial) and the
-/// trial plan's per-instance thread share (1 under the legacy fan-out,
-/// where the round is inline anyway; see the Backend doc comment).
-/// run_stability's per-process switch and with_load_kernel below both
-/// route through this, so the convention cannot diverge between
-/// experiments.
-par::ShardedRepeatedBallsProcess make_sharded_load(LoadConfig config,
-                                                   std::uint64_t seed,
-                                                   std::uint32_t trial,
-                                                   std::uint32_t shard_size,
-                                                   unsigned threads = 1) {
-  return par::ShardedRepeatedBallsProcess(
-      std::move(config), mix64(seed, trial),
-      par::ShardedOptions{threads, shard_size});
-}
-
-/// Calls `fn` with a load-kernel process factory for the requested
-/// backend -- the seq/sharded dispatch shared by the drivers whose
-/// only process is the load kernel (convergence, empty bins;
-/// run_stability routes its kRepeated case through make_sharded_load
-/// directly because it also switches over other processes).  The
-/// factory signature is factory(config, trial, rng) -> SimProcess; the
-/// initial configuration always comes from the trial's xoshiro
-/// substream, so the two backends start from identical configurations
-/// and differ only in the in-round randomness.
-template <typename Fn>
-void with_load_kernel(Backend backend, std::uint64_t seed,
-                      std::uint32_t shard_size, Fn&& fn,
-                      unsigned threads = 1) {
-  if (backend == Backend::kSharded) {
-    fn([seed, shard_size, threads](LoadConfig config, std::uint32_t trial,
-                                   Rng&) {
-      return make_sharded_load(std::move(config), seed, trial, shard_size,
-                               threads);
-    });
-  } else {
-    fn([](LoadConfig config, std::uint32_t, Rng& rng) {
-      return RepeatedBallsProcess(std::move(config), rng);
-    });
-  }
-}
-
 }  // namespace
 
 StabilityResult run_stability(const StabilityParams& params) {
@@ -91,7 +48,8 @@ StabilityResult run_stability(const StabilityParams& params) {
     throw std::invalid_argument("run_stability: trials/rounds == 0");
   }
   const std::uint64_t balls = params.balls == 0 ? params.n : params.balls;
-  if (params.backend == Backend::kSharded) {
+  const TrialPlan& plan = params.plan;
+  if (plan.sharded()) {
     if (params.graph != nullptr) {
       throw std::invalid_argument(
           "run_stability: the sharded backend is clique-only");
@@ -108,8 +66,7 @@ StabilityResult run_stability(const StabilityParams& params) {
   std::vector<double> min_empty(params.trials);
 
   for_each_trial(
-      params.trials, params.seed, params.plan,
-      [&](std::uint32_t trial, Rng& rng) {
+      params.trials, params.seed, plan, [&](std::uint32_t trial, Rng& rng) {
         LoadConfig config = make_config(params.start, params.n, balls, rng);
         WindowMaxLoad wmax;
         MinEmptyFraction memp;
@@ -117,16 +74,15 @@ StabilityResult run_stability(const StabilityParams& params) {
           Engine engine(std::move(process));
           engine.run_rounds(params.rounds, wmax, memp);
         };
-        const bool sharded = params.backend == Backend::kSharded;
         switch (params.process) {
           case StabilityProcess::kRepeated:
-            if (sharded) {
-              window(make_sharded_load(std::move(config), params.seed, trial,
-                                       params.shard_size,
-                                       params.plan.process_threads));
-            } else {
+            if (params.graph != nullptr) {
               window(
                   RepeatedBallsProcess(std::move(config), params.graph, rng));
+            } else {
+              plan.with_kernel<RepeatedBallsProcess,
+                               par::ShardedRepeatedBallsProcess>(
+                  params.seed, trial, rng, window, std::move(config));
             }
             break;
           case StabilityProcess::kTetris:
@@ -141,15 +97,10 @@ StabilityResult run_stability(const StabilityParams& params) {
               throw std::invalid_argument(
                   "run_stability: d-choices is clique-only");
             }
-            if (sharded) {
-              window(par::ShardedDChoicesProcess(
-                  std::move(config), params.choices, mix64(params.seed, trial),
-                  par::ShardedOptions{params.plan.process_threads,
-                                      params.shard_size}));
-            } else {
-              window(RepeatedDChoicesProcess(std::move(config), params.choices,
-                                             rng));
-            }
+            plan.with_kernel<RepeatedDChoicesProcess,
+                             par::ShardedDChoicesProcess>(
+                params.seed, trial, rng, window, std::move(config),
+                params.choices);
             break;
           case StabilityProcess::kIndependent:
             window(IndependentWalksProcess(
@@ -167,24 +118,16 @@ StabilityResult run_stability(const StabilityParams& params) {
                     ? params.threshold
                     : static_cast<load_t>((balls + params.n - 1) / params.n +
                                           1);
-            if (sharded) {
-              window(par::ShardedThresholdProcess(
-                  std::move(config), accept, params.choices,
-                  mix64(params.seed, trial),
-                  par::ShardedOptions{params.plan.process_threads,
-                                      params.shard_size}));
-            } else {
-              window(ThresholdProcess(std::move(config), accept,
-                                      params.choices, rng));
-            }
+            plan.with_kernel<ThresholdProcess, par::ShardedThresholdProcess>(
+                params.seed, trial, rng, window, std::move(config), accept,
+                params.choices);
             break;
           }
         }
         window_max[trial] = static_cast<double>(wmax.window_max);
         final_max[trial] = static_cast<double>(wmax.final_max);
         min_empty[trial] = memp.min_fraction;
-      },
-      params.pool);
+      });
 
   StabilityResult result;
   const double legit_threshold = params.beta * log2n(params.n);
@@ -208,26 +151,18 @@ ConvergenceResult run_convergence(const ConvergenceParams& p) {
   const std::uint64_t cap = p.cap == 0 ? 64ull * p.n : p.cap;
   std::vector<double> rounds(p.trials, -1.0);
 
-  // One measurement body; with_load_kernel supplies the backend's
-  // process factory (the seq/sharded split lives in exactly one place).
   const std::uint64_t conv_balls = p.balls == 0 ? p.n : p.balls;
-  with_load_kernel(
-      p.backend, p.seed, p.shard_size,
-      [&](auto factory) {
-        for_each_trial(p.trials, p.seed, p.plan,
-                       [&](std::uint32_t trial, Rng& rng) {
-                         LoadConfig config =
-                             make_config(p.start, p.n, conv_balls, rng);
-                         Engine engine(factory(std::move(config), trial, rng));
-                         const EngineResult r = engine.run(
-                             cap, UntilLegitimate{p.beta * log2n(p.n)},
-                             NoFaults{});
-                         if (r.goal_reached) {
-                           rounds[trial] = static_cast<double>(r.rounds);
-                         }
-                       });
-      },
-      p.plan.process_threads);
+  for_each_trial(p.trials, p.seed, p.plan, [&](std::uint32_t trial, Rng& rng) {
+    LoadConfig config = make_config(p.start, p.n, conv_balls, rng);
+    const auto converge = [&](auto process) {
+      Engine engine(std::move(process));
+      const EngineResult r =
+          engine.run(cap, UntilLegitimate{p.beta * log2n(p.n)}, NoFaults{});
+      if (r.goal_reached) rounds[trial] = static_cast<double>(r.rounds);
+    };
+    p.plan.with_kernel<RepeatedBallsProcess, par::ShardedRepeatedBallsProcess>(
+        p.seed, trial, rng, converge, std::move(config));
+  });
 
   ConvergenceResult result;
   for (std::uint32_t t = 0; t < p.trials; ++t) {
@@ -250,16 +185,18 @@ EmptyBinsResult run_empty_bins(const EmptyBinsParams& p) {
   std::vector<double> mean_frac(p.trials);
 
   const std::uint64_t eb_balls = p.balls == 0 ? p.n : p.balls;
-  with_load_kernel(p.backend, p.seed, 0, [&](auto factory) {
-    for_each_trial(p.trials, p.seed, [&](std::uint32_t trial, Rng& rng) {
-      LoadConfig config = make_config(p.start, p.n, eb_balls, rng);
-      Engine engine(factory(std::move(config), trial, rng));
+  for_each_trial(p.trials, p.seed, p.plan, [&](std::uint32_t trial, Rng& rng) {
+    LoadConfig config = make_config(p.start, p.n, eb_balls, rng);
+    const auto measure = [&](auto process) {
+      Engine engine(std::move(process));
       MinEmptyFraction lo;
       MeanEmptyFraction mean;
       engine.run_rounds(p.rounds, lo, mean);
       min_frac[trial] = lo.min_fraction;
       mean_frac[trial] = mean.mean();
-    });
+    };
+    p.plan.with_kernel<RepeatedBallsProcess, par::ShardedRepeatedBallsProcess>(
+        p.seed, trial, rng, measure, std::move(config));
   });
 
   EmptyBinsResult result;
@@ -288,7 +225,7 @@ MixedResult run_mixed(const MixedParams& p) {
   };
   std::vector<TrialOut> out(p.trials);
 
-  for_each_trial(p.trials, p.seed, [&](std::uint32_t trial, Rng& rng) {
+  for_each_trial(p.trials, p.seed, p.plan, [&](std::uint32_t trial, Rng& rng) {
     const auto measure = [&](auto process) {
       Engine engine(std::move(process));
       WindowMaxLoad wmax;
@@ -303,12 +240,8 @@ MixedResult run_mixed(const MixedParams& p) {
                     static_cast<double>(engine.process().dropped_balls()) /
                         initial_balls};
     };
-    if (p.backend == Backend::kSharded) {
-      measure(par::ShardedMixedProcess(spec, mix64(p.seed, trial),
-                                       par::ShardedOptions{1, p.shard_size}));
-    } else {
-      measure(MixedProcess(spec, rng));
-    }
+    p.plan.with_kernel<MixedProcess, par::ShardedMixedProcess>(
+        p.seed, trial, rng, measure, spec);
   });
 
   MixedResult result;
@@ -435,11 +368,57 @@ ZChainTailResult run_zchain_tail(const ZChainTailParams& p) {
   return result;
 }
 
+TetrisWindowResult run_tetris_window(const TetrisWindowParams& p) {
+  if (p.n < 2) throw std::invalid_argument("run_tetris_window: n < 2");
+  if (p.trials == 0 || p.rounds == 0) {
+    throw std::invalid_argument("run_tetris_window: trials/rounds == 0");
+  }
+  struct TrialOut {
+    double max_load = 0.0;
+    double min_empty_frac = 1.0;
+    double empty_frac_sum = 0.0;
+    double final_balls = 0.0;
+  };
+  std::vector<TrialOut> out(p.trials);
+
+  for_each_trial(p.trials, p.seed, p.plan, [&](std::uint32_t trial, Rng& rng) {
+    // Both backends step to TetrisRoundStats, so one body folds them.
+    const auto measure = [&](auto&& proc) {
+      TrialOut& o = out[trial];
+      for (std::uint64_t t = 0; t < p.rounds; ++t) {
+        const TetrisRoundStats s = proc.step();
+        o.max_load = std::max(o.max_load, static_cast<double>(s.max_load));
+        const double empty_frac = static_cast<double>(s.empty_bins) / p.n;
+        o.min_empty_frac = std::min(o.min_empty_frac, empty_frac);
+        o.empty_frac_sum += empty_frac;
+        o.final_balls = static_cast<double>(s.total_balls);
+      }
+    };
+    LoadConfig config = make_config(InitialConfig::kRandom, p.n, p.n, rng);
+    if (p.plan.sharded()) {
+      measure(par::ShardedTetrisProcess(std::move(config),
+                                        trial_key(p.seed, trial), p.arrivals,
+                                        p.plan.exec()));
+    } else {
+      measure(TetrisProcess(std::move(config), rng, p.arrivals));
+    }
+  });
+
+  TetrisWindowResult result;
+  for (const TrialOut& o : out) {
+    result.max_load.add(o.max_load);
+    result.min_empty_fraction.add(o.min_empty_frac);
+    result.mean_empty_fraction.add(o.empty_frac_sum /
+                                   static_cast<double>(p.rounds));
+    result.final_balls_per_bin.add(o.final_balls / p.n);
+  }
+  return result;
+}
+
 CoverTimeResult run_cover_time(const CoverTimeParams& p) {
   if (p.n < 2) throw std::invalid_argument("run_cover_time: n < 2");
   if (p.trials == 0) throw std::invalid_argument("run_cover_time: trials==0");
-  if (p.backend == Backend::kSharded &&
-      (p.graph != nullptr || p.fault_period != 0)) {
+  if (p.plan.sharded() && (p.graph != nullptr || p.fault_period != 0)) {
     throw std::invalid_argument(
         "run_cover_time: the sharded token core is clique-only and "
         "fault-free; use the sequential backend");
@@ -456,15 +435,14 @@ CoverTimeResult run_cover_time(const CoverTimeParams& p) {
                         : static_cast<std::uint64_t>(
                               64.0 * parallel_cover_scale(p.n));
 
-  for_each_trial(p.trials, p.seed, [&](std::uint32_t trial, Rng& rng) {
+  for_each_trial(p.trials, p.seed, p.plan, [&](std::uint32_t trial, Rng& rng) {
     TrialOut& o = out[trial];
-    if (p.backend == Backend::kSharded) {
-      // The visit-tracking token core (threads = 1: the trial fan-out
-      // owns the cores; see the Backend doc comment).
+    if (p.plan.sharded()) {
+      // The visit-tracking token core.
       par::ShardedTokenProcess proc(
           p.n, make_token_placement(p.placement, p.n, p.n, rng),
-          mix64(p.seed, trial), par::ShardedOptions{1, 0},
-          par::TokenOptions{.track_visits = true, .policy = p.policy});
+          trial_key(p.seed, trial), p.plan.exec(),
+          kernel::TokenOptions{.track_visits = true, .policy = p.policy});
       std::uint32_t wmax = 0;
       while (!proc.all_covered() && proc.round() < cap) {
         proc.step();
@@ -488,7 +466,7 @@ CoverTimeResult run_cover_time(const CoverTimeParams& p) {
       tp.placement = p.placement;
       tp.fault_period = p.fault_period;
       tp.fault_strategy = p.fault_strategy;
-      const TraversalResult r = run_traversal(tp, mix64(p.seed, trial));
+      const TraversalResult r = run_traversal(tp, trial_key(p.seed, trial));
       if (r.cover_time.has_value()) {
         o.cover = static_cast<double>(*r.cover_time);
         o.first = static_cast<double>(r.first_token_covered);
@@ -644,7 +622,7 @@ LeakyResult run_leaky(const LeakyParams& p) {
   };
   std::vector<TrialOut> out(p.trials);
 
-  for_each_trial(p.trials, p.seed, [&](std::uint32_t trial, Rng& rng) {
+  for_each_trial(p.trials, p.seed, p.plan, [&](std::uint32_t trial, Rng& rng) {
     LoadConfig config =
         make_config(InitialConfig::kOnePerBin, p.n, p.n, rng);
     const auto measure = [&](auto process) {
@@ -657,13 +635,8 @@ LeakyResult run_leaky(const LeakyParams& p) {
       out[trial] = TrialOut{static_cast<double>(wmax.window_max),
                             total.mean(), empty.mean()};
     };
-    if (p.backend == Backend::kSharded) {
-      measure(par::ShardedLeakyBinsProcess(std::move(config), p.lambda,
-                                           mix64(p.seed, trial),
-                                           par::ShardedOptions{1, 0}));
-    } else {
-      measure(LeakyBinsProcess(std::move(config), p.lambda, rng));
-    }
+    p.plan.with_kernel<LeakyBinsProcess, par::ShardedLeakyBinsProcess>(
+        p.seed, trial, rng, measure, std::move(config), p.lambda);
   });
 
   LeakyResult result;
@@ -717,7 +690,7 @@ ProgressResult run_progress(const ProgressParams& p) {
   };
   std::vector<TrialOut> out(p.trials);
 
-  for_each_trial(p.trials, p.seed, [&](std::uint32_t trial, Rng& rng) {
+  for_each_trial(p.trials, p.seed, p.plan, [&](std::uint32_t trial, Rng& rng) {
     const auto measure = [&](auto process) {
       Engine engine(std::move(process));
       engine.run_rounds(rounds);
@@ -729,11 +702,10 @@ ProgressResult run_progress(const ProgressParams& p) {
       out[trial] = TrialOut{static_cast<double>(proc.min_progress()),
                             sum / static_cast<double>(p.n)};
     };
-    if (p.backend == Backend::kSharded) {
-      measure(par::ShardedTokenProcess(p.n, identity_placement(p.n),
-                                       mix64(p.seed, trial),
-                                       par::ShardedOptions{1, 0},
-                                       par::TokenOptions{.policy = p.policy}));
+    if (p.plan.sharded()) {
+      measure(par::ShardedTokenProcess(
+          p.n, identity_placement(p.n), trial_key(p.seed, trial),
+          p.plan.exec(), kernel::TokenOptions{.policy = p.policy}));
     } else {
       measure(kernel::SequentialTokenProcess(
           p.n, identity_placement(p.n), rng,

@@ -25,31 +25,6 @@
 namespace rbb {
 
 // ---------------------------------------------------------------------------
-// Round-kernel backend selection (shared by every backend-capable driver)
-// ---------------------------------------------------------------------------
-
-/// Which round kernel a driver runs (complete graph only for kSharded).
-///
-/// One enum for every driver: the policy-core refactor (DESIGN.md
-/// Sect. 5) made "sharded" a property of the kernel instantiation, not
-/// of any particular experiment, so the per-driver enums (the old
-/// ConvergenceBackend) are gone.  The two kernels draw from different
-/// generator families, so their trajectories (not their statistics)
-/// differ.  Under kSharded the thread budget follows the driver's
-/// TrialPlan (engine/trials.hpp): the legacy default gives the trial
-/// fan-out all the cores and builds each process with threads = 1 (any
-/// pool submission from inside a trial task is inline -- the
-/// thread_pool.hpp nesting rule), while an explicit plan runs
-/// trial_workers concurrent trials each sharding its rounds across
-/// process_threads of a private pool (the trials hold a
-/// NestedParallelismGrant).  Per-round thread scaling of a single
-/// instance belongs to the sharded_scaling experiment.
-enum class Backend {
-  kSeq,      // core/ sequential kernels, xoshiro draws
-  kSharded,  // src/par/ instantiations, counter-RNG draws
-};
-
-// ---------------------------------------------------------------------------
 // E1 / E7 / E13 / E14 / E15 -- stability windows
 // ---------------------------------------------------------------------------
 
@@ -77,15 +52,10 @@ struct StabilityParams {
                                 // kThreshold
   std::uint32_t threshold = 0;  // kThreshold accept bound; 0 = auto
                                 // (ceil(m/n) + 1)
-  ThreadPool* pool = nullptr;   // nullptr = the process-wide pool
-  /// kSharded is supported for kRepeated, kRepeatedDChoice and
-  /// kThreshold (the clique-only kernels with src/par/
-  /// instantiations); other processes reject it.
-  Backend backend = Backend::kSeq;
-  std::uint32_t shard_size = 0;  // 0 = kernel::kDefaultShardSize
-  /// Trial/round thread split (default: legacy shared-pool fan-out);
-  /// process_threads reaches the sharded kernels' ExecOptions, so it
-  /// only matters under Backend::kSharded.
+  /// Fan-out and kernel (default: legacy shared-pool fan-out, seq
+  /// kernel).  Backend::kSharded is supported for kRepeated,
+  /// kRepeatedDChoice and kThreshold on the complete graph (the
+  /// kernels with src/par/ instantiations); other processes reject it.
   TrialPlan plan = {};
 };
 
@@ -114,9 +84,7 @@ struct ConvergenceParams {
   InitialConfig start = InitialConfig::kAllInOne;
   double beta = 4.0;
   std::uint64_t cap = 0;  // 0 = 64 n
-  Backend backend = Backend::kSeq;  // see the Backend doc comment
-  std::uint32_t shard_size = 0;     // 0 = kernel::kDefaultShardSize
-  TrialPlan plan = {};              // see StabilityParams::plan
+  TrialPlan plan = {};    // fan-out and kernel (engine/trials.hpp)
 };
 
 struct ConvergenceResult {
@@ -138,7 +106,7 @@ struct EmptyBinsParams {
   std::uint32_t trials = 0;
   std::uint64_t seed = 1;
   InitialConfig start = InitialConfig::kOnePerBin;
-  Backend backend = Backend::kSeq;
+  TrialPlan plan = {};  // fan-out and kernel (engine/trials.hpp)
 };
 
 struct EmptyBinsResult {
@@ -162,8 +130,7 @@ struct MixedParams {
   std::uint64_t rounds = 0;           // 0 = 4 n
   std::uint32_t trials = 0;
   std::uint64_t seed = 1;
-  Backend backend = Backend::kSeq;    // see the Backend doc comment
-  std::uint32_t shard_size = 0;       // 0 = kernel::kDefaultShardSize
+  TrialPlan plan = {};                // fan-out and kernel
 };
 
 struct MixedResult {
@@ -242,6 +209,28 @@ struct ZChainTailResult {
 [[nodiscard]] ZChainTailResult run_zchain_tail(const ZChainTailParams& p);
 
 // ---------------------------------------------------------------------------
+// E7 -- Tetris stability window (Lemma 6)
+// ---------------------------------------------------------------------------
+
+struct TetrisWindowParams {
+  std::uint32_t n = 0;
+  std::uint64_t arrivals = 0;  // fresh balls per round; 0 = floor(3n/4)
+  std::uint64_t rounds = 0;    // measured window, from a random start
+  std::uint32_t trials = 0;
+  std::uint64_t seed = 1;
+  TrialPlan plan = {};         // fan-out and kernel (engine/trials.hpp)
+};
+
+struct TetrisWindowResult {
+  OnlineMoments max_load;             // per-trial window max load
+  OnlineMoments min_empty_fraction;   // per-trial min empty(t)/n
+  OnlineMoments mean_empty_fraction;  // per-trial mean empty(t)/n
+  OnlineMoments final_balls_per_bin;  // per-trial total balls / n at the end
+};
+
+[[nodiscard]] TetrisWindowResult run_tetris_window(const TetrisWindowParams& p);
+
+// ---------------------------------------------------------------------------
 // E8 / E9 -- cover times (Corollary 1, Sect. 4.1)
 // ---------------------------------------------------------------------------
 
@@ -255,10 +244,10 @@ struct CoverTimeParams {
   std::uint64_t fault_period = 0;   // 0 = no faults (E8); else E9
   FaultStrategy fault_strategy = FaultStrategy::kAllToOne;
   std::uint64_t max_rounds = 0;     // 0 = 64 n log2(n)^2
-  /// kSharded drives the visit-tracking token core (any queue policy,
-  /// clique, no faults); rejected when graph/faults need the
-  /// sequential xoshiro token core.
-  Backend backend = Backend::kSeq;
+  /// Fan-out and kernel.  Backend::kSharded drives the visit-tracking
+  /// token core (any queue policy, clique, no faults); rejected when
+  /// graph/faults need the sequential xoshiro token core.
+  TrialPlan plan = {};
 };
 
 struct CoverTimeResult {
@@ -340,7 +329,7 @@ struct LeakyParams {
   std::uint64_t rounds = 0;    // measured window
   std::uint32_t trials = 0;
   std::uint64_t seed = 1;
-  Backend backend = Backend::kSeq;
+  TrialPlan plan = {};  // fan-out and kernel (engine/trials.hpp)
 };
 
 struct LeakyResult {
@@ -381,8 +370,9 @@ struct ProgressParams {
   std::uint32_t trials = 0;
   std::uint64_t seed = 1;
   QueuePolicy policy = QueuePolicy::kFifo;
-  /// kSharded drives the src/par/ token core (FIFO only).
-  Backend backend = Backend::kSeq;
+  /// Fan-out and kernel; Backend::kSharded drives the src/par/ token
+  /// core.
+  TrialPlan plan = {};
 };
 
 struct ProgressResult {

@@ -49,9 +49,10 @@ struct ExecOptions {
 ///         k = hardware row from oversubscribing by one.
 /// Note a private pool only helps at the TOP of the nesting hierarchy:
 /// inside another pool's task every team is refused and the rounds run
-/// inline (thread_pool.hpp nesting rule), so processes driven under
-/// for_each_trial should use threads <= 1 and let the trial sweep own
-/// the cores.
+/// inline (thread_pool.hpp nesting rule), so a Monte-Carlo trial's
+/// kernel gets its threads from the TrialPlan (engine/trials.hpp):
+/// 1 under the legacy shared-pool fan-out, the planned share under an
+/// explicit plan, whose trials hold a NestedParallelismGrant.
 class StripeExecutor {
  public:
   explicit StripeExecutor(unsigned threads) {

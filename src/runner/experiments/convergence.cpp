@@ -58,7 +58,6 @@ void register_convergence(Registry& registry) {
           p.balls = static_cast<std::uint64_t>(
               std::llround(ctx.params.f64("ball-ratio") * n));
         }
-        if (ctx.sharded()) p.backend = Backend::kSharded;
         p.plan = ctx.trial_plan(trials);
         const ConvergenceResult r = run_convergence(p);
         table.row()

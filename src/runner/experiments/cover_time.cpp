@@ -24,7 +24,9 @@ void register_cover_time(Registry& registry) {
       "growth exponents for both series.  Backend-capable (token "
       "family): --backend=sharded drives the visit-tracking src/par/ "
       "token core (any queue policy, clique; the single-walk baseline "
-      "stays sequential).";
+      "stays sequential).  --threads sets the total budget and "
+      "--trial-parallelism splits it between concurrent trials and "
+      "the sharded rounds inside each trial.";
   e.family = ProcessFamily::kToken;
   e.run = [](const RunContext& ctx) {
     const std::uint32_t trials = ctx.trials_or(2, 4, 10);
@@ -50,7 +52,7 @@ void register_cover_time(Registry& registry) {
       p.n = n;
       p.trials = trials;
       p.seed = ctx.seed();
-      if (ctx.sharded()) p.backend = Backend::kSharded;
+      p.plan = ctx.trial_plan(trials);
       const CoverTimeResult r = run_cover_time(p);
       const double slowdown = r.single_walk.mean() > 0
                                   ? r.cover_time.mean() / r.single_walk.mean()

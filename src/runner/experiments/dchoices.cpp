@@ -21,7 +21,9 @@ void register_dchoices(Registry& registry) {
       "(d-choices family): --backend=sharded runs the src/par/ "
       "counter-RNG kernels (batch-snapshot Greedy[d]: choices read the "
       "post-departure configuration, the convention a parallel round "
-      "can realize; cf. the batched setting of Berenbrink et al. 2016).";
+      "can realize; cf. the batched setting of Berenbrink et al. 2016).  --threads sets the total budget and "
+      "--trial-parallelism splits it between concurrent trials and "
+      "the sharded rounds inside each trial.";
   e.family = ProcessFamily::kDChoices;
   e.run = [](const RunContext& ctx) {
     const std::uint32_t trials = ctx.trials_or(2, 4, 8);
@@ -43,7 +45,6 @@ void register_dchoices(Registry& registry) {
         p.process = d == 1 ? StabilityProcess::kRepeated
                            : StabilityProcess::kRepeatedDChoice;
         p.choices = d;
-        if (ctx.sharded()) p.backend = Backend::kSharded;
         p.plan = ctx.trial_plan(trials);
         const StabilityResult r = run_stability(p);
         table.row()

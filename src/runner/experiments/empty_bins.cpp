@@ -26,7 +26,9 @@ void register_empty_bins(Registry& registry) {
       "many single-round trials.  Backend-capable (load-only family): "
       "--backend=sharded runs the window sweep on the src/par/ "
       "counter-RNG kernel (the single-round Lemma-1 table stays on the "
-      "sequential kernel).";
+      "sequential kernel).  --threads sets the total budget and "
+      "--trial-parallelism splits it between concurrent trials and "
+      "the sharded rounds inside each trial.";
   e.family = ProcessFamily::kLoadOnly;
   e.params = {
       {"ball-ratio", ParamSpec::Type::kF64, "0",
@@ -58,7 +60,7 @@ void register_empty_bins(Registry& registry) {
           p.balls = static_cast<std::uint64_t>(
               std::llround(ctx.params.f64("ball-ratio") * n));
         }
-        if (ctx.sharded()) p.backend = Backend::kSharded;
+        p.plan = ctx.trial_plan(trials);
         const EmptyBinsResult r = run_empty_bins(p);
         table.row()
             .cell(std::uint64_t{n})

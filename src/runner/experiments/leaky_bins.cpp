@@ -21,7 +21,9 @@ void register_leaky_bins(Registry& registry) {
       "the src/par/ counter-RNG kernel -- deletions happen in the "
       "departure walk, arrivals commit in canonical order, and the "
       "per-round Binomial(n, lambda) count comes from the round's "
-      "derived counter substream.";
+      "derived counter substream.  --threads sets the total budget and "
+      "--trial-parallelism splits it between concurrent trials and "
+      "the sharded rounds inside each trial.";
   e.family = ProcessFamily::kLeaky;
   e.params = {
       {"n", ParamSpec::Type::kU64, "0", "bins (0 = scale default)"},
@@ -48,7 +50,7 @@ void register_leaky_bins(Registry& registry) {
       p.rounds = wf * n;
       p.trials = trials;
       p.seed = ctx.seed();
-      if (ctx.sharded()) p.backend = Backend::kSharded;
+      p.plan = ctx.trial_plan(trials);
       const LeakyResult r = run_leaky(p);
       table.row()
           .cell(lambda, 2)

@@ -27,7 +27,9 @@ void register_max_load_regimes(Registry& registry) {
       "(a coupling argument: extra balls never lower the maximum; the "
       "statistical suite pins the ordering at fixed seeds).  "
       "Backend-capable (load-only family): --backend=sharded replays the "
-      "window on the src/par/ counter-RNG kernel bit-identically.";
+      "window on the src/par/ counter-RNG kernel bit-identically.  --threads sets the total budget and "
+      "--trial-parallelism splits it between concurrent trials and "
+      "the sharded rounds inside each trial.";
   e.family = ProcessFamily::kLoadOnly;
   e.params = {
       {"window-factor", ParamSpec::Type::kU64, "0",
@@ -61,7 +63,6 @@ void register_max_load_regimes(Registry& registry) {
         p.trials = trials;
         p.seed = ctx.seed();
         p.start = InitialConfig::kOnePerBin;
-        if (ctx.sharded()) p.backend = Backend::kSharded;
         p.plan = ctx.trial_plan(trials);
         const StabilityResult r = run_stability(p);
         const double mean_load =

@@ -27,7 +27,9 @@ void register_mixed_regime(Registry& registry) {
       "Sauerwald's regime ordering in c; stalled bins (rate 0) hoard "
       "their initial load and never release.  Backend-capable (mixed "
       "family): --backend=sharded replays every configuration on the "
-      "src/par/ counter-RNG kernel bit-identically.";
+      "src/par/ counter-RNG kernel bit-identically.  --threads sets the total budget and "
+      "--trial-parallelism splits it between concurrent trials and "
+      "the sharded rounds inside each trial.";
   e.family = ProcessFamily::kMixed;
   e.params = {
       {"ball-ratio", ParamSpec::Type::kF64, "0",
@@ -75,7 +77,7 @@ void register_mixed_regime(Registry& registry) {
         p.rounds = rf * n;
         p.trials = trials;
         p.seed = ctx.seed();
-        if (ctx.sharded()) p.backend = Backend::kSharded;
+        p.plan = ctx.trial_plan(trials);
         const MixedResult r = run_mixed(p);
         const MixedSpec spec = make_mixed_spec(n, c, weights, bin_profile);
         table.row()

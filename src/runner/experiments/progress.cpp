@@ -24,7 +24,9 @@ void register_progress(Registry& registry) {
       "family): --backend=sharded drives the src/par/ token core, which "
       "carries all three queue policies (random uses schedule-free "
       "pop-select draws), so the full policy sweep runs on either "
-      "backend.";
+      "backend.  --threads sets the total budget and "
+      "--trial-parallelism splits it between concurrent trials and "
+      "the sharded rounds inside each trial.";
   e.family = ProcessFamily::kToken;
   e.run = [](const RunContext& ctx) {
     const std::uint32_t trials = ctx.trials_or(2, 4, 10);
@@ -46,7 +48,7 @@ void register_progress(Registry& registry) {
         p.trials = trials;
         p.seed = ctx.seed();
         p.policy = policy;
-        if (ctx.sharded()) p.backend = Backend::kSharded;
+        p.plan = ctx.trial_plan(trials);
         const ProgressResult r = run_progress(p);
         table.row()
             .cell(std::uint64_t{n})

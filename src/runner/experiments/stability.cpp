@@ -64,7 +64,6 @@ void register_stability(Registry& registry) {
         p.balls = static_cast<std::uint64_t>(
             std::llround(ctx.params.f64("ball-ratio") * n));
       }
-      if (ctx.sharded()) p.backend = Backend::kSharded;
       p.plan = ctx.trial_plan(trials);
       const StabilityResult r = run_stability(p);
       table.row()

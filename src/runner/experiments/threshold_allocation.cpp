@@ -27,7 +27,9 @@ void register_threshold_allocation(Registry& registry) {
       "(the 1-2-3 threshold-allocation toolkit rule).  Backend-capable "
       "(threshold family): --backend=sharded runs the batch-snapshot "
       "convention of the src/par/ counter-RNG kernel (probes read the "
-      "post-departure configuration).";
+      "post-departure configuration).  --threads sets the total budget and "
+      "--trial-parallelism splits it between concurrent trials and "
+      "the sharded rounds inside each trial.";
   e.family = ProcessFamily::kThreshold;
   e.params = {
       {"threshold", ParamSpec::Type::kU64, "0",
@@ -58,7 +60,6 @@ void register_threshold_allocation(Registry& registry) {
         p.process = StabilityProcess::kThreshold;
         p.choices = probes;
         p.threshold = static_cast<std::uint32_t>(ctx.params.u64("threshold"));
-        if (ctx.sharded()) p.backend = Backend::kSharded;
         p.plan = ctx.trial_plan(trials);
         const StabilityResult r = run_stability(p);
         table.row()

@@ -102,8 +102,12 @@ void Registry::add(Experiment experiment) {
        "round kernel: seq (single-thread xoshiro) or sharded "
        "(src/par/ counter-RNG kernel; sharded-capable experiments only)"},
       {"threads", ParamSpec::Type::kU64, "0",
-       "sharded-backend workers (0 = the shared pool, i.e. all hardware "
-       "threads; ignored under --backend=seq)"},
+       "total thread budget (0 = the shared pool, i.e. all hardware "
+       "threads): Monte-Carlo experiments split it between concurrent "
+       "trials and each trial's sharded rounds (see "
+       "--trial-parallelism), single-instance experiments size the "
+       "round team with it; rejected by experiments with no round "
+       "kernel"},
       {"metrics", ParamSpec::Type::kFlag, "false",
        "scrape the telemetry registry (src/obs/) after the run and emit "
        "the additive `metrics` block: counter totals, per-phase ns, "
@@ -121,7 +125,8 @@ void Registry::add(Experiment experiment) {
        "shared-pool fan-out, or min(trials, --threads) concurrent trials "
        "when --threads is set) or an explicit K; the thread budget is "
        "split evenly across concurrent trials so each instance's sharded "
-       "rounds still parallelize (trial x round nesting)"},
+       "rounds still parallelize (trial x round nesting); rejected by "
+       "experiments with no round kernel"},
       {"checkpoint-dir", ParamSpec::Type::kString, "",
        "write rbb.ckpt.v1 snapshots into this directory "
        "(checkpoint-capable single-instance experiments only, e.g. "
@@ -183,10 +188,11 @@ std::vector<const Experiment*> Registry::catalog() const {
 TrialPlan RunContext::trial_plan(std::uint32_t trials) const {
   const std::string& mode = params.str("trial-parallelism");
   const unsigned requested = threads();
-  if (mode == "auto" && requested == 0) return {};  // legacy fan-out
+  TrialPlan plan;
+  plan.backend = sharded() ? Backend::kSharded : Backend::kSeq;
+  if (mode == "auto" && requested == 0) return plan;  // legacy fan-out
   const unsigned budget =
       requested != 0 ? requested : ThreadPool::global().thread_count() + 1;
-  TrialPlan plan;
   std::uint64_t width = 0;
   if (mode == "auto") {
     width = budget;
@@ -220,6 +226,15 @@ CompletedRun run_experiment(const Experiment& experiment,
         "src/par/ instantiation of the policy core (run with "
         "--backend=seq, or pick a backend-capable experiment such as "
         "sharded_scaling)");
+  }
+  if (experiment.family == ProcessFamily::kNone &&
+      (values.u64("threads") != 0 ||
+       values.str("trial-parallelism") != "auto")) {
+    throw std::invalid_argument(
+        experiment.name +
+        " does not accept --threads or --trial-parallelism: it runs no "
+        "round kernel, so there is no thread budget to size (drop the "
+        "flags, or pick a backend-capable experiment)");
   }
   const std::uint64_t repeat = values.u64("repeat");
   if (repeat == 0) {

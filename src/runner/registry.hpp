@@ -43,8 +43,10 @@ struct RunContext {
     return params.str("backend") == "sharded";
   }
 
-  /// The --threads request for the sharded backend: 0 = the shared
-  /// global pool (all hardware threads), k = a private pool of k.
+  /// The --threads budget: 0 = the shared global pool (all hardware
+  /// threads), k = k threads in total (trial_plan splits it between
+  /// trials and rounds; single-instance experiments give it all to the
+  /// round team).  run_experiment rejects it on ProcessFamily::kNone.
   [[nodiscard]] unsigned threads() const {
     return static_cast<unsigned>(params.u32("threads"));
   }
@@ -76,8 +78,9 @@ struct RunContext {
     return params.str("resume-from");
   }
 
-  /// Splits the thread budget between trial fan-out and intra-instance
-  /// sharded rounds (--trial-parallelism; engine/trials.hpp).
+  /// The TrialPlan of a Monte-Carlo sweep (engine/trials.hpp): the
+  /// --backend kernel, and the thread budget split between trial
+  /// fan-out and intra-instance sharded rounds (--trial-parallelism).
   ///
   ///   auto, --threads unset   the legacy plan: trials fan out on the
   ///                           shared pool, instances run sequential

@@ -44,7 +44,9 @@ options for run / sweep:
   --out=PATH                    write to PATH instead of stdout
   --backend=seq|sharded         round kernel (sharded-capable
                                 experiments only; default: seq)
-  --threads=N                   sharded-backend workers (0 = all)
+  --threads=N                   total thread budget (0 = all); split
+                                by --trial-parallelism on Monte-Carlo
+                                experiments (kernel experiments only)
   --metrics                     scrape src/obs/ telemetry after the run
                                 and emit the additive `metrics` block
                                 (counters, per-phase ns, barrier-wait
@@ -57,7 +59,8 @@ options for run / sweep:
   --trial-parallelism=auto|K    concurrent trials for Monte-Carlo
                                 experiments; the thread budget splits
                                 across trials, each instance's sharded
-                                rounds use the rest (default: auto)
+                                rounds use the rest (default: auto;
+                                kernel experiments only)
   --checkpoint-dir=DIR          write rbb.ckpt.v1 snapshots here
                                 (checkpoint-capable experiments only,
                                 e.g. trajectory)

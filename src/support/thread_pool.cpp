@@ -129,33 +129,13 @@ void drain_batch(const ThreadPool* pool, ThreadPool::Batch& batch,
 
 }  // namespace
 
-void ThreadPool::parallel_for(std::uint64_t task_count,
-                              const std::function<void(std::uint64_t)>& fn) {
-  for_each(task_count, [&fn](std::uint64_t i) { fn(i); });
-}
-
-void ThreadPool::run_batch(std::shared_ptr<Batch> batch) {
-  if (!nested_allowed(this)) {
-    // Submission from inside a pool task without an applicable grant:
-    // run inline, sequentially.  Parallelizing here would oversubscribe
-    // (outer tasks x inner workers runnable threads) or, on the same
-    // pool, deadlock -- the nesting rule in the header.
-    for (std::uint64_t i = 0; i < batch->task_count; ++i) {
-      batch->invoke(batch->context, i);
-    }
-    return;
-  }
+bool ThreadPool::try_run_batch(std::shared_ptr<Batch> batch) {
+  if (!nested_allowed(this)) return false;
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (current_ != nullptr) {
-      // Concurrent submission from a non-task thread while another
-      // batch is in flight: run inline rather than queueing.
-      lock.unlock();
-      for (std::uint64_t i = 0; i < batch->task_count; ++i) {
-        batch->invoke(batch->context, i);
-      }
-      return;
-    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // A concurrent submission from a non-task thread while another
+    // batch is in flight is refused rather than queued.
+    if (current_ != nullptr) return false;
     current_ = batch.get();
     current_owner_ = batch;
   }
@@ -167,44 +147,6 @@ void ThreadPool::run_batch(std::shared_ptr<Batch> batch) {
 
   // Everything past our own drain is barrier wait: the time the
   // submitter stalls on stragglers before the batch retires.
-  const std::uint64_t w0 = obs::enabled() ? obs::now_ns() : 0;
-  std::unique_lock<std::mutex> lock(mutex_);
-  batch_done_.wait(lock, [&batch] {
-    return batch->done.load(std::memory_order_acquire) >= batch->task_count;
-  });
-  current_ = nullptr;
-  current_owner_.reset();
-  const std::exception_ptr err = batch->first_error;
-  lock.unlock();
-  if (w0 != 0) {
-    const std::uint64_t w1 = obs::now_ns();
-    obs::add_phase_ns(obs::Phase::kBarrierWait, w1 - w0);
-    obs::record_span("barrier_wait", w0, w1);
-  }
-  work_available_.notify_all();  // release workers parked on batch retire
-  if (err) std::rethrow_exception(err);
-}
-
-bool ThreadPool::run_batch_team(std::shared_ptr<Batch> batch) {
-  // Where for_each degrades to inline execution, a team must refuse:
-  // inline means one thread runs the tasks sequentially, and team tasks
-  // block on each other's progress.
-  if (!nested_allowed(this)) return false;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (current_ != nullptr) return false;
-    current_ = batch.get();
-    current_owner_ = batch;
-  }
-  work_available_.notify_all();
-  obs::add(obs::Counter::kPoolBatches);
-
-  // With task_count <= workers + 1 and dynamic claiming, every team
-  // task lands on a distinct thread: a thread claims a second task only
-  // after finishing its first, and team tasks do not finish until the
-  // whole team has progressed, so all tasks run concurrently.
-  drain_batch(this, *batch, mutex_, batch_done_);
-
   const std::uint64_t w0 = obs::enabled() ? obs::now_ns() : 0;
   std::unique_lock<std::mutex> lock(mutex_);
   batch_done_.wait(lock, [&batch] {
@@ -249,11 +191,6 @@ void ThreadPool::worker_loop() {
     }
     if (w0 != 0) obs::record_span("worker_retire_wait", w0, obs::now_ns());
   }
-}
-
-void parallel_for(std::uint64_t task_count,
-                  const std::function<void(std::uint64_t)>& fn) {
-  ThreadPool::global().parallel_for(task_count, fn);
 }
 
 }  // namespace rbb

@@ -26,7 +26,7 @@
 // Results are identical either way, because both layers are
 // deterministic by construction.  The same accounting is why
 // ThreadPool::global() reserves one slot for the submitting thread:
-// run_batch participates in draining its own batch, so a pool of
+// the submitter participates in draining its own batch, so a pool of
 // hardware_concurrency workers plus the submitter would leave
 // hardware_concurrency + 1 runnable threads.
 #pragma once
@@ -35,11 +35,9 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace rbb {
@@ -66,18 +64,14 @@ class ThreadPool {
   template <typename Fn>
   void for_each(std::uint64_t task_count, Fn&& fn) {
     if (task_count == 0) return;
-    auto batch = std::make_shared<Batch>();
-    batch->task_count = task_count;
-    batch->context = std::addressof(fn);
-    batch->invoke = [](void* context, std::uint64_t i) {
-      (*static_cast<std::remove_reference_t<Fn>*>(context))(i);
-    };
-    run_batch(std::move(batch));
+    if (!try_run_batch(make_batch(task_count, fn))) {
+      // Refused (nested without a grant, or the pool is mid-batch):
+      // run inline, sequentially.  Parallelizing here would
+      // oversubscribe (outer tasks x inner workers runnable threads)
+      // or, on the same pool, deadlock -- the nesting rule above.
+      for (std::uint64_t i = 0; i < task_count; ++i) fn(i);
+    }
   }
-
-  /// Type-erased convenience wrapper over for_each.
-  void parallel_for(std::uint64_t task_count,
-                    const std::function<void(std::uint64_t)>& fn);
 
   /// Runs fn(i) for every i in [0, count) with every task *resident on
   /// its own thread for the batch's whole lifetime* -- the contract the
@@ -92,13 +86,14 @@ class ThreadPool {
   bool run_team(std::uint64_t count, Fn&& fn) {
     if (count == 0) return true;
     if (count > static_cast<std::uint64_t>(thread_count()) + 1) return false;
-    auto batch = std::make_shared<Batch>();
-    batch->task_count = count;
-    batch->context = std::addressof(fn);
-    batch->invoke = [](void* context, std::uint64_t i) {
-      (*static_cast<std::remove_reference_t<Fn>*>(context))(i);
-    };
-    return run_batch_team(std::move(batch));
+    // Where for_each degrades to inline execution, a team refuses:
+    // inline means one thread runs the tasks sequentially, and team
+    // tasks block on each other's progress.  With count <= workers + 1
+    // and dynamic claiming, every team task lands on a distinct
+    // thread: a thread claims a second task only after finishing its
+    // first, and team tasks do not finish until the whole team has
+    // progressed, so all tasks run concurrently.
+    return try_run_batch(make_batch(count, fn));
   }
 
   [[nodiscard]] unsigned thread_count() const noexcept {
@@ -139,15 +134,24 @@ class ThreadPool {
   };
 
  private:
+  template <typename Fn>
+  static std::shared_ptr<Batch> make_batch(std::uint64_t task_count,
+                                           Fn& fn) {
+    auto batch = std::make_shared<Batch>();
+    batch->task_count = task_count;
+    batch->context = std::addressof(fn);
+    batch->invoke = [](void* context, std::uint64_t i) {
+      (*static_cast<Fn*>(context))(i);
+    };
+    return batch;
+  }
+
   /// Submits the batch, participates in draining it, waits for
   /// completion, and rethrows the first captured task exception.
-  void run_batch(std::shared_ptr<Batch> batch);
-
-  /// run_team's backend: like run_batch, but where for_each would
-  /// degrade to inline execution (nested without a grant, pool busy)
-  /// this refuses instead -- inline execution cannot satisfy the
-  /// all-tasks-concurrent contract.  Returns true iff the team ran.
-  bool run_batch_team(std::shared_ptr<Batch> batch);
+  /// Returns false WITHOUT RUNNING ANYTHING when the submission may not
+  /// run parallel: from inside a pool task without an applicable
+  /// NestedParallelismGrant, or while another batch is in flight.
+  bool try_run_batch(std::shared_ptr<Batch> batch);
 
   void worker_loop();
 
@@ -159,10 +163,6 @@ class ThreadPool {
   std::shared_ptr<Batch> current_owner_;     // guarded by mutex_
   bool shutting_down_ = false;
 };
-
-/// Convenience: run fn(i) for i in [0, task_count) on the global pool.
-void parallel_for(std::uint64_t task_count,
-                  const std::function<void(std::uint64_t)>& fn);
 
 /// RAII opt-in to one extra level of pool nesting on this thread: while
 /// alive, for_each/run_team submissions to a pool *other than the one

@@ -1,45 +1,49 @@
-// Thread-count determinism of the Monte-Carlo trial runner: every trial
+// Fan-out determinism of the Monte-Carlo trial runner: every trial
 // draws from its own (seed, trial) RNG substream and writes only its own
-// result slot, so aggregate results are bit-identical for any number of
-// worker threads -- the promise design choice D5 makes and the engine's
+// result slot, so aggregate results are bit-identical for any trial
+// plan -- the promise design choice D5 makes and the engine's
 // for_each_trial doc comment repeats.
 #include "engine/trials.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/experiments.hpp"
-#include "support/thread_pool.hpp"
 
 namespace rbb {
 namespace {
 
+/// Sequential, a 2-wide and an 8-wide private trial pool.
+constexpr TrialPlan kPlans[] = {{.trial_workers = 1},
+                                {.trial_workers = 2},
+                                {.trial_workers = 8}};
+
 TEST(TrialsDeterminism, TrialSubstreamsIgnoreSchedulingOrder) {
-  ThreadPool one(1);
-  ThreadPool four(4);
-  std::vector<std::uint64_t> a(64), b(64);
-  for_each_trial(
-      64, 42,
-      [&](std::uint32_t trial, Rng& rng) { a[trial] = rng(); }, &one);
-  for_each_trial(
-      64, 42,
-      [&](std::uint32_t trial, Rng& rng) { b[trial] = rng(); }, &four);
-  EXPECT_EQ(a, b);
+  std::vector<std::uint64_t> legacy(64);
+  for_each_trial(64, 42,
+                 [&](std::uint32_t trial, Rng& rng) { legacy[trial] = rng(); });
+  for (const TrialPlan& plan : kPlans) {
+    std::vector<std::uint64_t> planned(64);
+    for_each_trial(64, 42, plan, [&](std::uint32_t trial, Rng& rng) {
+      planned[trial] = rng();
+    });
+    EXPECT_EQ(planned, legacy) << plan.trial_workers << " trial workers";
+  }
 }
 
 TEST(TrialsDeterminism, StabilityMomentsIdenticalFor1And2And8Threads) {
-  ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(8)};
   std::vector<StabilityResult> results;
-  for (ThreadPool& pool : pools) {
+  for (const TrialPlan& plan : kPlans) {
     StabilityParams p;
     p.n = 64;
     p.rounds = 256;
     p.trials = 24;
     p.seed = 7;
     p.start = InitialConfig::kAllInOne;
-    p.pool = &pool;
+    p.plan = plan;
     results.push_back(run_stability(p));
   }
   for (std::size_t i = 1; i < results.size(); ++i) {
@@ -60,15 +64,13 @@ TEST(TrialsDeterminism, StabilityMomentsIdenticalFor1And2And8Threads) {
 }
 
 TEST(TrialsDeterminism, ExceptionsPropagateFromWorkerThreads) {
-  ThreadPool pool(2);
-  EXPECT_THROW(
-      for_each_trial(
-          8, 1,
-          [](std::uint32_t trial, Rng&) {
-            if (trial == 5) throw std::runtime_error("boom");
-          },
-          &pool),
-      std::runtime_error);
+  EXPECT_THROW(for_each_trial(8, 1, TrialPlan{.trial_workers = 2},
+                              [](std::uint32_t trial, Rng&) {
+                                if (trial == 5) {
+                                  throw std::runtime_error("boom");
+                                }
+                              }),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ TEST_F(MetricsTest, CounterAggregatesAcrossPoolWorkers) {
     // kMixedDrops is not touched by the pool's own instrumentation, so
     // the total is exactly the task count -- regardless of how the
     // batch was split across worker slots.
-    pool.parallel_for(kTasks, [](std::uint64_t) {
+    pool.for_each(kTasks, [](std::uint64_t) {
       add(Counter::kMixedDrops);
     });
     set_enabled(false);
@@ -91,7 +91,7 @@ TEST_F(MetricsTest, DisabledRecordsNothing) {
 TEST_F(MetricsTest, ResetZeroesEverySlot) {
   set_enabled(true);
   ThreadPool pool(2);
-  pool.parallel_for(64, [](std::uint64_t) { add(Counter::kMixedDrops); });
+  pool.for_each(64, [](std::uint64_t) { add(Counter::kMixedDrops); });
   set_enabled(false);
   ASSERT_EQ(scrape().counter(Counter::kMixedDrops), 64 * kExpected);
   reset();
@@ -119,7 +119,7 @@ TEST_F(MetricsTest, ScopedPhaseMeasuresElapsedTime) {
 TEST_F(MetricsTest, PoolInstrumentationCountsBatchesAndTasks) {
   set_enabled(true);
   ThreadPool pool(2);
-  pool.parallel_for(128, [](std::uint64_t) {});
+  pool.for_each(128, [](std::uint64_t) {});
   set_enabled(false);
   const MetricsSnapshot snap = scrape();
   EXPECT_EQ(snap.counter(Counter::kPoolBatches), 1 * kExpected);

@@ -4,7 +4,9 @@
 
 #include <regex>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "runner/registry.hpp"
 
@@ -221,6 +223,57 @@ TEST(Registry, TrialPlanSplitsTheThreadBudget) {
   EXPECT_THROW(ctx.trial_plan(4), std::invalid_argument);
   ASSERT_TRUE(values.set("trial-parallelism", "0"));
   EXPECT_THROW(ctx.trial_plan(4), std::invalid_argument);
+}
+
+TEST(Registry, TrialPlanCarriesTheBackend) {
+  const Experiment* e = default_registry().find("stability");
+  ASSERT_NE(e, nullptr);
+  ParamValues values(e->params);
+  const RunContext ctx{values, BenchScale::kSmoke};
+  EXPECT_EQ(ctx.trial_plan(4).backend, Backend::kSeq);
+  ASSERT_TRUE(values.set("backend", "sharded"));
+  EXPECT_EQ(ctx.trial_plan(4).backend, Backend::kSharded);  // legacy fan-out
+  ASSERT_TRUE(values.set("threads", "4"));
+  EXPECT_EQ(ctx.trial_plan(4).backend, Backend::kSharded);
+}
+
+TEST(Registry, ThreadFlagsAreRejectedWithoutARoundKernel) {
+  // --threads and --trial-parallelism size a round kernel's thread
+  // budget; an experiment that runs none must refuse them rather than
+  // silently ignore them.
+  std::size_t kernel_less = 0;
+  for (const Experiment& e : default_registry().experiments()) {
+    if (e.family != ProcessFamily::kNone) continue;
+    ++kernel_less;
+    for (const auto& [flag, value] :
+         {std::pair<const char*, const char*>{"threads", "2"},
+          {"trial-parallelism", "2"}}) {
+      ParamValues values(e.params);
+      ASSERT_TRUE(values.set(flag, value));
+      try {
+        (void)run_experiment(e, values, BenchScale::kSmoke);
+        ADD_FAILURE() << e.name << " accepted --" << flag;
+      } catch (const std::invalid_argument& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find(e.name), std::string::npos) << what;
+        EXPECT_NE(what.find("--threads or --trial-parallelism"),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
+  EXPECT_GT(kernel_less, 0u);
+
+  // A kernel experiment still takes both.
+  const Experiment* stability = default_registry().find("stability");
+  ASSERT_NE(stability, nullptr);
+  ParamValues values(stability->params);
+  ASSERT_TRUE(values.set("trials", "2"));
+  ASSERT_TRUE(values.set("n", "32"));
+  ASSERT_TRUE(values.set("window-factor", "2"));
+  ASSERT_TRUE(values.set("threads", "2"));
+  ASSERT_TRUE(values.set("trial-parallelism", "2"));
+  EXPECT_NO_THROW((void)run_experiment(*stability, values, BenchScale::kSmoke));
 }
 
 TEST(Registry, GitRevisionIsAShortHashWithDirtyMarkerOrUnknown) {

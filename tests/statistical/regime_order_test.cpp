@@ -21,7 +21,7 @@ double window_max_at(double ratio, Backend backend, std::uint64_t seed) {
   p.trials = 2;
   p.seed = seed;
   p.start = InitialConfig::kOnePerBin;
-  p.backend = backend;
+  p.plan.backend = backend;
   return run_stability(p).window_max.mean();
 }
 

@@ -21,7 +21,7 @@ namespace {
 TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::uint64_t i) {
+  pool.for_each(1000, [&](std::uint64_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -30,14 +30,14 @@ TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
 TEST(ThreadPool, ZeroTasksIsNoop) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.parallel_for(0, [&](std::uint64_t) { ran = true; });
+  pool.for_each(0, [&](std::uint64_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPool, SingleThreadPoolWorks) {
   ThreadPool pool(1);
   std::atomic<std::uint64_t> sum{0};
-  pool.parallel_for(100, [&](std::uint64_t i) {
+  pool.for_each(100, [&](std::uint64_t i) {
     sum.fetch_add(i, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 4950u);
@@ -46,7 +46,7 @@ TEST(ThreadPool, SingleThreadPoolWorks) {
 TEST(ThreadPool, MoreTasksThanThreads) {
   ThreadPool pool(2);
   std::vector<int> results(10000, 0);
-  pool.parallel_for(10000, [&](std::uint64_t i) {
+  pool.for_each(10000, [&](std::uint64_t i) {
     results[i] = static_cast<int>(i * 2);
   });
   for (std::size_t i = 0; i < 10000; ++i) EXPECT_EQ(results[i], static_cast<int>(i) * 2);
@@ -55,13 +55,13 @@ TEST(ThreadPool, MoreTasksThanThreads) {
 TEST(ThreadPool, FewerTasksThanThreads) {
   ThreadPool pool(8);
   std::vector<int> results(3, 0);
-  pool.parallel_for(3, [&](std::uint64_t i) { results[i] = 1; });
+  pool.for_each(3, [&](std::uint64_t i) { results[i] = 1; });
   EXPECT_EQ(std::accumulate(results.begin(), results.end(), 0), 3);
 }
 
 TEST(ThreadPool, PropagatesExceptions) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(100,
+  EXPECT_THROW(pool.for_each(100,
                                  [&](std::uint64_t i) {
                                    if (i == 57) {
                                      throw std::runtime_error("task failed");
@@ -70,7 +70,7 @@ TEST(ThreadPool, PropagatesExceptions) {
                std::runtime_error);
   // Pool remains usable after an exception.
   std::atomic<int> count{0};
-  pool.parallel_for(10, [&](std::uint64_t) { ++count; });
+  pool.for_each(10, [&](std::uint64_t) { ++count; });
   EXPECT_EQ(count.load(), 10);
 }
 
@@ -78,7 +78,7 @@ TEST(ThreadPool, ReusableAcrossBatches) {
   ThreadPool pool(3);
   for (int batch = 0; batch < 20; ++batch) {
     std::atomic<int> count{0};
-    pool.parallel_for(50, [&](std::uint64_t) { ++count; });
+    pool.for_each(50, [&](std::uint64_t) { ++count; });
     EXPECT_EQ(count.load(), 50);
   }
 }
@@ -86,8 +86,8 @@ TEST(ThreadPool, ReusableAcrossBatches) {
 TEST(ThreadPool, NestedParallelForRunsInline) {
   ThreadPool pool(2);
   std::atomic<int> inner_total{0};
-  pool.parallel_for(4, [&](std::uint64_t) {
-    pool.parallel_for(10, [&](std::uint64_t) {
+  pool.for_each(4, [&](std::uint64_t) {
+    pool.for_each(10, [&](std::uint64_t) {
       inner_total.fetch_add(1, std::memory_order_relaxed);
     });
   });
@@ -103,9 +103,9 @@ TEST(ThreadPool, NestedSubmissionToAnotherPoolRunsInlineToo) {
   ThreadPool inner(4);
   std::atomic<int> inner_total{0};
   std::atomic<int> off_thread{0};
-  outer.parallel_for(4, [&](std::uint64_t) {
+  outer.for_each(4, [&](std::uint64_t) {
     const std::thread::id submitter = std::this_thread::get_id();
-    inner.parallel_for(10, [&](std::uint64_t) {
+    inner.for_each(10, [&](std::uint64_t) {
       inner_total.fetch_add(1, std::memory_order_relaxed);
       if (std::this_thread::get_id() != submitter) {
         off_thread.fetch_add(1, std::memory_order_relaxed);
@@ -121,7 +121,7 @@ TEST(ThreadPool, InsideTaskReflectsNesting) {
   EXPECT_FALSE(ThreadPool::inside_task());
   ThreadPool pool(2);
   std::atomic<int> inside{0};
-  pool.parallel_for(8, [&](std::uint64_t) {
+  pool.for_each(8, [&](std::uint64_t) {
     if (ThreadPool::inside_task()) {
       inside.fetch_add(1, std::memory_order_relaxed);
     }
@@ -144,7 +144,7 @@ TEST(ThreadPool, ResultsIndependentOfThreadCount) {
   auto sweep = [](unsigned threads) {
     ThreadPool pool(threads);
     std::vector<std::uint64_t> results(64);
-    pool.parallel_for(64, [&](std::uint64_t i) {
+    pool.for_each(64, [&](std::uint64_t i) {
       Rng rng(99, i);
       std::uint64_t acc = 0;
       for (int k = 0; k < 1000; ++k) acc ^= rng();
@@ -157,7 +157,7 @@ TEST(ThreadPool, ResultsIndependentOfThreadCount) {
 
 TEST(ThreadPool, GlobalPoolIsUsable) {
   std::atomic<int> count{0};
-  parallel_for(25, [&](std::uint64_t) { ++count; });
+  ThreadPool::global().for_each(25, [&](std::uint64_t) { ++count; });
   EXPECT_EQ(count.load(), 25);
 }
 
@@ -198,7 +198,7 @@ TEST(ThreadPool, RunTeamRefusesWhatItCannotGuarantee) {
   // From inside a task of the same pool the team would deadlock on the
   // calling thread; refused, caller falls back.
   bool nested_result = true;
-  pool.parallel_for(1, [&](std::uint64_t) {
+  pool.for_each(1, [&](std::uint64_t) {
     nested_result = pool.run_team(2, [](std::uint64_t) {});
   });
   EXPECT_FALSE(nested_result);
@@ -231,7 +231,7 @@ TEST(ThreadPool, GrantOptsNestedSubmissionsBackIntoParallelism) {
   bool no_grant = true;
   bool with_grant_other_pool = false;
   bool with_grant_same_pool = true;
-  outer.parallel_for(1, [&](std::uint64_t) {
+  outer.for_each(1, [&](std::uint64_t) {
     no_grant = inner.run_team(2, [](std::uint64_t) {});
     const NestedParallelismGrant grant;
     with_grant_other_pool = inner.run_team(2, [](std::uint64_t) {});
@@ -243,16 +243,16 @@ TEST(ThreadPool, GrantOptsNestedSubmissionsBackIntoParallelism) {
 }
 
 TEST(ThreadPool, GrantUnInlinesNestedForEachOnAnotherPool) {
-  // parallel_for obeys the same rule: granted nested submissions to a
+  // for_each obeys the same rule: granted nested submissions to a
   // different pool take the parallel path (observable through
   // inside_task() staying true on worker threads and the batch simply
   // completing; thread placement is scheduling-dependent).
   ThreadPool outer(1);
   ThreadPool inner(2);
   std::atomic<int> total{0};
-  outer.parallel_for(2, [&](std::uint64_t) {
+  outer.for_each(2, [&](std::uint64_t) {
     const NestedParallelismGrant grant;
-    inner.parallel_for(16, [&](std::uint64_t) {
+    inner.for_each(16, [&](std::uint64_t) {
       total.fetch_add(1, std::memory_order_relaxed);
     });
   });
@@ -261,13 +261,13 @@ TEST(ThreadPool, GrantUnInlinesNestedForEachOnAnotherPool) {
 
 // Regression for a lost-wakeup race: with near-empty tasks the final
 // worker-side completion notification could fire between the submitter's
-// predicate check and its entry into wait(), hanging parallel_for forever.
+// predicate check and its entry into wait(), hanging for_each forever.
 // Tens of thousands of tiny batches reliably hit the window pre-fix.
 TEST(ThreadPool, RapidTinyBatchesDoNotHang) {
   ThreadPool pool(2);
   std::atomic<std::uint64_t> total{0};
   for (int batch = 0; batch < 20000; ++batch) {
-    pool.parallel_for(3, [&](std::uint64_t) {
+    pool.for_each(3, [&](std::uint64_t) {
       total.fetch_add(1, std::memory_order_relaxed);
     });
   }
