@@ -10,8 +10,8 @@
 //                            CounterStream Philox4x32),
 //   execution (exec.hpp)     SequentialExecution (in-place walk) or
 //                            ShardedExecution (two-phase striped
-//                            throw/commit scatter, driven by
-//                            pipeline.hpp's run_pipeline).
+//                            throw/commit rounds, driven by
+//                            pipeline.hpp's run_rounds).
 //
 // The sequential instantiations reproduce the historical hand-written
 // kernels draw-for-draw (RepeatedBallsProcess, TetrisProcess,
@@ -23,34 +23,40 @@
 // compatibility rule: sharded execution requires a schedule-free
 // stream.
 //
-// Round anatomy (sequential):
-//   1. departure walk  -- every non-empty bin releases one ball;
-//      relaunch variants collect destinations (stream-dependent: the
-//      xoshiro clique path block-draws after the walk so the generator
-//      state stays in registers; the counter path banks the releasing
-//      bins and materializes their destinations with one gathered
-//      draw plane -- support/draw_plane.hpp), refill variants discard
-//      the ball;
-//   2. arrivals        -- relaunch: apply the collected destinations
-//      (d-choices chooses per its placement convention first);
-//      refill: draw the round's fresh batch and apply it;
-//   3. stats           -- max load / empty bins maintained
-//      incrementally (design choice D3).
+// Count-split rounds (load-only, Tetris and leaky on the counter
+// stream; kCountArrivals): balls have no identity once thrown, so no
+// ball moves.  A departure scan removes one ball from every non-empty
+// bin; the round's k arrivals (the departures, or the fresh Tetris /
+// leaky count) are split over fixed 2^14-bin leaves by conditional
+// binomials, each leaf draws its in-leaf offsets and increments them in
+// cache (count_split.hpp); a scan of the end loads yields the
+// statistics and Tetris first-empty rounds.  Sequentially that is one
+// pass each over [0, n) (step_counts).  Sharded, phase 1 *throw* is
+// each stripe's departure scan, recording its k_g in a per-stripe cell
+// double-buffered by round parity; phase 2 *commit* has each owner sum
+// the k_g (or take the fresh count), walk the split tree down to its
+// own leaves and draw them shard by shard, each shard followed by its
+// scan.  A leaf cut by a stripe boundary (non-default shard sizes only)
+// is drawn whole by every stripe touching it, each applying its own
+// bins.
 //
-// Round anatomy (sharded): phase 1 *throw* -- stripes walk their own
-// bins, perform departures, draw destinations with the counter stream
-// in chunked draw planes and push them to their target shards (plus,
-// for refill variants, each stripe draws its contiguous share of the
-// fresh arrivals; for d-choices an extra *choose* phase reads the
-// now-stable post-departure loads); phase 2 *commit* -- pipeline.hpp's
-// run_pipeline drains every buffer addressed to a stripe's shards in
-// canonical order into this core's apply (one load increment per
-// arrival), then hands each shard to its scan (max load, empty bins,
-// Tetris first-empty marking); the stripe results reduce in fixed
-// order.  No locks, no atomics, no shared cache lines inside a phase.
-// Every sharded round -- step() is run(1) -- goes through run_sharded:
-// a pipelined worker team at width >= 2, the same phases inline at
-// width 1.
+// Per-ball rounds (every xoshiro kernel, and d-choices / threshold on
+// the counter stream; step_sequential): the departure walk collects
+// the releasing bins or their destinations (the xoshiro clique path
+// block-draws after the walk so the generator state stays in
+// registers), choose variants pick per their placement convention, and
+// arrivals apply with the max load / empty count maintained
+// incrementally (design choice D3).  Sharded, d-choices and threshold
+// keep the per-ball scatter: throw banks the releasers, an extra
+// *choose* phase reads the now-stable post-departure loads and pushes
+// each pick to its target shard, and commit drains every buffer
+// addressed to a stripe's shards in canonical order (pipeline.hpp's
+// run_pipeline).
+//
+// Either way the stripe results reduce in fixed order, with no locks,
+// no atomics and no shared cache lines inside a phase.  Every sharded
+// round -- step() is run(1) -- goes through run_sharded: a pipelined
+// worker team at width >= 2, the same phases inline at width 1.
 #pragma once
 
 #include <algorithm>
@@ -62,6 +68,7 @@
 #include <vector>
 
 #include "core/config.hpp"
+#include "core/kernel/count_split.hpp"
 #include "core/kernel/exec.hpp"
 #include "core/kernel/pipeline.hpp"
 #include "core/kernel/variants.hpp"
@@ -86,6 +93,12 @@ class BallProcessCore {
                                   kKind == BallVariantKind::kLeaky;
   static constexpr bool kChoose = kKind == BallVariantKind::kDChoices ||
                                   kKind == BallVariantKind::kThreshold;
+  /// Exchangeable variants on the counter stream draw arrival counts
+  /// (count_split.hpp) instead of one destination per ball; only the
+  /// choose variants keep a per-ball scatter.
+  static constexpr bool kCountArrivals =
+      Stream::kScheduleFree &&
+      (kKind == BallVariantKind::kLoadOnly || kRefill);
 
   static_assert(!kShardedExec || Stream::kScheduleFree,
                 "sharded execution requires a schedule-free (counter) RNG "
@@ -103,6 +116,7 @@ class BallProcessCore {
         variant_(std::move(variant)),
         exec_(loads_.empty() ? 1 : static_cast<std::uint32_t>(loads_.size()),
               options),
+        leaves_(static_cast<std::uint32_t>(loads_.size())),
         balls_(rbb::total_balls(loads_)) {
     if (loads_.empty()) {
       throw std::invalid_argument("BallProcessCore: empty configuration");
@@ -127,6 +141,8 @@ class BallProcessCore {
     }
     if constexpr (kShardedExec) {
       run_sharded(rounds);
+    } else if constexpr (kCountArrivals) {
+      for (std::uint64_t t = 0; t < rounds; ++t) step_counts();
     } else {
       for (std::uint64_t t = 0; t < rounds; ++t) step_sequential();
     }
@@ -177,7 +193,8 @@ class BallProcessCore {
                         scratch_.capacity() * sizeof(bin_index_t) +
                         scratch_dest_.capacity() * sizeof(bin_index_t) +
                         scratch_cand_.capacity() * sizeof(bin_index_t);
-    bytes += buffers_.capacity_bytes() + acc_.capacity() * sizeof(StripeAcc);
+    if constexpr (!kCountArrivals) bytes += buffers_.capacity_bytes();
+    bytes += acc_.capacity() * sizeof(StripeAcc);
     for (const StripeAcc& acc : acc_) {
       bytes += acc.releasers.capacity() * sizeof(bin_index_t);
     }
@@ -278,7 +295,8 @@ class BallProcessCore {
   /// the variant's cumulative bookkeeping close the state: restore()
   /// into an identically-constructed process continues bit-identically.
   /// Round-boundary only -- check_invariants() proves the scatter
-  /// buffers are always drained there, so they are never serialized.
+  /// buffers (choose variants) are always drained there, so they are
+  /// never serialized.
   void snapshot(serial::ByteWriter& w) const
     requires Stream::kScheduleFree
   {
@@ -347,8 +365,10 @@ class BallProcessCore {
             "BallProcessCore: first-empty tracking out of sync");
       }
     }
-    if (!buffers_.drained()) {
-      throw std::logic_error("BallProcessCore: scatter buffer not drained");
+    if constexpr (!kCountArrivals) {
+      if (!buffers_.drained()) {
+        throw std::logic_error("BallProcessCore: scatter buffer not drained");
+      }
     }
   }
 
@@ -397,9 +417,109 @@ class BallProcessCore {
     }
   }
 
+  // --- the count-split round (load-only, Tetris, leaky on the counter
+  // stream; count_split.hpp) -------------------------------------------------
+  //
+  // Three range operations shared by the sequential walk (one range,
+  // [0, n)) and the sharded stripes (their own bins): a departure scan,
+  // the per-leaf arrival draws, and the round-end scan.
+
+  /// One departure from every non-empty bin of [begin, end); returns
+  /// how many.  Branch-free, so it vectorizes.
+  std::uint32_t depart_range(bin_index_t begin, bin_index_t end)
+    requires kCountArrivals
+  {
+    load_t* loads = loads_.data();
+    std::uint32_t departures = 0;
+    for (bin_index_t u = begin; u < end; ++u) {
+      const load_t busy = loads[u] != 0 ? 1 : 0;
+      loads[u] -= busy;
+      departures += busy;
+    }
+    return departures;
+  }
+
+  /// Draws leaf `leaf`'s `count` arrivals of round r and applies those
+  /// landing in [lo, hi) -- the whole leaf when it lies inside.
+  void apply_leaf(std::uint64_t r, std::uint32_t leaf, ball_count_t count,
+                  bin_index_t lo, bin_index_t hi)
+    requires kCountArrivals
+  {
+    load_t* loads = loads_.data();
+    const bool whole =
+        leaves_.leaf_begin(leaf) >= lo && leaves_.leaf_end(leaf) <= hi;
+    leaves_.draw_leaf(variant_.stream_, r, leaf, count,
+                      [&](bin_index_t base, const bin_index_t* offsets,
+                          std::uint32_t len) {
+                        if (whole) {
+                          for (std::uint32_t k = 0; k < len; ++k) {
+                            ++loads[base + offsets[k]];
+                          }
+                        } else {
+                          for (std::uint32_t k = 0; k < len; ++k) {
+                            const bin_index_t v = base + offsets[k];
+                            if (v >= lo && v < hi) ++loads[v];
+                          }
+                        }
+                      });
+  }
+
+  /// Round-end statistics of [begin, end) of round r, plus Tetris
+  /// first-empty marking; returns how many bins emptied for the first
+  /// time.  An end load of zero means the bin emptied this round (or
+  /// was marked before), since arrivals only add and departures remove
+  /// at most one ball.
+  std::uint32_t scan_range(std::uint64_t r, bin_index_t begin,
+                           bin_index_t end, LoadScan& scan) {
+    const load_t* loads = loads_.data();
+    scan.add_range(loads + begin, end - begin);
+    std::uint32_t newly_emptied = 0;
+    if constexpr (kKind == BallVariantKind::kTetris) {
+      for (bin_index_t u = begin; u < end; ++u) {
+        if (variant_.first_empty_[u] == kNeverEmptied && loads[u] == 0) {
+          variant_.first_empty_[u] = r + 1;
+          ++newly_emptied;
+        }
+      }
+    }
+    return newly_emptied;
+  }
+
+  /// One sequential count-split round: the sharded round on a single
+  /// stripe, every leaf in order -- the parity oracle of tests/par/.
+  void step_counts()
+    requires(kCountArrivals && !kShardedExec)
+  {
+    const std::uint64_t r = round_;
+    const std::uint32_t departures = depart_range(0, bin_count());
+    const ball_count_t arrivals =
+        kRefill ? draw_arrival_count(r) : ball_count_t{departures};
+    LeafSplit::Walk walk(leaves_, variant_.stream_, r, arrivals, 0,
+                         leaves_.leaf_count());
+    std::uint32_t leaf = 0;
+    ball_count_t count = 0;
+    while (walk.next(leaf, count)) apply_leaf(r, leaf, count, 0, bin_count());
+    stats_ = LoadScan{};
+    const std::uint32_t newly_emptied = scan_range(r, 0, bin_count(), stats_);
+    if constexpr (kKind == BallVariantKind::kTetris) {
+      variant_.not_yet_emptied_ -= newly_emptied;
+    }
+    if constexpr (kRefill) {
+      balls_ = balls_ - departures + arrivals;
+      last_arrivals_ = arrivals;
+    }
+    last_departures_ = departures;
+    ++round_;
+  }
+
   // --- the sequential round -------------------------------------------------
 
-  void step_sequential() {
+  /// One round of every sequential instantiation that is not
+  /// count-split: the xoshiro kernels and the counter-stream choose
+  /// variants.
+  void step_sequential()
+    requires(!kCountArrivals)
+  {
     const std::uint32_t n = bin_count();
     const std::uint64_t r = round_;
 
@@ -416,11 +536,7 @@ class BallProcessCore {
         --load;
         ++departures;
         if constexpr (kKind == BallVariantKind::kLoadOnly) {
-          if constexpr (Stream::kScheduleFree) {
-            // Collect the releasing bins; their destinations come from
-            // one gathered draw plane after the walk (slot = u).
-            scratch_.push_back(u);
-          } else if (variant_.graph_ != nullptr) {
+          if (variant_.graph_ != nullptr) {
             scratch_.push_back(
                 variant_.graph_->sample_neighbor(u, variant_.stream_.rng()));
           }
@@ -445,28 +561,16 @@ class BallProcessCore {
     stats_ = scan;
 
     if constexpr (kKind == BallVariantKind::kLoadOnly) {
-      if constexpr (!Stream::kScheduleFree) {
-        if (variant_.graph_ == nullptr) {
-          // Complete graph: destinations sampled as one block (same
-          // stream as per-ball index(n) calls) and applied with a
-          // prefetched scatter -- at large n the load vector out-sizes
-          // the cache and the random writes otherwise stall per arrival.
-          scratch_.resize(departures);
-          variant_.stream_.rng().fill_indices(scratch_.data(), departures,
-                                              n);
-          apply_scatter(scratch_);
-        } else {
-          for (const bin_index_t v : scratch_) apply_arrival(v);
-        }
+      if (variant_.graph_ == nullptr) {
+        // Complete graph: destinations sampled as one block (same
+        // stream as per-ball index(n) calls) and applied with a
+        // prefetched scatter -- at large n the load vector out-sizes
+        // the cache and the random writes otherwise stall per arrival.
+        scratch_.resize(departures);
+        variant_.stream_.rng().fill_indices(scratch_.data(), departures, n);
+        apply_scatter(scratch_);
       } else {
-        // Counter path: scratch_ holds the releasing bins; one gathered
-        // draw plane materializes every destination (bit-identical to
-        // the per-slot draws), then the same prefetched scatter.
-        scratch_dest_.resize(scratch_.size());
-        variant_.stream_.fill_gather(
-            r, scratch_.data(), 0, scratch_.size(), n,
-            scratch_dest_.data());
-        apply_scatter(scratch_dest_);
+        for (const bin_index_t v : scratch_) apply_arrival(v);
       }
     } else if constexpr (kChoose) {
       if constexpr (!Stream::kScheduleFree) {
@@ -501,38 +605,23 @@ class BallProcessCore {
         apply_scatter(scratch_dest_);
       }
     } else if constexpr (kRefill) {
+      // Refill on the xoshiro stream: the counter stream's refill
+      // rounds are count-split (step_counts).
       const ball_count_t arrivals = draw_arrival_count(r);
-      bool ball_by_ball = true;
+      Rng& rng = variant_.stream_.rng();
+      bool split = false;
       if constexpr (kKind == BallVariantKind::kTetris) {
-        if (variant_.sampling_ == ArrivalSampling::kSplit) {
-          ball_by_ball = false;
-          // kSplit is sequential-stream-only (validated at construction).
-          if constexpr (!Stream::kScheduleFree) {
-            const std::vector<std::uint32_t> counts =
-                occupancy_split(arrivals, n, variant_.stream_.rng());
-            for (bin_index_t v = 0; v < n; ++v) {
-              for (std::uint32_t c = 0; c < counts[v]; ++c) apply_arrival(v);
-            }
-          }
-        }
+        split = variant_.sampling_ == ArrivalSampling::kSplit;
       }
-      if (ball_by_ball) {
-        if constexpr (Stream::kScheduleFree) {
-          // The fresh-arrival slots are contiguous: chunked range
-          // planes, applied as each chunk lands.
-          bin_index_t chunk[kDrawChunk];
-          for (ball_count_t i = 0; i < arrivals;) {
-            const auto len = static_cast<std::uint32_t>(
-                std::min<ball_count_t>(kDrawChunk, arrivals - i));
-            variant_.stream_.fill_range(r, fresh_arrival_slot(i), len, n,
-                                        chunk);
-            for (std::uint32_t k = 0; k < len; ++k) apply_arrival(chunk[k]);
-            i += len;
-          }
-        } else {
-          for (ball_count_t i = 0; i < arrivals; ++i) {
-            apply_arrival(variant_.stream_.rng().index(n));
-          }
+      if (split) {
+        const std::vector<std::uint32_t> counts =
+            occupancy_split(arrivals, n, rng);
+        for (bin_index_t v = 0; v < n; ++v) {
+          for (std::uint32_t c = 0; c < counts[v]; ++c) apply_arrival(v);
+        }
+      } else {
+        for (ball_count_t i = 0; i < arrivals; ++i) {
+          apply_arrival(rng.index(n));
         }
       }
       balls_ += arrivals;
@@ -564,83 +653,83 @@ class BallProcessCore {
     LoadScan scan;
     std::uint64_t cum_departures = 0;
     std::uint32_t cum_newly_emptied = 0;  // Tetris first-empty bookkeeping
-    std::vector<bin_index_t> releasers;   // d-choices / threshold
+    // Count-split cores: k_g of the round on buffer set `set`, read by
+    // every owner's commit (the pipeline's parity argument covers it),
+    // and the owner's walk down the round's split tree.
+    std::uint32_t set_departures[2] = {0, 0};
+    LeafSplit::Walk walk;
+    std::uint32_t next_leaf = 0;
+    std::vector<bin_index_t> releasers;  // d-choices / threshold
   };
 
   using Rows = ShardRows<bin_index_t>;
 
-  /// Phase 1 (throw) for one stripe of round r: departures +
-  /// destination draws pushed to their target shards.  The counter
-  /// stream keys every draw by (round, slot), so the round's randomness
-  /// is independent of the schedule.  Reads and writes only the
-  /// stripe's own bins; refill variants also draw their contiguous
-  /// share of the round's fresh arrivals here -- those draws read no
-  /// loads.
-  void throw_stripe(std::uint32_t g, std::uint64_t r, ball_count_t arrivals,
-                    Rows rows)
-    requires kShardedExec
+  /// Phase 1 (throw) of the count-split cores for stripe g: the
+  /// departure scan of the stripe's own bins.  Draws nothing; records
+  /// k_g on the round's buffer set.
+  void depart_stripe(std::uint32_t g, std::uint32_t set)
+    requires(kShardedExec && kCountArrivals)
   {
-    const std::uint32_t n = bin_count();
     const ShardPlan& plan = exec_.plan();
-    const std::uint32_t stripes = plan.stripe_count();
+    StripeAcc& acc = acc_[g];
+    acc.departures =
+        depart_range(plan.stripe_begin_bin(g), plan.stripe_end_bin(g));
+    acc.set_departures[set] = acc.departures;
+    acc.cum_departures += acc.departures;
+    acc.scan = LoadScan{};
+  }
+
+  /// Phase 2 (commit) arrivals of the count-split cores for owned shard
+  /// s of stripe g: applies every not yet applied leaf that overlaps s
+  /// -- the whole leaf, clipped to the stripe's bins, so a leaf spanning
+  /// several of the stripe's shards is drawn once.  The stripe's first
+  /// shard starts the walk down round r's split tree with the round's
+  /// k: `fresh` for refill variants, the sum of every stripe's k_g on
+  /// buffer set `set` for load-only.
+  void arrive_shard(std::uint32_t g, std::uint64_t r, std::uint32_t set,
+                    ball_count_t fresh, std::uint32_t s)
+    requires(kShardedExec && kCountArrivals)
+  {
+    const ShardPlan& plan = exec_.plan();
+    StripeAcc& acc = acc_[g];
+    const bin_index_t lo = plan.stripe_begin_bin(g);
+    const bin_index_t hi = plan.stripe_end_bin(g);
+    if (s == plan.stripe_begin_shard(g)) {
+      ball_count_t total = fresh;
+      if constexpr (!kRefill) {
+        for (const StripeAcc& peer : acc_) total += peer.set_departures[set];
+      }
+      acc.next_leaf = leaves_.leaf_of(lo);
+      acc.walk = LeafSplit::Walk(leaves_, variant_.stream_, r, total,
+                                 acc.next_leaf, leaves_.leaf_of(hi - 1) + 1);
+    }
+    const std::uint32_t through = leaves_.leaf_of(plan.shard_end(s) - 1);
+    std::uint32_t leaf = 0;
+    ball_count_t count = 0;
+    while (acc.next_leaf <= through && acc.walk.next(leaf, count)) {
+      ++acc.next_leaf;
+      apply_leaf(r, leaf, count, lo, hi);
+    }
+  }
+
+  /// Phase 1 (throw) of the choose variants for one stripe of round r:
+  /// departures, banking the releasing bins for the choose phase.
+  /// Reads and writes only the stripe's own bins.
+  void throw_stripe(std::uint32_t g)
+    requires(kShardedExec && kChoose)
+  {
+    const bin_index_t begin = exec_.plan().stripe_begin_bin(g);
+    const bin_index_t end = exec_.plan().stripe_end_bin(g);
     StripeAcc& acc = acc_[g];
     acc.departures = 0;
     acc.scan = LoadScan{};
-    const bin_index_t begin = plan.stripe_begin_bin(g);
-    const bin_index_t end = plan.stripe_end_bin(g);
-    if constexpr (kKind == BallVariantKind::kLoadOnly) {
-      // The walk banks releasing bins into a stack chunk; each flush
-      // materializes the chunk's destinations with one gathered draw
-      // plane and scatters them.  Ascending-u push order per buffer
-      // is preserved, so the commit order is unchanged.
-      bin_index_t slot_buf[kDrawChunk];
-      bin_index_t dest_buf[kDrawChunk];
-      std::uint32_t pending = 0;
-      const auto flush = [&] {
-        obs::add(obs::Counter::kChunkFlushes);
-        variant_.stream_.fill_gather(r, slot_buf, 0, pending, n, dest_buf);
-        for (std::uint32_t i = 0; i < pending; ++i) {
-          rows.push(dest_buf[i], dest_buf[i]);
-        }
-        pending = 0;
-      };
-      for (bin_index_t u = begin; u < end; ++u) {
-        load_t& load = loads_[u];
-        if (load > 0) {
-          --load;
-          ++acc.departures;
-          slot_buf[pending++] = u;
-          if (pending == kDrawChunk) flush();
-        }
-      }
-      if (pending > 0) flush();
-    } else {
-      if constexpr (kChoose) {
-        acc.releasers.clear();
-      }
-      for (bin_index_t u = begin; u < end; ++u) {
-        load_t& load = loads_[u];
-        if (load > 0) {
-          --load;
-          ++acc.departures;
-          if constexpr (kChoose) {
-            acc.releasers.push_back(u);
-          }
-          // refill: the ball leaves; nothing to scatter for it.
-        }
-      }
-    }
-    if constexpr (kRefill) {
-      const ball_count_t lo = arrivals * g / stripes;
-      const ball_count_t hi = arrivals * (g + 1) / stripes;
-      bin_index_t chunk[kDrawChunk];
-      for (ball_count_t i = lo; i < hi;) {
-        const auto len = static_cast<std::uint32_t>(
-            std::min<ball_count_t>(kDrawChunk, hi - i));
-        obs::add(obs::Counter::kChunkFlushes);
-        variant_.stream_.fill_range(r, fresh_arrival_slot(i), len, n, chunk);
-        for (std::uint32_t k = 0; k < len; ++k) rows.push(chunk[k], chunk[k]);
-        i += len;
+    acc.releasers.clear();
+    for (bin_index_t u = begin; u < end; ++u) {
+      load_t& load = loads_[u];
+      if (load > 0) {
+        --load;
+        ++acc.departures;
+        acc.releasers.push_back(u);
       }
     }
     acc.cum_departures += acc.departures;
@@ -653,7 +742,7 @@ class BallProcessCore {
   /// the batch-snapshot convention the sequential counter-stream
   /// sibling realizes (variants.hpp).
   void choose_stripe(std::uint32_t g, std::uint64_t r, Rows rows)
-    requires kShardedExec
+    requires(kShardedExec && kChoose)
   {
     const std::uint32_t n = bin_count();
     const std::vector<bin_index_t>& rel = acc_[g].releasers;
@@ -674,29 +763,16 @@ class BallProcessCore {
                   bin_index_t end)
     requires kShardedExec
   {
-    LoadScan scan;
-    for (bin_index_t u = begin; u < end; ++u) {
-      const load_t load = loads_[u];
-      scan.add(load);
-      if constexpr (kKind == BallVariantKind::kTetris) {
-        // End-load zero means the bin emptied this round (or was marked
-        // before): equivalent to the sequential pending logic, since
-        // arrivals only add and departures remove at most one ball.
-        if (load == 0 && variant_.first_empty_[u] == kNeverEmptied) {
-          variant_.first_empty_[u] = r + 1;
-          ++acc_[g].cum_newly_emptied;
-        }
-      }
-    }
-    acc_[g].scan.merge(scan);
+    acc_[g].cum_newly_emptied += scan_range(r, begin, end, acc_[g].scan);
   }
 
   /// Runs `rounds` >= 1 sharded rounds through the round driver
   /// (pipeline.hpp: a resident team at width >= 2, inline at width 1),
   /// then reduces the stripe accumulators once, in fixed stripe order.
-  /// The counter stream keys every draw by (round, slot), so the
-  /// trajectory is the sequential counter-stream sibling's for every
-  /// thread count, shard size and split into run() calls.
+  /// The counter stream keys every draw by (round, slot) or (round,
+  /// tree node), so the trajectory is the sequential counter-stream
+  /// sibling's for every thread count, shard size and split into run()
+  /// calls.
   void run_sharded(std::uint64_t rounds)
     requires kShardedExec
   {
@@ -716,27 +792,36 @@ class BallProcessCore {
       acc.cum_newly_emptied = 0;
     }
     const std::uint64_t r0 = round_;
-    run_pipeline(
-        exec_, rounds, buffers_,
-        [&](std::uint32_t g, std::uint64_t i, Rows rows) {
-          throw_stripe(g, r0 + i,
-                       kRefill ? arrivals_by_round[i] : ball_count_t{0}, rows);
-        },
-        [&] {
-          if constexpr (kChoose) {
-            return [&](std::uint32_t g, std::uint64_t i, Rows rows) {
-              choose_stripe(g, r0 + i, rows);
-            };
-          } else {
-            return NoChoose{};
-          }
-        }(),
-        [&](std::uint32_t, std::uint64_t,
-            const std::vector<bin_index_t>& arrivals) {
-          for (const bin_index_t dest : arrivals) ++loads_[dest];
-        },
-        [&](std::uint32_t g, std::uint64_t i, bin_index_t begin,
-            bin_index_t end) { scan_shard(g, r0 + i, begin, end); });
+    const auto scan = [&](std::uint32_t g, std::uint64_t i,
+                          bin_index_t begin, bin_index_t end) {
+      scan_shard(g, r0 + i, begin, end);
+    };
+    if constexpr (kCountArrivals) {
+      run_rounds(
+          exec_, rounds, [](bool) {},
+          [&](std::uint32_t g, std::uint64_t, std::uint32_t set) {
+            depart_stripe(g, set);
+          },
+          NoChoose{},
+          [&](std::uint32_t g, std::uint64_t i, std::uint32_t set,
+              std::uint32_t s) {
+            arrive_shard(g, r0 + i, set,
+                         kRefill ? arrivals_by_round[i] : ball_count_t{0}, s);
+          },
+          scan);
+    } else {
+      run_pipeline(
+          exec_, rounds, buffers_,
+          [&](std::uint32_t g, std::uint64_t, Rows) { throw_stripe(g); },
+          [&](std::uint32_t g, std::uint64_t i, Rows rows) {
+            choose_stripe(g, r0 + i, rows);
+          },
+          [&](std::uint32_t, std::uint64_t,
+              const std::vector<bin_index_t>& arrivals) {
+            for (const bin_index_t dest : arrivals) ++loads_[dest];
+          },
+          scan);
+    }
 
     std::uint64_t total_departures = 0;
     std::uint32_t departures = 0;
@@ -761,6 +846,7 @@ class BallProcessCore {
   LoadConfig loads_;
   Variant variant_;
   Exec exec_;
+  LeafSplit leaves_;  // the count-split leaf layout (kCountArrivals)
   ball_count_t balls_;
   std::uint64_t round_ = 0;
   LoadScan stats_;  // max load / empty bins, maintained incrementally
@@ -774,8 +860,11 @@ class BallProcessCore {
   std::vector<bin_index_t> scratch_dest_;
   std::vector<bin_index_t> scratch_cand_;
 
-  /// Destinations thrown per (stripe, target shard); sharded only.
-  ScatterBuffers<bin_index_t> buffers_;
+  /// Picks thrown per (stripe, target shard); sharded choose variants
+  /// only -- the count-split cores move no ball.
+  struct NoScatter {};
+  [[no_unique_address]] std::conditional_t<
+      kCountArrivals, NoScatter, ScatterBuffers<bin_index_t>> buffers_;
   std::vector<StripeAcc> acc_;
 };
 

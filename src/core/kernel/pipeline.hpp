@@ -1,24 +1,36 @@
 // The sharded round driver (DESIGN.md Sect. 5, "Pipelined multi-round
 // execution").
 //
-// Every sharded kernel core runs its rounds through run_pipeline, one
+// Every sharded kernel core runs its rounds through run_rounds, one
 // driver for one round or many.  The driver owns the whole stripe
-// skeleton; a core supplies only its per-ball work as four callbacks:
+// skeleton -- the phase order, the team, the phase spans (throw,
+// choose, commit, and the per-shard rescan inside commit) -- and a core
+// supplies its per-stripe work as callbacks:
 //
-//   throw(g, i, rows)             departures of stripe g's own bins;
-//                                 arrivals go out through rows.push
-//   [choose(g, i, rows)]          optional; reads post-departure loads
+//   throw(g, i, set)              departures of stripe g's own bins
+//   [choose(g, i, set)]           optional; reads post-departure loads
+//   fill(g, i, set, s)            the round's arrivals into shard s,
+//                                 one call per shard stripe g owns
+//   scan(g, i, begin, end)        round statistics of that shard
+//
+// where `set` is the round's buffer parity (i & 1 on a team, 0 inline).
+// The count-split cores (load-only, Tetris, leaky: core/kernel/
+// count_split.hpp) call run_rounds directly: throw records the stripe's
+// departure count k_g in its parity-`set` cell, fill walks the split
+// tree down to the shard's leaves and draws them.  The scatter cores
+// (token, mixed, d-choices, threshold) go through run_pipeline, which
+// adds the per-ball payload: throw and choose push arrivals through
+// rows.push, and
+//
 //   apply(g, i, buffer)           one (source stripe, shard) buffer of
 //                                 arrivals into a shard stripe g owns
-//   scan(g, i, begin, end)        round statistics of one owned shard
 //
-// and the driver alone knows the scatter layout (row g * shard_count + s
-// holds stripe g's throws into shard s), the canonical drain order
+// and run_pipeline alone knows the scatter layout (row g * shard_count
+// + s holds stripe g's throws into shard s), the canonical drain order
 // (owned shards ascending, then source stripes ascending: every bin
 // receives its arrivals sorted by releasing bin, which keeps token
 // enqueues and capacity drops bit-identical for every thread count and
-// shard size), the phase spans (throw, choose, commit, and the
-// per-shard rescan inside commit) and the buffer sizing.
+// shard size) and the buffer sizing.
 //
 // With a team width of at least 2, ONE resident worker team runs the
 // whole multi-round call: stripes are statically assigned to team
@@ -29,18 +41,20 @@
 // sequence runs inline on the calling thread.  Either way every phase
 // of stripe g runs on one thread, so per-stripe accumulators need no
 // synchronization: a core resets its per-round stripe fields in the
-// stripe's throw and fills them in its apply and scan.
+// stripe's throw and fills them in its fill/apply and scan.
 //
 // Per round i, each team worker executes
 //
-//   throw own stripes        (round i draws into the parity-(i&1)
-//                             buffer set; reads/writes OWN bins only)
+//   throw own stripes        (round i writes the parity-(i&1) buffer
+//                             set or k_g cell; reads/writes OWN bins
+//                             only)
 //   throw_done[w] = i+1      (release)
 //   wait throw_done[*] >= i+1  (acquire)
 //   [choose own stripes      (reads arbitrary post-departure loads)
 //    choose_done[w] = i+1; wait choose_done[*] >= i+1]
-//   commit own stripes       (drains every stripe's parity-(i&1)
-//                             buffers destined to OWN shards)
+//   commit own stripes       (reads every stripe's parity-(i&1)
+//                             buffers destined to OWN shards, or every
+//                             stripe's parity-(i&1) k_g)
 //   commit_done[w] = i+1     (release)
 //
 // Note there is NO wait before the throw phase -- that is the
@@ -48,17 +62,17 @@
 // round i; the counter RNG stream (dest = f(seed, round, slot)) makes
 // round-(i+1) draws computable before round i retires anywhere, and the
 // only state throw(i+1) touches is w's own bins, last written by w's
-// own commit(i) in program order.
+// own commit(i) in program order, and its parity-((i+1)&1) cells.
 //
-// Why buffer reuse at parity distance 2 is still safe with no extra
-// wait: w's throw(i+2) is preceded (in w's program order) by w's
-// round-(i+1) wait on throw_done[*] >= i+2, and a peer's throw_done
-// reaching i+2 orders that peer's commit(i) -- which drained the
-// parity-(i&1) buffers w is about to refill -- before the wait's
-// acquire.  The same transitivity covers the choose phase's arbitrary
-// load reads.  The chain is pure acquire/release on the epoch cells,
-// so ThreadSanitizer sees every edge (CI runs the parity suite under
-// TSan at RBB_THREADS=4).
+// Why reuse at parity distance 2 is still safe with no extra wait: w's
+// throw(i+2) is preceded (in w's program order) by w's round-(i+1)
+// wait on throw_done[*] >= i+2, and a peer's throw_done reaching i+2
+// orders that peer's commit(i) -- which drained the parity-(i&1)
+// buffers, or read the parity-(i&1) k_g cells, that w is about to
+// overwrite -- before the wait's acquire.  The same transitivity covers
+// the choose phase's arbitrary load reads.  The chain is pure
+// acquire/release on the epoch cells, so ThreadSanitizer sees every
+// edge (CI runs the parity suite under TSan at RBB_THREADS=4).
 #pragma once
 
 #include <algorithm>
@@ -92,9 +106,10 @@ struct alignas(64) EpochCell {
 
 }  // namespace detail
 
-/// Max load and empty-bin count of a set of bins: add() each load, then
-/// merge() partial scans (max and sum commute, so the merge order never
-/// changes the result; the cores still merge in fixed stripe order).
+/// Max load and empty-bin count of a set of bins: add() each load (or
+/// add_range() a block), then merge() partial scans (max and sum
+/// commute, so the merge order never changes the result; the cores
+/// still merge in fixed stripe order).
 struct LoadScan {
   load_t max = 0;
   std::uint32_t zeros = 0;
@@ -105,6 +120,17 @@ struct LoadScan {
     } else if (load > max) {
       max = load;
     }
+  }
+  /// add() over loads[0, count) as two separate reductions: each one
+  /// vectorizes, while one fused loop compiles to a branch on the zero
+  /// test -- unpredictable when a third of the bins are empty at random.
+  void add_range(const load_t* loads, std::size_t count) noexcept {
+    std::uint32_t z = 0;
+    for (std::size_t u = 0; u < count; ++u) z += loads[u] == 0 ? 1u : 0u;
+    load_t m = max;
+    for (std::size_t u = 0; u < count; ++u) m = std::max(m, loads[u]);
+    zeros += z;
+    max = m;
   }
   void merge(const LoadScan& other) noexcept {
     max = std::max(max, other.max);
@@ -174,58 +200,55 @@ class ShardRows {
 };
 
 /// Runs `rounds` rounds of throw -> [choose ->] commit over the stripes
-/// of `exec`'s plan (see the header comment for the callbacks; pass
-/// NoChoose{} for no choose phase).  With min(stripe_count, team_width)
-/// >= 2 the rounds run pipelined on a resident team, round i on buffer
-/// set i & 1.  Otherwise -- and when the executor refuses the team (pool
-/// busy, nested without a grant) -- they run inline on the calling
-/// thread, every round on set 0; that is the schedule a refused for_each
-/// would run too, so the thread count never changes.  The first
+/// of `exec`'s plan -- the stripe skeleton without a payload:
+///
+///   throw_fn(g, i, set)          phase 1 of stripe g, round i
+///   choose_fn(g, i, set)         optional (NoChoose{} = no phase)
+///   fill_fn(g, i, set, s)        the arrivals of owned shard s, run
+///                                for every owned shard in ascending
+///                                order, each followed by
+///   scan_fn(g, i, begin, end)    that shard's round statistics
+///
+/// `set` is the round's buffer parity: i & 1 on a team, 0 inline (a
+/// round run inline has nothing in flight beside it).  With
+/// min(stripe_count, team_width) >= 2 the rounds run pipelined on a
+/// resident team; otherwise -- and when the executor refuses the team
+/// (pool busy, nested without a grant) -- they run inline on the
+/// calling thread, which is the schedule a refused for_each would run
+/// too, so the thread count never changes.  `prepare(team)` runs once
+/// before any phase, with team = whether a team will be asked for; a
+/// payload sized there is only indexed by the workers.  The first
 /// exception thrown by a callback aborts the remaining rounds
-/// (cooperatively on a team) and is rethrown here, leaving kernel state
-/// partially advanced.
-template <typename T, typename ThrowFn, typename ChooseFn, typename ApplyFn,
-          typename ScanFn>
-void run_pipeline(ShardedExecution& exec, std::uint64_t rounds,
-                  ScatterBuffers<T>& buffers, ThrowFn&& throw_fn,
-                  ChooseFn&& choose_fn, ApplyFn&& apply_fn, ScanFn&& scan_fn) {
+/// (cooperatively on a team) and is rethrown here, leaving kernel
+/// state partially advanced.
+template <typename PrepareFn, typename ThrowFn, typename ChooseFn,
+          typename FillFn, typename ScanFn>
+void run_rounds(ShardedExecution& exec, std::uint64_t rounds,
+                PrepareFn&& prepare, ThrowFn&& throw_fn, ChooseFn&& choose_fn,
+                FillFn&& fill_fn, ScanFn&& scan_fn) {
   constexpr bool kHasChoose =
       !std::is_same_v<std::remove_cvref_t<ChooseFn>, NoChoose>;
   const ShardPlan& plan = exec.plan();
   const std::uint32_t stripe_count = plan.stripe_count();
-  const std::uint32_t shard_count = plan.shard_count();
-  const std::size_t row_count =
-      static_cast<std::size_t>(stripe_count) * shard_count;
 
-  const auto rows_of = [&](std::uint32_t g, std::vector<T>* bufs) {
-    return ShardRows<T>(bufs + static_cast<std::size_t>(g) * shard_count,
-                        plan);
-  };
   const auto throw_stripe = [&](std::uint32_t g, std::uint64_t i,
-                                std::vector<T>* bufs) {
+                                std::uint32_t set) {
     const obs::ScopedPhase phase_span(obs::Phase::kThrow);
-    throw_fn(g, i, rows_of(g, bufs));
+    throw_fn(g, i, set);
   };
   const auto choose_stripe = [&](std::uint32_t g, std::uint64_t i,
-                                 std::vector<T>* bufs) {
+                                 std::uint32_t set) {
     if constexpr (kHasChoose) {
       const obs::ScopedPhase phase_span(obs::Phase::kChoose);
-      choose_fn(g, i, rows_of(g, bufs));
+      choose_fn(g, i, set);
     }
   };
-  // The canonical drain: owned shards ascending, each shard's buffers
-  // in ascending source stripe, each buffer in push order.
   const auto commit_stripe = [&](std::uint32_t g, std::uint64_t i,
-                                 std::vector<T>* bufs) {
+                                 std::uint32_t set) {
     const obs::ScopedPhase phase_span(obs::Phase::kCommit);
     for (std::uint32_t s = plan.stripe_begin_shard(g);
          s < plan.stripe_end_shard(g); ++s) {
-      for (std::uint32_t src = 0; src < stripe_count; ++src) {
-        std::vector<T>& buf =
-            bufs[static_cast<std::size_t>(src) * shard_count + s];
-        apply_fn(g, i, std::as_const(buf));
-        buf.clear();
-      }
+      fill_fn(g, i, set, s);
       const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
       scan_fn(g, i, plan.shard_begin(s), plan.shard_end(s));
       if (t0 != 0) {
@@ -237,29 +260,25 @@ void run_pipeline(ShardedExecution& exec, std::uint64_t rounds,
   };
 
   const auto run_inline = [&] {
-    std::vector<T>* bufs = buffers.set(0, row_count);
     for (std::uint64_t i = 0; i < rounds; ++i) {
-      for (std::uint32_t g = 0; g < stripe_count; ++g) throw_stripe(g, i, bufs);
+      for (std::uint32_t g = 0; g < stripe_count; ++g) throw_stripe(g, i, 0);
       if constexpr (kHasChoose) {
         for (std::uint32_t g = 0; g < stripe_count; ++g) {
-          choose_stripe(g, i, bufs);
+          choose_stripe(g, i, 0);
         }
       }
       for (std::uint32_t g = 0; g < stripe_count; ++g) {
-        commit_stripe(g, i, bufs);
+        commit_stripe(g, i, 0);
       }
     }
   };
   const std::uint32_t width =
       std::min(stripe_count, exec.stripes().team_width());
+  prepare(width >= 2);
   if (width < 2) {
     run_inline();
     return;
   }
-  // The sets the rounds use are sized before the team starts: workers
-  // only index them.
-  std::vector<T>* sets[2] = {buffers.set(0, row_count), nullptr};
-  if (rounds > 1) sets[1] = buffers.set(1, row_count);
 
   std::vector<detail::EpochCell> throw_done(width);
   std::vector<detail::EpochCell> choose_done(kHasChoose ? width : 0);
@@ -326,9 +345,9 @@ void run_pipeline(ShardedExecution& exec, std::uint64_t rounds,
             }
           }
         }
-        std::vector<T>* bufs = sets[i & 1];
+        const auto set = static_cast<std::uint32_t>(i & 1);
         for (std::uint32_t g = w; g < stripe_count; g += width) {
-          throw_stripe(g, i, bufs);
+          throw_stripe(g, i, set);
         }
         if (o0 != 0) {
           obs::add_phase_ns(obs::Phase::kOverlap, obs::now_ns() - o0);
@@ -341,14 +360,14 @@ void run_pipeline(ShardedExecution& exec, std::uint64_t rounds,
           // needs all throws of round i (the wait above) and must fully
           // precede any commit of round i (the wait below).
           for (std::uint32_t g = w; g < stripe_count; g += width) {
-            choose_stripe(g, i, bufs);
+            choose_stripe(g, i, set);
           }
           choose_done[w].value.store(i + 1, std::memory_order_release);
           if (!wait_all(choose_done, i + 1)) return;
         }
 
         for (std::uint32_t g = w; g < stripe_count; g += width) {
-          commit_stripe(g, i, bufs);
+          commit_stripe(g, i, set);
         }
         commit_done[w].value.store(i + 1, std::memory_order_release);
       }
@@ -365,6 +384,63 @@ void run_pipeline(ShardedExecution& exec, std::uint64_t rounds,
     return;
   }
   if (first_error) std::rethrow_exception(first_error);
+}
+
+/// run_rounds with a per-ball scatter payload (see the header comment
+/// for the callbacks; pass NoChoose{} for no choose phase): throws and
+/// choices push into the round's buffer set, round i on set i & 1 of a
+/// team run, set 0 inline; each commit drains the buffers destined to
+/// an owned shard in the canonical order.
+template <typename T, typename ThrowFn, typename ChooseFn, typename ApplyFn,
+          typename ScanFn>
+void run_pipeline(ShardedExecution& exec, std::uint64_t rounds,
+                  ScatterBuffers<T>& buffers, ThrowFn&& throw_fn,
+                  ChooseFn&& choose_fn, ApplyFn&& apply_fn, ScanFn&& scan_fn) {
+  constexpr bool kHasChoose =
+      !std::is_same_v<std::remove_cvref_t<ChooseFn>, NoChoose>;
+  const ShardPlan& plan = exec.plan();
+  const std::uint32_t stripe_count = plan.stripe_count();
+  const std::uint32_t shard_count = plan.shard_count();
+  const std::size_t row_count =
+      static_cast<std::size_t>(stripe_count) * shard_count;
+
+  // The sets the rounds use are sized before the team starts: workers
+  // only index them.
+  std::vector<T>* sets[2] = {nullptr, nullptr};
+  const auto rows_of = [&](std::uint32_t g, std::uint32_t set) {
+    return ShardRows<T>(sets[set] + static_cast<std::size_t>(g) * shard_count,
+                        plan);
+  };
+  run_rounds(
+      exec, rounds,
+      [&](bool team) {
+        sets[0] = buffers.set(0, row_count);
+        if (team && rounds > 1) sets[1] = buffers.set(1, row_count);
+      },
+      [&](std::uint32_t g, std::uint64_t i, std::uint32_t set) {
+        throw_fn(g, i, rows_of(g, set));
+      },
+      [&] {
+        if constexpr (kHasChoose) {
+          return [&](std::uint32_t g, std::uint64_t i, std::uint32_t set) {
+            choose_fn(g, i, rows_of(g, set));
+          };
+        } else {
+          return NoChoose{};
+        }
+      }(),
+      // The canonical drain: each owned shard's buffers in ascending
+      // source stripe, each buffer in push order.
+      [&](std::uint32_t g, std::uint64_t i, std::uint32_t set,
+          std::uint32_t s) {
+        for (std::uint32_t src = 0; src < stripe_count; ++src) {
+          std::vector<T>& buf =
+              sets[set][static_cast<std::size_t>(src) * shard_count + s];
+          apply_fn(g, i, std::as_const(buf));
+          buf.clear();
+        }
+      },
+      scan_fn);
 }
 
 }  // namespace rbb::kernel

@@ -21,10 +21,10 @@
 // Slot-space convention (shared by every variant so streams never
 // collide):
 //   slot = u                      relaunch destination of releasing bin u
+//                                 (token core)
 //   slot = j * 2^32 + u           candidate j of releasing bin u
-//                                 (repeated d-choices; j < 2^16)
-//   slot = 2^48 + i               fresh arrival i of the round (Tetris /
-//                                 leaky bins; i < 2^32)
+//                                 (repeated d-choices / threshold;
+//                                 j < 2^16)
 //   slot = 2^49 + u               queue-position draw of releasing bin u
 //                                 (random queue policy of the token core)
 //   slot = 2^50 + j * 2^32 + u    weight-CLASS draw of departure j of
@@ -32,8 +32,14 @@
 //                                 j < rate_u < 2^16)
 //   slot = 2^51 + j * 2^32 + u    DESTINATION draw of departure j of
 //                                 releasing bin u (mixed-regime core)
+//   slot = 2^52 + L * 2^32 + i    in-leaf offset of arrival i of leaf L
+//                                 (count-split arrivals of the load-only,
+//                                 Tetris and leaky cores -- count_split.hpp;
+//                                 L < 2^18, i < 2^32)
 //   tag  = 2^56                   the round's arrival-count substream
 //                                 (leaky bins' Binomial(n, lambda) draw)
+//   tag  = 2^57 + v               split-tree node v's binomial substream
+//                                 (count_split.hpp; v < 2^19)
 #pragma once
 
 #include <cstddef>
@@ -60,17 +66,10 @@ namespace rbb::kernel {
   return (static_cast<std::uint64_t>(j) << 32) | u;
 }
 
-/// Slot of the i-th fresh arrival of a round (Tetris / leaky bins).
-inline constexpr std::uint64_t kFreshArrivalBase = std::uint64_t{1} << 48;
-[[nodiscard]] constexpr std::uint64_t fresh_arrival_slot(
-    std::uint64_t i) noexcept {
-  return kFreshArrivalBase + i;
-}
-
 /// Slot of the queue-position draw of releasing bin u under the random
 /// queue policy: which of the bin's `count` tokens departs this round.
 /// One draw per (round, releasing bin), so it is schedule-free; the
-/// base clears the fresh-arrival range (2^48 + i, i < 2^32).
+/// base clears the candidate range (j < 2^16, u < 2^32).
 inline constexpr std::uint64_t kPopSelectBase = std::uint64_t{1} << 49;
 [[nodiscard]] constexpr std::uint64_t pop_select_slot(
     std::uint32_t u) noexcept {
@@ -100,24 +99,48 @@ inline constexpr std::uint64_t kMixedDestBase = std::uint64_t{1} << 51;
   return kMixedDestBase | (static_cast<std::uint64_t>(j) << 32) | u;
 }
 
+/// Base of the count-split leaf draws: arrival i of leaf L of a round
+/// lands at in-leaf offset index(round, 2^52 | (L << 32) | i, |L|).
+/// Leaves hold 2^14 bins and n < 2^32, so L < 2^18; a leaf never
+/// receives 2^32 arrivals in one round, so i never carries into L.
+inline constexpr std::uint64_t kLeafArrivalBase = std::uint64_t{1} << 52;
+inline constexpr std::uint32_t kMaxLeaves = std::uint32_t{1} << 18;
+[[nodiscard]] constexpr std::uint64_t leaf_arrival_slot(
+    std::uint32_t leaf, std::uint64_t i) noexcept {
+  return kLeafArrivalBase | (static_cast<std::uint64_t>(leaf) << 32) | i;
+}
+
 /// Tag of the per-round arrival-count substream (leaky bins).
 inline constexpr std::uint64_t kArrivalCountTag = std::uint64_t{1} << 56;
+
+/// Tag base of the count-split tree: node v (heap numbering, root 1)
+/// draws its left child's share from round_rng(round, 2^57 + v).  A
+/// halving tree over at most 2^18 leaves has depth <= 18, so v < 2^19.
+inline constexpr std::uint64_t kSplitNodeTagBase = std::uint64_t{1} << 57;
+inline constexpr std::uint64_t kMaxSplitNodes = std::uint64_t{1} << 19;
+[[nodiscard]] constexpr std::uint64_t split_node_tag(
+    std::uint32_t node) noexcept {
+  return kSplitNodeTagBase + node;
+}
 
 // The slot bases partition the 64-bit slot space; a new range must
 // clear every existing one.  (candidate_slot spans [0, 2^48) with
 // j < 2^16.)
-static_assert(kFreshArrivalBase >= (std::uint64_t{1} << 48),
-              "fresh arrivals must clear the candidate range");
-static_assert(kPopSelectBase >= kFreshArrivalBase + (std::uint64_t{1} << 32),
-              "pop-select must clear the fresh-arrival range");
+static_assert(kPopSelectBase >= (std::uint64_t{1} << 48),
+              "pop-select must clear the candidate range");
 static_assert(kMixedClassBase >= kPopSelectBase + (std::uint64_t{1} << 32),
               "mixed class draws must clear the pop-select range");
 static_assert(kMixedDestBase >= kMixedClassBase + (std::uint64_t{1} << 48),
               "mixed destination draws must clear the class range "
               "(j < 2^16, u < 2^32)");
-static_assert(kArrivalCountTag >= kMixedDestBase + (std::uint64_t{1} << 48),
-              "the arrival-count tag must clear the mixed destination "
-              "range");
+static_assert(kLeafArrivalBase >= kMixedDestBase + (std::uint64_t{1} << 48),
+              "leaf draws must clear the mixed destination range");
+static_assert(kArrivalCountTag >=
+                  kLeafArrivalBase + (std::uint64_t{kMaxLeaves} << 32),
+              "the arrival-count tag must clear the leaf-draw range "
+              "(L < 2^18, i < 2^32)");
+static_assert(kSplitNodeTagBase > kArrivalCountTag,
+              "split-tree tags must clear the arrival-count tag");
 
 /// Draws buffered per stack chunk when a kernel phase interleaves
 /// plane fills with scatter/apply work (sharded stripes, refill

@@ -280,8 +280,14 @@ struct Tetris {
     if constexpr (Stream::kScheduleFree) {
       if (sampling_ == ArrivalSampling::kSplit) {
         throw std::invalid_argument(
-            "Tetris: multinomial-split sampling is inherently sequential; "
-            "the schedule-free stream supports ball-by-ball arrivals only");
+            "Tetris: the multinomial-split ablation draws from the "
+            "sequential stream; the schedule-free stream always draws "
+            "count-split arrivals");
+      }
+      if (arrivals_ > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::invalid_argument(
+            "Tetris: arrivals per round exceed the 32-bit leaf-draw "
+            "index of the counter stream");
       }
     }
   }
@@ -311,7 +317,7 @@ struct Tetris {
   ArrivalSampling sampling_;
   std::vector<std::uint64_t> first_empty_;
   std::uint32_t not_yet_emptied_ = 0;
-  std::vector<bin_index_t> pending_empty_;  // sequential-path scratch
+  std::vector<bin_index_t> pending_empty_;  // xoshiro-path scratch
 };
 
 /// Leaky bins (Berenbrink et al., PODC 2016): one departure per

@@ -12,12 +12,13 @@
 //   * d-choices draws candidate j of releasing bin u on counter slot
 //     (j, u) and places by the batch-snapshot rule -- all choices read
 //     the post-departure configuration (variants.hpp documents why).
-//   * Tetris / leaky-bins fresh arrival i of a round draws on the
-//     dedicated fresh-arrival slot space; leaky bins' per-round
+//   * Tetris / leaky bins draw count-split arrivals
+//     (core/kernel/count_split.hpp): the round's fresh count is split
+//     over fixed 2^14-bin leaves by conditional binomials and each
+//     leaf draws its in-leaf offsets; leaky bins' per-round
 //     Binomial(n, lambda) count comes from the round's derived
 //     substream, drawn once before any phase.  Deletions (departing
-//     balls leaving the system) happen in the departure walk; arrivals
-//     commit in the canonical sorted-by-releasing-slot order.
+//     balls leaving the system) happen in the departure scan.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,8 @@ class ShardedTetrisProcess
                                      kernel::ShardedExecution> {
  public:
   /// `arrivals_per_round` == 0 selects the paper's floor(3n/4).
-  /// Ball-by-ball arrival sampling only (multinomial splitting is
-  /// inherently sequential).
+  /// Count-split arrivals (core/kernel/count_split.hpp); the D1
+  /// multinomial-split ablation stays on the sequential stream.
   explicit ShardedTetrisProcess(LoadConfig initial, std::uint64_t seed,
                                 std::uint64_t arrivals_per_round = 0,
                                 ShardedOptions options = {})

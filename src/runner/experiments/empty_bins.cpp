@@ -2,7 +2,8 @@
 // are empty, w.h.p., from any start.  Includes the single-round
 // validation of Lemma 1's proof-side expectation bound.
 #include <cmath>
-#include <mutex>
+#include <cstdint>
+#include <vector>
 
 #include "analysis/experiments.hpp"
 #include "core/process.hpp"
@@ -95,17 +96,20 @@ void register_empty_bins(Registry& registry) {
       const double bound =
           (a + b) * std::exp(-(static_cast<double>(n1) - a) /
                              (static_cast<double>(n1) - 1.0));
+      // One slot per trial, folded in trial order: the table never
+      // depends on which trial worker finished first.
+      std::vector<std::uint32_t> empties(single_trials);
+      for_each_trial(single_trials, seed + 6, ctx.trial_plan(single_trials),
+                     [&, base](std::uint32_t trial, Rng& rng) {
+                       RepeatedBallsProcess proc(base, rng.split());
+                       empties[trial] = proc.step().empty_bins;
+                     });
       OnlineMoments x;
       std::uint32_t below_quarter = 0;
-      for_each_trial(single_trials, seed + 6,
-                     [&, base](std::uint32_t, Rng& rng) {
-                       RepeatedBallsProcess proc(base, rng.split());
-                       const RoundStats s = proc.step();
-                       static std::mutex m;
-                       const std::lock_guard<std::mutex> lock(m);
-                       x.add(static_cast<double>(s.empty_bins));
-                       if (s.empty_bins <= n1 / 4) ++below_quarter;
-                     });
+      for (const std::uint32_t empty : empties) {
+        x.add(static_cast<double>(empty));
+        if (empty <= n1 / 4) ++below_quarter;
+      }
       lemma1.row()
           .cell(std::string(to_string(start)))
           .cell(a / n1, 3)

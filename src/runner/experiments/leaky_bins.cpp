@@ -19,9 +19,11 @@ void register_leaky_bins(Registry& registry) {
       "with O(log n)-ish loads; lambda = 1 loses the drift and the mass "
       "wanders.  Backend-capable (leaky family): --backend=sharded runs "
       "the src/par/ counter-RNG kernel -- deletions happen in the "
-      "departure walk, arrivals commit in canonical order, and the "
-      "per-round Binomial(n, lambda) count comes from the round's "
-      "derived counter substream.  --threads sets the total budget and "
+      "departure scan, the per-round Binomial(n, lambda) count comes "
+      "from the round's derived counter substream, and arrivals are "
+      "count-split over fixed 2^14-bin leaves by conditional binomials "
+      "(same law as ball-by-ball throwing, different trajectories).  "
+      "--threads sets the total budget and "
       "--trial-parallelism splits it between concurrent trials and "
       "the sharded rounds inside each trial.";
   e.family = ProcessFamily::kLeaky;

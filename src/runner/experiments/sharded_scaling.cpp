@@ -39,7 +39,7 @@ namespace rbb::runner {
 namespace {
 
 /// Wall seconds for `rounds` rounds of `proc` after one untimed warm-up
-/// round (faults in the arrays and sizes the scatter buffers).  When the
+/// round (faults in the arrays and sizes any scatter buffers).  When the
 /// process has a batched run(), the whole block goes through it so the
 /// sharded kernels take the pipelined multi-round path -- the thing this
 /// experiment is meant to measure; step()-only processes keep the loop.

@@ -21,7 +21,7 @@ void register_tetris_stability(Registry& registry) {
       "arrival rate from 3n/4 toward n erodes the negative drift and the "
       "window max load grows -- showing why the 3/4 constant works.  "
       "Backend-capable (Tetris family): --backend=sharded runs both "
-      "tables on the src/par/ counter-RNG kernel (ball-by-ball "
+      "tables on the src/par/ counter-RNG kernel (count-split "
       "arrivals; same statistics, different trajectories).  --threads sets the total budget and "
       "--trial-parallelism splits it between concurrent trials and "
       "the sharded rounds inside each trial.";

@@ -89,6 +89,14 @@ std::string canonical_options(const TrajectorySpec& s) {
     c += " ratio=" + fmt_f64(s.ratio) + " weights=" + s.weights +
          " bin-profile=" + s.bin_profile;
   }
+  // Load, Tetris and leaky draw count-split arrivals
+  // (core/kernel/count_split.hpp).  A checkpoint written under the
+  // earlier per-ball arrival law lacks this token, so its digest no
+  // longer matches and resume rejects it instead of continuing the
+  // trajectory under a different law.
+  if (s.family == "load" || s.family == "tetris" || s.family == "leaky") {
+    c += " arrival-law=count-split";
+  }
   return c;
 }
 

@@ -7,7 +7,7 @@
 // commute.  These tests pin that the convention really is
 // schedule-independent -- 1/2/8 workers, shard sizes {64, 256, 1024},
 // and the plain sequential counter-stream loop all produce bit-identical
-// trajectories -- and that d = 1 degenerates to the load-only kernel
+// trajectories -- and that d = 1 degenerates to per-ball relaunching
 // draw-for-draw (candidate slot (0, u) IS the relaunch slot u).
 #include "par/sharded_variants.hpp"
 
@@ -18,7 +18,7 @@
 
 #include "core/config.hpp"
 #include "engine/engine.hpp"
-#include "par/sharded_process.hpp"
+#include "core/kernel/stream.hpp"
 
 namespace rbb::par {
 namespace {
@@ -105,18 +105,28 @@ TEST(ShardedDChoices, ParityHoldsFromAdversarialStartAndLargerD) {
   EXPECT_TRUE(a == b);
 }
 
-TEST(ShardedDChoices, DOneDegeneratesToTheLoadOnlyKernel) {
+TEST(ShardedDChoices, DOneDegeneratesToPerBallRelaunching) {
   // With one candidate there is no choice: candidate slot (0, u) equals
-  // the load-only relaunch slot u, so the d = 1 instantiation replays
-  // the sharded load-only kernel's trajectory exactly.
+  // the relaunch slot u, so the d = 1 instantiation replays the naive
+  // per-ball loop that throws bin u's ball to index(round, u, n).
   ShardedDChoicesProcess d1(start_config(), 1, kSeed,
                             {.threads = 2, .shard_size = 256});
-  ShardedRepeatedBallsProcess load_only(start_config(), kSeed,
-                                        {.threads = 2, .shard_size = 256});
+  const kernel::CounterStream stream(kSeed);
+  LoadConfig loads = start_config();
+  std::vector<bin_index_t> releasers;
   for (std::uint64_t r = 0; r < kRounds; ++r) {
+    releasers.clear();
+    for (bin_index_t u = 0; u < kN; ++u) {
+      if (loads[u] > 0) {
+        --loads[u];
+        releasers.push_back(u);
+      }
+    }
+    for (const bin_index_t u : releasers) {
+      ++loads[stream.index(r, kernel::relaunch_slot(u), kN)];
+    }
     d1.step();
-    load_only.step();
-    ASSERT_EQ(d1.loads(), load_only.loads()) << "round " << r;
+    ASSERT_EQ(d1.loads(), loads) << "round " << r;
   }
 }
 

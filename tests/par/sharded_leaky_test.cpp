@@ -74,8 +74,12 @@ TEST(ShardedLeaky, TrajectoryIndependentOfShardSize) {
   const Trajectory s64 = run_sharded({.threads = 2, .shard_size = 64});
   const Trajectory s256 = run_sharded({.threads = 2, .shard_size = 256});
   const Trajectory s1024 = run_sharded({.threads = 2, .shard_size = 1024});
+  // 1008 is not a power of two: its shards and stripes cut the leaves of
+  // the count-split arrivals (core/kernel/count_split.hpp).
+  const Trajectory s1008 = run_sharded({.threads = 2, .shard_size = 1008});
   EXPECT_TRUE(s64 == s256);
   EXPECT_TRUE(s64 == s1024);
+  EXPECT_TRUE(s64 == s1008);
 }
 
 TEST(ShardedLeaky, BitIdenticalToSequentialCounterSibling) {

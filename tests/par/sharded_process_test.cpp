@@ -3,7 +3,7 @@
 // The contracts pinned here are the reason src/par/ is usable for
 // science at all:
 //   * thread-count invariance  -- 1/2/8 workers, same trajectory,
-//   * shard-size invariance    -- shards of 64/256/1024 bins, same
+//   * shard-size invariance    -- shards of 64/256/1024/1008 bins, same
 //     trajectory,
 //   * sequential parity        -- bit-identical to the plain
 //     single-threaded reference loop making the same counter draws,
@@ -81,9 +81,13 @@ TEST(ShardedProcess, TrajectoryIndependentOfShardSize) {
   const Trajectory s64 = run_sharded({.threads = 2, .shard_size = 64});
   const Trajectory s256 = run_sharded({.threads = 2, .shard_size = 256});
   const Trajectory s1024 = run_sharded({.threads = 2, .shard_size = 1024});
+  // 1008 is not a power of two: its shards and stripes cut the leaves of
+  // the count-split arrivals (core/kernel/count_split.hpp).
+  const Trajectory s1008 = run_sharded({.threads = 2, .shard_size = 1008});
   const Trajectory whole = run_sharded({.threads = 2, .shard_size = kN});
   EXPECT_TRUE(s64 == s256);
   EXPECT_TRUE(s64 == s1024);
+  EXPECT_TRUE(s64 == s1008);
   EXPECT_TRUE(s64 == whole);
 }
 

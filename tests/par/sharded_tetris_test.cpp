@@ -3,7 +3,7 @@
 //
 // Contracts pinned, mirroring sharded_process_test.cpp:
 //   * thread-count invariance  -- 1/2/8 workers, same trajectory,
-//   * shard-size invariance    -- shards of 64/256/1024 bins,
+//   * shard-size invariance    -- shards of 64/256/1024/1008 bins,
 //   * sequential parity        -- bit-identical to the sequential
 //     counter-stream sibling, INCLUDING the per-bin first-empty rounds
 //     (Lemma 4's observable) and the evolving ball total,
@@ -79,8 +79,12 @@ TEST(ShardedTetris, TrajectoryIndependentOfShardSize) {
   const Trajectory s64 = run_sharded({.threads = 2, .shard_size = 64});
   const Trajectory s256 = run_sharded({.threads = 2, .shard_size = 256});
   const Trajectory s1024 = run_sharded({.threads = 2, .shard_size = 1024});
+  // 1008 is not a power of two: its shards and stripes cut the leaves of
+  // the count-split arrivals (core/kernel/count_split.hpp).
+  const Trajectory s1008 = run_sharded({.threads = 2, .shard_size = 1008});
   EXPECT_TRUE(s64 == s256);
   EXPECT_TRUE(s64 == s1024);
+  EXPECT_TRUE(s64 == s1008);
 }
 
 TEST(ShardedTetris, BitIdenticalToSequentialCounterSibling) {
@@ -144,6 +148,15 @@ TEST(ShardedTetris, RejectsSplitSamplingUnderCounterStream) {
                     TetrisCounter(kernel::CounterStream(kSeed), 0,
                                   ArrivalSampling::kSplit)),
                std::invalid_argument);
+}
+
+TEST(ShardedTetris, RejectsArrivalsBeyondTheLeafDrawIndex) {
+  // Count-split arrival i of a leaf draws on slot field i < 2^32.
+  EXPECT_THROW(ShardedTetrisProcess(LoadConfig(kN, 1), kSeed,
+                                    std::uint64_t{1} << 32),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ShardedTetrisProcess(LoadConfig(kN, 1), kSeed,
+                                       (std::uint64_t{1} << 32) - 1));
 }
 
 static_assert(SimProcess<ShardedTetrisProcess>,

@@ -66,4 +66,35 @@ inline double ks_bound(std::size_t n) {
   return 2.0 / std::sqrt(static_cast<double>(n));
 }
 
+/// Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+/// two empirical cdfs, evaluated at every distinct value (exact for
+/// discrete samples, where ties move both cdfs at once).  Sorts both
+/// samples in place.
+inline double ks_two_sample(std::vector<double>& a, std::vector<double>& b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  double d = 0.0;
+  while (i < a.size() && j < b.size()) {
+    const double x = std::min(a[i], b[j]);
+    while (i < a.size() && a[i] == x) ++i;
+    while (j < b.size() && b[j] == x) ++j;
+    d = std::max(d, std::abs(static_cast<double>(i) / na -
+                             static_cast<double>(j) / nb));
+  }
+  return d;
+}
+
+/// Generous two-sample KS acceptance bound, the two-sample analogue of
+/// ks_bound: 2 sqrt((n_a + n_b) / (n_a n_b)) sits past the p ~ 7e-4
+/// tail (and discrete samples only make the test more conservative).
+inline double ks_two_sample_bound(std::size_t na, std::size_t nb) {
+  const double a = static_cast<double>(na);
+  const double b = static_cast<double>(nb);
+  return 2.0 * std::sqrt((a + b) / (a * b));
+}
+
 }  // namespace rbb::testing
