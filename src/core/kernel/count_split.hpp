@@ -20,9 +20,16 @@
 //              (BinomialSampler) from round_rng(round, split_node_tag(v)).
 //              A node's split depends only on (seed, round, v, k_v), so
 //              any walk that reaches v computes the same split.
-//   leaf    -- leaf L's k_L arrivals land at in-leaf offsets
-//              index(round, leaf_arrival_slot(L, i), |L|), i < k_L,
-//              materialized by DrawPlane::fill_range in chunks.
+//   leaf    -- leaf L's k_L arrivals land at in-leaf offsets drawn in
+//              chunks of kDrawChunk.  A full leaf packs eight offsets
+//              into each Philox block: arrival i is 16-bit lane i % 8
+//              (lane 2w = low half of word w, 2w + 1 = high half) of
+//              block leaf_arrival_slot(L, i / 8), masked to kLeafBits,
+//              exactly uniform on [0, 2^14) (DrawPlane::fill_packed16).
+//              The partial last leaf (n not a multiple of 2^14) draws
+//              index(round, leaf_arrival_slot(L, i), |L|), one Lemire
+//              draw per block (DrawPlane::fill_range).  The two never
+//              share a slot: they key different leaves L.
 //
 // Conditioned on the leaf counts the in-leaf offsets are i.i.d.
 // uniform, and the tree's conditional binomials make the leaf counts
@@ -46,8 +53,14 @@
 namespace rbb::kernel {
 
 /// Bins per count-split leaf; also the default shard size, so at the
-/// default shard layout every leaf lies inside one shard.
-inline constexpr std::uint32_t kLeafBins = 16384;
+/// default shard layout every leaf lies inside one shard.  A power of
+/// two of at most 16 bits, so a packed 16-bit lane masked to kLeafBits
+/// is an exact in-leaf offset.
+inline constexpr unsigned kLeafBits = 14;
+inline constexpr std::uint32_t kLeafBins = std::uint32_t{1} << kLeafBits;
+static_assert(kLeafBits <= 16, "in-leaf offsets are packed 16-bit lanes");
+static_assert(kDrawChunk % 8 == 0,
+              "every leaf-draw chunk starts on a packed block boundary");
 static_assert(kLeafBins == kDefaultShardSize,
               "leaves are default shards: one leaf per default shard");
 static_assert(std::uint64_t{kLeafBins} * kMaxLeaves ==
@@ -151,7 +164,8 @@ class LeafSplit {
 
   /// Draws leaf `leaf`'s `count` arrivals of `round` and hands each
   /// chunk to fn(base, offsets, len): the arrivals land at bins
-  /// base + offsets[0..len).
+  /// base + offsets[0..len).  Full leaves take eight packed offsets per
+  /// block, the partial last leaf one Lemire draw per block.
   template <typename Fn>
   void draw_leaf(const CounterStream& stream, std::uint64_t round,
                  std::uint32_t leaf, ball_count_t count, Fn&& fn) const {
@@ -162,7 +176,13 @@ class LeafSplit {
       const auto len = static_cast<std::uint32_t>(
           std::min<ball_count_t>(kDrawChunk, count - i));
       obs::add(obs::Counter::kChunkFlushes);
-      stream.fill_range(round, leaf_arrival_slot(leaf, i), len, bins, chunk);
+      if (bins == kLeafBins) {
+        stream.fill_packed16(round, leaf_arrival_slot(leaf, i / 8), len,
+                             kLeafBits, chunk);
+      } else {
+        stream.fill_range(round, leaf_arrival_slot(leaf, i), len, bins,
+                          chunk);
+      }
       fn(base, static_cast<const bin_index_t*>(chunk), len);
       i += len;
     }

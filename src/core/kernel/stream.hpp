@@ -32,10 +32,15 @@
 //                                 j < rate_u < 2^16)
 //   slot = 2^51 + j * 2^32 + u    DESTINATION draw of departure j of
 //                                 releasing bin u (mixed-regime core)
-//   slot = 2^52 + L * 2^32 + i    in-leaf offset of arrival i of leaf L
-//                                 (count-split arrivals of the load-only,
-//                                 Tetris and leaky cores -- count_split.hpp;
-//                                 L < 2^18, i < 2^32)
+//   slot = 2^52 + L * 2^32 + b    in-leaf offsets of leaf L (count-split
+//                                 arrivals of the load-only, Tetris and
+//                                 leaky cores -- count_split.hpp;
+//                                 L < 2^18).  A full 2^14-bin leaf packs
+//                                 eight: arrival i is 16-bit lane i % 8
+//                                 of block b = i / 8, masked to 14 bits.
+//                                 The partial last leaf draws one per
+//                                 block: arrival i is the Lemire draw of
+//                                 b = i < 2^32.
 //   tag  = 2^56                   the round's arrival-count substream
 //                                 (leaky bins' Binomial(n, lambda) draw)
 //   tag  = 2^57 + v               split-tree node v's binomial substream
@@ -99,10 +104,12 @@ inline constexpr std::uint64_t kMixedDestBase = std::uint64_t{1} << 51;
   return kMixedDestBase | (static_cast<std::uint64_t>(j) << 32) | u;
 }
 
-/// Base of the count-split leaf draws: arrival i of leaf L of a round
-/// lands at in-leaf offset index(round, 2^52 | (L << 32) | i, |L|).
-/// Leaves hold 2^14 bins and n < 2^32, so L < 2^18; a leaf never
-/// receives 2^32 arrivals in one round, so i never carries into L.
+/// Base of the count-split leaf draws: block b of leaf L of a round is
+/// slot 2^52 | (L << 32) | b.  A full leaf takes eight in-leaf offsets
+/// from each block (DrawPlane::fill_packed16, b = i / 8); the partial
+/// last leaf takes index(round, slot, |L|) with b = i.  Leaves hold
+/// 2^14 bins and n < 2^32, so L < 2^18; a leaf never receives 2^32
+/// arrivals in one round, so b never carries into L.
 inline constexpr std::uint64_t kLeafArrivalBase = std::uint64_t{1} << 52;
 inline constexpr std::uint32_t kMaxLeaves = std::uint32_t{1} << 18;
 [[nodiscard]] constexpr std::uint64_t leaf_arrival_slot(
@@ -185,6 +192,16 @@ class CounterStream {
                   std::size_t count, std::uint32_t n,
                   std::uint32_t* out) const noexcept {
     plane_.fill_range(round, slot_begin, count, n, out);
+  }
+
+  /// Eight uniform `bits`-bit draws per block of the contiguous block
+  /// range starting at slot_begin (DrawPlane::fill_packed16): out[i] is
+  /// 16-bit lane i % 8 of block slot_begin + i / 8, masked.  The
+  /// in-leaf offsets of full count-split leaves use this.
+  void fill_packed16(std::uint64_t round, std::uint64_t slot_begin,
+                     std::size_t count, unsigned bits,
+                     std::uint32_t* out) const noexcept {
+    plane_.fill_packed16(round, slot_begin, count, bits, out);
   }
 
   /// Batched draws for a gathered slot list sharing the upper slot

@@ -39,9 +39,10 @@ namespace rbb::obs {
 /// keys of the result schema's `metrics.counters` block -- append only.
 enum class Counter : unsigned {
   kLemireRetries = 0,     // deferred second-word retries in lemire_batch
-  kPlaneBatchesPortable,  // <= 64-slot draw-plane batches, portable path
-  kPlaneBatchesAvx2,      // <= 64-slot draw-plane batches, AVX2 path
-  kPlaneDraws,            // bounded draws materialized by the plane
+  kPlaneBatchesPortable,  // <= 64-draw draw-plane batches, portable path
+  kPlaneBatchesAvx2,      // <= 64-draw draw-plane batches, AVX2 path
+  kPlaneDraws,            // draws (offsets, not blocks) the plane output;
+                          // fill_packed16 takes eight from one block
   kChunkFlushes,          // sharded-kernel draw-chunk flushes (kDrawChunk)
   kMixedDrops,            // balls dropped by the mixed-regime kernel
   kFaultsInjected,        // engine fault-policy injections
@@ -68,7 +69,7 @@ enum class Phase : unsigned {
   kChoose,       // sharded kernel phase 1.5: d-choices / threshold picks
   kCommit,       // sharded kernel phase 2: owner commit tasks
   kRescan,       // commit-epilogue shard load rescans (stats)
-  kPlaneFill,    // DrawPlane fill_range / fill_gather
+  kPlaneFill,    // DrawPlane fill_range / fill_gather / fill_packed16
   kBarrierWait,  // submitter wait for ThreadPool batch completion
   kPoolTask,     // ThreadPool task bodies (invoke only, excludes waits)
   kRound,        // one engine round (includes the kernel phases)

@@ -84,8 +84,9 @@ void register_sharded_scaling(Registry& registry) {
       "kernel state per ball and the process peak RSS -- informational "
       "columns, not gated by tools/bench_diff.py.  The JSON output of "
       "this experiment is the tracked perf baseline BENCH_sharded.json.  "
-      "Single-instance measurement: --trials is ignored.";
+      "Single-instance measurement: --trials is rejected.";
   e.family = ProcessFamily::kKernelSuite;
+  e.single_instance = true;
   e.params = {
       {"rounds", ParamSpec::Type::kU64, "0",
        "measured rounds per point (0 = auto, ~6.4e7 bin-visits per "

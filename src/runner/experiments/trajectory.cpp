@@ -89,13 +89,14 @@ std::string canonical_options(const TrajectorySpec& s) {
     c += " ratio=" + fmt_f64(s.ratio) + " weights=" + s.weights +
          " bin-profile=" + s.bin_profile;
   }
-  // Load, Tetris and leaky draw count-split arrivals
-  // (core/kernel/count_split.hpp).  A checkpoint written under the
-  // earlier per-ball arrival law lacks this token, so its digest no
-  // longer matches and resume rejects it instead of continuing the
-  // trajectory under a different law.
+  // Load, Tetris and leaky draw count-split arrivals with packed
+  // in-leaf offsets (core/kernel/count_split.hpp).  A checkpoint
+  // written under an earlier arrival law (per-ball draws: no token;
+  // one Lemire draw per offset: `count-split`) carries another digest,
+  // so resume rejects it instead of continuing the trajectory under
+  // different draws.
   if (s.family == "load" || s.family == "tetris" || s.family == "leaky") {
-    c += " arrival-law=count-split";
+    c += " arrival-law=count-split-packed";
   }
   return c;
 }
@@ -162,6 +163,7 @@ void register_trajectory(Registry& registry) {
       "backend at any worker count (the snapshot CRC column proves it).";
   e.family = ProcessFamily::kKernelSuite;
   e.checkpointable = true;
+  e.single_instance = true;
   e.params = {
       {"family", ParamSpec::Type::kString, "load",
        "kernel family: load, token, tetris, dchoices, leaky or mixed"},

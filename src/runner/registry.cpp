@@ -236,6 +236,12 @@ CompletedRun run_experiment(const Experiment& experiment,
         "round kernel, so there is no thread budget to size (drop the "
         "flags, or pick a backend-capable experiment)");
   }
+  if (experiment.single_instance && values.u64("trials") != 0) {
+    throw std::invalid_argument(
+        experiment.name +
+        " does not accept --trials: it runs a single instance, so there "
+        "are no trials to count (drop the flag)");
+  }
   const std::uint64_t repeat = values.u64("repeat");
   if (repeat == 0) {
     throw std::invalid_argument("--repeat expects a positive count");

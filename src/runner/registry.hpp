@@ -137,6 +137,10 @@ struct Experiment {
   /// run_experiment rejects the checkpoint flags on every other
   /// experiment so they can never be silently ignored.
   bool checkpointable = false;
+  /// True for experiments that run exactly one instance, with no trial
+  /// loop.  run_experiment rejects --trials on them so it can never be
+  /// silently ignored.
+  bool single_instance = false;
   std::vector<ParamSpec> params;  // registry prepends seed/trials/backend/...
   std::function<ResultSet(const RunContext&)> run;
 };

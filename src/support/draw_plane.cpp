@@ -16,6 +16,8 @@
 // The bounded reduction is shared by every path: multiply-shift on the
 // first word, deferred-retry on the second (lemire_batch), equal to
 // lemire_bounded by the threshold < n argument in counter_rng.hpp.
+// fill_packed16 skips it: it unpacks each block into eight masked
+// 16-bit lanes (unpack16; on AVX2 a 4x8 transpose plus a zero-extend).
 #include "support/draw_plane.hpp"
 
 #include <algorithm>
@@ -147,6 +149,35 @@ void words_range_portable(const PhiloxKeySchedule& ks, std::uint32_t lo_base,
   }
 }
 
+/// The eight 16-bit lanes of one block's words (w0, w1), masked, into
+/// out[0..8): lane 2w is the low half of 32-bit word w, lane 2w + 1 its
+/// high half, so lanes 0..3 come from w0 and 4..7 from w1.
+inline void unpack16(std::uint64_t w0, std::uint64_t w1, std::uint32_t mask,
+                     std::uint32_t* out) noexcept {
+  for (int k = 0; k < 4; ++k) {
+    out[k] = static_cast<std::uint32_t>(w0 >> (16 * k)) & mask;
+    out[4 + k] = static_cast<std::uint32_t>(w1 >> (16 * k)) & mask;
+  }
+}
+
+/// Packed lanes of the `blocks` blocks [lo_base, lo_base + blocks),
+/// portable path: 8 * blocks outputs.  lo never wraps (see
+/// fill_packed16).
+void packed_range_portable(const PhiloxKeySchedule& ks, std::uint32_t lo_base,
+                           std::uint32_t c1, std::uint32_t c2,
+                           std::uint32_t c3, std::size_t blocks,
+                           std::uint32_t mask, std::uint32_t* out) noexcept {
+  std::uint64_t w0[kBatch], w1[kBatch];
+  for (std::size_t b = 0; b < blocks; b += kBatch) {
+    const std::size_t len = std::min(blocks - b, kBatch);
+    words_range_portable(ks, lo_base + static_cast<std::uint32_t>(b), c1, c2,
+                         c3, len, w0, w1);
+    for (std::size_t l = 0; l < len; ++l) {
+      unpack16(w0[l], w1[l], mask, out + 8 * (b + l));
+    }
+  }
+}
+
 // ---- AVX2 block generator --------------------------------------------------
 
 #if RBB_PLANE_X86
@@ -240,6 +271,56 @@ __attribute__((target("avx2"))) void words_range_avx2(
   }
 }
 
+/// Packed lanes of `blocks` blocks, AVX2 path.  After the rounds x_w
+/// holds word w of eight blocks; a 4x8 transpose turns them into
+/// block-major quads whose 128-bit halves are each one block's eight
+/// 16-bit lanes in lane order, zero-extended to 32 bits and masked.
+__attribute__((target("avx2"))) void packed_range_avx2(
+    const PhiloxKeySchedule& ks, std::uint32_t lo_base, std::uint32_t c1,
+    std::uint32_t c2, std::uint32_t c3, std::size_t blocks,
+    std::uint32_t mask, std::uint32_t* out) noexcept {
+  const __m256i c1v = _mm256_set1_epi32(static_cast<int>(c1));
+  const __m256i c2v = _mm256_set1_epi32(static_cast<int>(c2));
+  const __m256i c3v = _mm256_set1_epi32(static_cast<int>(c3));
+  const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i maskv = _mm256_set1_epi32(static_cast<int>(mask));
+  std::size_t b = 0;
+  for (; b + 8 <= blocks; b += 8) {
+    const __m256i base = _mm256_set1_epi32(
+        static_cast<int>(lo_base + static_cast<std::uint32_t>(b)));
+    __m256i x0 = _mm256_add_epi32(base, iota);
+    __m256i x1 = c1v, x2 = c2v, x3 = c3v;
+    philox8_rounds_avx2(ks, x0, x1, x2, x3);
+    // 128-bit half h of t01lo holds (w0, w1) of blocks 4h and 4h + 1,
+    // t01hi of 4h + 2 and 4h + 3; likewise t23 for (w2, w3).
+    const __m256i t01lo = _mm256_unpacklo_epi32(x0, x1);
+    const __m256i t01hi = _mm256_unpackhi_epi32(x0, x1);
+    const __m256i t23lo = _mm256_unpacklo_epi32(x2, x3);
+    const __m256i t23hi = _mm256_unpackhi_epi32(x2, x3);
+    // quad[j], half h: words 0..3 of block 4h + j.
+    const __m256i quad[4] = {_mm256_unpacklo_epi64(t01lo, t23lo),
+                             _mm256_unpackhi_epi64(t01lo, t23lo),
+                             _mm256_unpacklo_epi64(t01hi, t23hi),
+                             _mm256_unpackhi_epi64(t01hi, t23hi)};
+    for (std::size_t j = 0; j < 4; ++j) {
+      const __m256i lanes_lo = _mm256_and_si256(
+          _mm256_cvtepu16_epi32(_mm256_castsi256_si128(quad[j])), maskv);
+      const __m256i lanes_hi = _mm256_and_si256(
+          _mm256_cvtepu16_epi32(_mm256_extracti128_si256(quad[j], 1)), maskv);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * (b + j)),
+                          lanes_lo);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 8 * (b + 4 + j)),
+                          lanes_hi);
+    }
+  }
+  std::uint64_t w0 = 0, w1 = 0;
+  for (; b < blocks; ++b) {
+    philox_one(ks, lo_base + static_cast<std::uint32_t>(b), c1, c2, c3, w0,
+               w1);
+    unpack16(w0, w1, mask, out + 8 * b);
+  }
+}
+
 #endif  // RBB_PLANE_X86
 
 // ---- batched bounded reduction ---------------------------------------------
@@ -270,6 +351,18 @@ inline void lemire_batch(const std::uint64_t* w0, const std::uint64_t* w1,
   // The scalar lemire_bounded stays constexpr (KAT-pinned); the retry
   // telemetry lives here because every hot consumer reduces in batches.
   if (retries != 0) obs::add(obs::Counter::kLemireRetries, retries);
+}
+
+/// Telemetry of one plane fill that started at t0 (0 = telemetry off):
+/// its time, its batches by ISA and its draws.
+inline void record_fill(std::uint64_t t0, bool avx2, std::uint64_t batches,
+                        std::size_t draws) noexcept {
+  if (t0 == 0) return;
+  obs::add_phase_ns(obs::Phase::kPlaneFill, obs::now_ns() - t0);
+  obs::add(avx2 ? obs::Counter::kPlaneBatchesAvx2
+                : obs::Counter::kPlaneBatchesPortable,
+           batches);
+  obs::add(obs::Counter::kPlaneDraws, draws);
 }
 
 }  // namespace
@@ -348,13 +441,49 @@ void DrawPlane::fill_range(std::uint64_t round, std::uint64_t slot_begin,
     out += len;
     count -= len;
   }
-  if (t0 != 0) {
-    obs::add_phase_ns(obs::Phase::kPlaneFill, obs::now_ns() - t0);
-    obs::add(avx2 ? obs::Counter::kPlaneBatchesAvx2
-                  : obs::Counter::kPlaneBatchesPortable,
-             batches);
-    obs::add(obs::Counter::kPlaneDraws, total);
+  record_fill(t0, avx2, batches, total);
+}
+
+void DrawPlane::fill_packed16(std::uint64_t round, std::uint64_t slot_begin,
+                              std::size_t count, unsigned bits,
+                              std::uint32_t* out) const noexcept {
+  const std::uint32_t mask = (std::uint32_t{1} << bits) - 1;
+  const auto c2 = static_cast<std::uint32_t>(round);
+  const auto c3 = static_cast<std::uint32_t>(round >> 32);
+  const bool avx2 = active_plane_isa() == PlaneIsa::kAvx2;
+  const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
+  std::uint64_t batches = 0;
+  const std::size_t total = count;
+  while (count >= 8) {
+    const auto lo = static_cast<std::uint32_t>(slot_begin);
+    const auto hi = static_cast<std::uint32_t>(slot_begin >> 32);
+    // Whole blocks up to the next 2^32 slot boundary, as in fill_range.
+    const std::size_t blocks =
+        std::min<std::uint64_t>(count / 8, 0x100000000ull - lo);
+#if RBB_PLANE_X86
+    if (avx2) {
+      packed_range_avx2(schedule_, lo, hi, c2, c3, blocks, mask, out);
+    } else {
+      packed_range_portable(schedule_, lo, hi, c2, c3, blocks, mask, out);
+    }
+#else
+    packed_range_portable(schedule_, lo, hi, c2, c3, blocks, mask, out);
+#endif
+    batches += (blocks + 7) / 8;
+    slot_begin += blocks;
+    out += 8 * blocks;
+    count -= 8 * blocks;
   }
+  if (count > 0) {  // the first count lanes of one more block
+    std::uint64_t w0 = 0, w1 = 0;
+    philox_one(schedule_, static_cast<std::uint32_t>(slot_begin),
+               static_cast<std::uint32_t>(slot_begin >> 32), c2, c3, w0, w1);
+    std::uint32_t lanes[8];
+    unpack16(w0, w1, mask, lanes);
+    std::copy(lanes, lanes + count, out);
+    ++batches;
+  }
+  record_fill(t0, avx2, batches, total);
 }
 
 void DrawPlane::fill_gather(std::uint64_t round, const std::uint32_t* slot_lo,
@@ -387,13 +516,7 @@ void DrawPlane::fill_gather(std::uint64_t round, const std::uint32_t* slot_lo,
     out += len;
     count -= len;
   }
-  if (t0 != 0) {
-    obs::add_phase_ns(obs::Phase::kPlaneFill, obs::now_ns() - t0);
-    obs::add(avx2 ? obs::Counter::kPlaneBatchesAvx2
-                  : obs::Counter::kPlaneBatchesPortable,
-             batches);
-    obs::add(obs::Counter::kPlaneDraws, total);
-  }
+  record_fill(t0, avx2, batches, total);
 }
 
 }  // namespace rbb

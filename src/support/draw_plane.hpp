@@ -27,7 +27,10 @@
 // Bit-identity contract: for every slot, the plane output equals
 // lemire_bounded(words(round, slot), n) of the scalar CounterRng --
 // same (seed, round, slot) -> block mapping, only the evaluation order
-// changes.  tests/support/draw_plane_test.cpp pins this across
+// changes.  fill_packed16 is the one entry that takes several draws
+// from a block: eight 16-bit lanes of CounterRng::block, masked to a
+// power-of-two range, for bounds that need no more than 16 bits.
+// tests/support/draw_plane_test.cpp pins all three entries across
 // unaligned ranges, tail lanes, gathered slot lists, and both dispatch
 // branches; every sharded parity suite inherits the pin end to end.
 //
@@ -99,6 +102,18 @@ class DrawPlane {
   void fill_gather(std::uint64_t round, const std::uint32_t* slot_lo,
                    std::uint32_t slot_hi, std::size_t count, std::uint32_t n,
                    std::uint32_t* out) const noexcept;
+
+  /// Packed 16-bit draws of the contiguous block range that starts at
+  /// slot_begin, eight per block: out[i] = 16-bit lane i % 8 of
+  /// CounterRng::block(round, slot_begin + i / 8), masked to its low
+  /// `bits` bits (1 <= bits <= 16).  Lane 2w is the low half of 32-bit
+  /// word w, lane 2w + 1 its high half.  Each output is exactly uniform
+  /// on [0, 2^bits): no bounded reduction, no rejection.  A count that
+  /// is not a multiple of 8 uses the first count % 8 lanes of its last
+  /// block.
+  void fill_packed16(std::uint64_t round, std::uint64_t slot_begin,
+                     std::size_t count, unsigned bits,
+                     std::uint32_t* out) const noexcept;
 
   /// The hoisted per-round keys (testing only).
   [[nodiscard]] constexpr const PhiloxKeySchedule& schedule() const noexcept {

@@ -1,12 +1,15 @@
 // The arrival-law guard of the trajectory checkpoints.
 //
 // Load, Tetris and leaky switched from per-ball destination draws to
-// count-split arrivals (core/kernel/count_split.hpp): same law, other
-// draws, so a checkpoint written before the switch would resume into a
-// different trajectory.  Their options digest therefore carries
-// `arrival-law=count-split`, and a checkpoint stamped with the earlier
-// digest must be refused with kDigestMismatch.  Token, d-choices and
-// mixed kept their kernels, so their digests must not move.
+// count-split arrivals (core/kernel/count_split.hpp), and then from one
+// Lemire draw per in-leaf offset to eight packed offsets per Philox
+// block: same law, other draws, so a checkpoint written before either
+// switch would resume into a different trajectory.  Their options
+// digest therefore carries `arrival-law=count-split-packed`, and a
+// checkpoint stamped with either earlier digest (no token, or
+// `arrival-law=count-split`) must be refused with kDigestMismatch.
+// Token, d-choices and mixed kept their kernels, so their digests must
+// not move.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -58,11 +61,13 @@ void resume_from(const std::string& family, const std::string& path) {
   (void)runner::run_experiment(*e, values, BenchScale::kSmoke);
 }
 
-/// The options digest every trajectory checkpoint carried before the
-/// count-split arrival law (the defaults: tetris arrivals 0, leaky
-/// lambda 0.5, token policy fifo, d-choices d 2, mixed unit/uniform at
-/// ratio 2).
-std::uint32_t digest_before_count_split(const std::string& family) {
+/// The options digest of a trajectory checkpoint at the defaults
+/// (tetris arrivals 0, leaky lambda 0.5, token policy fifo, d-choices
+/// d 2, mixed unit/uniform at ratio 2), followed by `suffix`: empty for
+/// the per-ball arrival law, " arrival-law=count-split" for count-split
+/// arrivals with one Lemire draw per in-leaf offset.
+std::uint32_t digest_with(const std::string& family,
+                          const std::string& suffix = "") {
   std::string c = std::string("experiment=trajectory family=") + family +
                   " n=" + kN + " seed=" + kSeed;
   if (family == "token") c += " policy=fifo";
@@ -72,8 +77,11 @@ std::uint32_t digest_before_count_split(const std::string& family) {
   if (family == "mixed") {
     c += " ratio=2 weights=unit bin-profile=uniform";
   }
-  return ckpt::digest(c);
+  return ckpt::digest(c + suffix);
 }
+
+/// The earlier arrival laws of the load-family checkpoints.
+constexpr const char* kOldLaws[] = {"", " arrival-law=count-split"};
 
 class ArrivalLawGuard : public ::testing::TestWithParam<const char*> {
  protected:
@@ -93,19 +101,23 @@ TEST_P(ArrivalLawGuard, PreCountSplitCheckpointIsRejected) {
   const std::string family = GetParam();
   const std::string path = write_trajectory_checkpoint(family, dir_.string());
   ckpt::Checkpoint c = ckpt::read_checkpoint(path);
-  EXPECT_NE(c.header.options_digest, digest_before_count_split(family));
   EXPECT_NO_THROW(resume_from(family, path)) << "the current digest resumes";
 
-  // The same checkpoint stamped the way the per-ball kernels stamped it.
-  c.header.options_digest = digest_before_count_split(family);
-  const std::string old_path = (dir_ / "pre-count-split.ckpt").string();
-  std::string error;
-  ASSERT_TRUE(ckpt::write_checkpoint_file(old_path, c, &error)) << error;
-  try {
-    resume_from(family, old_path);
-    ADD_FAILURE() << family << ": a pre-count-split checkpoint resumed";
-  } catch (const ckpt::Error& e) {
-    EXPECT_EQ(e.kind(), ckpt::ErrorKind::kDigestMismatch) << e.what();
+  // The same checkpoint stamped the way each earlier law stamped it.
+  for (const char* law : kOldLaws) {
+    SCOPED_TRACE(std::string("old law suffix \"") + law + "\"");
+    EXPECT_NE(c.header.options_digest, digest_with(family, law));
+    ckpt::Checkpoint old = c;
+    old.header.options_digest = digest_with(family, law);
+    const std::string old_path = (dir_ / "old-law.ckpt").string();
+    std::string error;
+    ASSERT_TRUE(ckpt::write_checkpoint_file(old_path, old, &error)) << error;
+    try {
+      resume_from(family, old_path);
+      ADD_FAILURE() << family << ": an earlier-law checkpoint resumed";
+    } catch (const ckpt::Error& e) {
+      EXPECT_EQ(e.kind(), ckpt::ErrorKind::kDigestMismatch) << e.what();
+    }
   }
 }
 
@@ -121,7 +133,7 @@ TEST(ArrivalLawGuardScope, OtherFamiliesKeepTheirDigest) {
     fs::create_directories(dir);
     const ckpt::Checkpoint c = ckpt::read_checkpoint(
         write_trajectory_checkpoint(family, dir.string()));
-    EXPECT_EQ(c.header.options_digest, digest_before_count_split(family))
+    EXPECT_EQ(c.header.options_digest, digest_with(family))
         << family;
     fs::remove_all(dir);
   }

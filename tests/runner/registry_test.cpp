@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "runner/registry.hpp"
 
@@ -274,6 +275,28 @@ TEST(Registry, ThreadFlagsAreRejectedWithoutARoundKernel) {
   ASSERT_TRUE(values.set("threads", "2"));
   ASSERT_TRUE(values.set("trial-parallelism", "2"));
   EXPECT_NO_THROW((void)run_experiment(*stability, values, BenchScale::kSmoke));
+}
+
+TEST(Registry, SingleInstanceExperimentsRejectTrials) {
+  // sharded_scaling and trajectory run one instance; an explicit
+  // --trials would be silently ignored, so it must fail the run.
+  std::vector<std::string> single;
+  for (const Experiment& e : default_registry().experiments()) {
+    if (!e.single_instance) continue;
+    single.push_back(e.name);
+    ParamValues values(e.params);
+    ASSERT_TRUE(values.set("trials", "3"));
+    try {
+      (void)run_experiment(e, values, BenchScale::kSmoke);
+      ADD_FAILURE() << e.name << " accepted --trials";
+    } catch (const std::invalid_argument& err) {
+      const std::string what = err.what();
+      EXPECT_NE(what.find(e.name), std::string::npos) << what;
+      EXPECT_NE(what.find("--trials"), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(single,
+            (std::vector<std::string>{"sharded_scaling", "trajectory"}));
 }
 
 TEST(Registry, GitRevisionIsAShortHashWithDirtyMarkerOrUnknown) {

@@ -9,6 +9,9 @@
 //   * one round's arrival vector is uniform over the bins (chi-square),
 //     at n a multiple and a non-multiple of the leaf size, through the
 //     sharded kernel itself;
+//   * the eight packed offsets a full leaf takes from one Philox block
+//     are pairwise independent across neighbouring lanes (chi-square of
+//     a joint histogram);
 //   * the window max load of the count-split counter core and of the
 //     per-ball xoshiro kernel have the same distribution (two-sample
 //     KS), for load-only and for Tetris.
@@ -134,6 +137,33 @@ TEST(CountSplit, OneRoundArrivalsAreUniformAtANonMultiple) {
   // Three full leaves and a 1234-bin tail leaf: the tree's binomial
   // weights must follow bins, not leaves.
   ExpectUniformArrivals(3 * kLeafBins + 1234, 0x22ULL);
+}
+
+TEST(CountSplit, PackedLanesOfOneBlockAreIndependent) {
+  // A full leaf's arrivals 8b .. 8b + 7 are the eight 16-bit lanes of one
+  // block.  Lanes j, j + 1 share a 32-bit word for even j and straddle
+  // two words for odd j; the top 3 bits of each pair's offsets must be
+  // jointly uniform over the 64 cells.
+  constexpr std::uint32_t kBlocks = 8192;
+  const kernel::CounterStream stream(0x33ULL);
+  const LeafSplit split(4 * kLeafBins);
+  std::vector<bin_index_t> offsets;
+  split.draw_leaf(stream, 5, 2, 8 * kBlocks,
+                  [&](bin_index_t, const bin_index_t* chunk,
+                      std::uint32_t len) {
+                    offsets.insert(offsets.end(), chunk, chunk + len);
+                  });
+  ASSERT_EQ(offsets.size(), 8 * kBlocks);
+  constexpr unsigned kShift = kernel::kLeafBits - 3;
+  for (std::uint32_t j = 0; j + 1 < 8; ++j) {
+    std::vector<std::uint64_t> joint(64, 0);
+    for (std::uint32_t b = 0; b < kBlocks; ++b) {
+      ++joint[(offsets[8 * b + j] >> kShift) * 8 +
+              (offsets[8 * b + j + 1] >> kShift)];
+    }
+    EXPECT_LT(testing::chi_square_uniform(joint), chi_square_bound(63))
+        << "lanes " << j << ", " << j + 1;
+  }
 }
 
 // --- equivalence in law with the per-ball xoshiro kernels --------------------

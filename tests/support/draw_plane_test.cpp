@@ -4,11 +4,13 @@
 // execute -- unaligned range begins, tail lanes, gathered slot lists,
 // 2^32 lo-word carries, and the deferred Lemire retry path (reachable
 // only through crafted words: a real draw rejects with probability
-// < 2^-32).
+// < 2^-32).  The packed entry (fill_packed16) is pinned the same way
+// against a scalar unpack of CounterRng::block.
 #include "support/draw_plane.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -190,6 +192,63 @@ TEST(DrawPlane, PowerOfTwoBoundNeverRetries) {
   std::uint32_t out = 99;
   lemire_bounded_batch(&w0, &w1, 1, 1u << 16, &out);
   EXPECT_EQ(out, 0u);  // w0 = 0 -> index 0, NOT the w1 value
+}
+
+// --- packed 16-bit draws -----------------------------------------------------
+
+/// The scalar reference of fill_packed16: lane i % 8 of block
+/// slot_begin + i / 8, where lane 2w is the low half of word w and
+/// lane 2w + 1 its high half, masked to `bits`.
+std::uint32_t packed_lane(const CounterRng& rng, std::uint64_t round,
+                          std::uint64_t slot_begin, std::size_t i,
+                          unsigned bits) {
+  const std::array<std::uint32_t, 4> block =
+      rng.block(round, slot_begin + i / 8);
+  const std::uint32_t word = block[(i % 8) / 2];
+  const std::uint32_t half = i % 2 == 0 ? word & 0xFFFFu : word >> 16;
+  return half & ((std::uint32_t{1} << bits) - 1);
+}
+
+TEST(DrawPlane, PackedMatchesScalarUnpackAcrossBeginsAndCounts) {
+  const CounterRng rng(17);
+  const DrawPlane plane(rng);
+  for_each_isa([&] {
+    // Begins off the 4/8-block batch widths, one straddling a 2^32
+    // slot-word carry; counts below one block, off a multiple of 8,
+    // exact AVX2 passes and several batches.  Every ISA matches the
+    // scalar unpack, so portable and AVX2 agree with each other.
+    for (const std::uint64_t begin :
+         {0ull, 1ull, 3ull, 5ull, 7ull, 9ull, 1000001ull, (1ull << 32) - 5,
+          (1ull << 52) + (7ull << 32) + 3}) {
+      for (const std::size_t count :
+           {1u, 5u, 7u, 8u, 9u, 31u, 32u, 33u, 63u, 64u, 65u, 71u, 127u,
+            256u, 1003u}) {
+        std::vector<std::uint32_t> out(count + 1, 0xABCDu);
+        plane.fill_packed16(6, begin, count, 16, out.data());
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(out[i], packed_lane(rng, 6, begin, i, 16))
+              << "begin=" << begin << " count=" << count << " i=" << i;
+        }
+        EXPECT_EQ(out[count], 0xABCDu) << "wrote past count=" << count;
+      }
+    }
+  });
+}
+
+TEST(DrawPlane, PackedMasksToFewerBits) {
+  const CounterRng rng(23);
+  const DrawPlane plane(rng);
+  for_each_isa([&] {
+    for (const unsigned bits : {1u, 3u, 8u, 14u, 15u}) {
+      std::vector<std::uint32_t> out(203, 0);
+      plane.fill_packed16((1ull << 32) + 9, 11, out.size(), bits, out.data());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        ASSERT_LT(out[i], std::uint32_t{1} << bits);
+        ASSERT_EQ(out[i], packed_lane(rng, (1ull << 32) + 9, 11, i, bits))
+            << "bits=" << bits << " i=" << i;
+      }
+    }
+  });
 }
 
 TEST(DrawPlane, ForceAndResetControlDispatch) {
