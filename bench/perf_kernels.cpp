@@ -2,7 +2,7 @@
 // ablations from DESIGN.md Sect. 3:
 //   D1 -- Tetris arrival sampling: ball-by-ball vs multinomial splitting,
 //   D2 -- load-only kernel vs identity-tracking token process,
-//   D3 -- the incremental max/empty bookkeeping vs a full rescan,
+//   D3 -- the round-end max/empty rescan every step() ends with, alone,
 //   D4 -- xoshiro256++ vs std::mt19937_64 raw throughput,
 //   D6 -- counter-RNG draw planes: scalar per-call Philox vs the
 //         batched portable path vs the AVX2 path, and per-call vs
@@ -17,6 +17,7 @@
 #include "baselines/repeated_dchoices.hpp"
 #include "core/config.hpp"
 #include "core/process.hpp"
+#include "core/kernel/pipeline.hpp"
 #include "core/kernel/token_kernel.hpp"
 #include "engine/engine.hpp"
 #include "markov/rbb_chain.hpp"
@@ -117,22 +118,23 @@ void BM_RepeatedDChoicesRound(benchmark::State& state) {
 }
 BENCHMARK(BM_RepeatedDChoicesRound)->Arg(1024)->Arg(8192);
 
-// D3: the step() already maintains max/empty incrementally; this measures
-// what a naive per-round rescan would add on top.
-void BM_FullRescanOverhead(benchmark::State& state) {
+// D3: the round-end rescan (two vectorized reductions) that yields
+// every sequential round's max load and empty count, in isolation --
+// the share of BM_RepeatedBallsRound it accounts for.
+void BM_RoundEndScan(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   Rng rng(7);
   RepeatedBallsProcess proc(make_config(InitialConfig::kOnePerBin, n, n, rng),
                             rng);
+  proc.run(64);
   for (auto _ : state) {
-    proc.step();
-    // The rescan a non-incremental implementation would pay per round:
-    benchmark::DoNotOptimize(max_load(proc.loads()));
-    benchmark::DoNotOptimize(empty_bins(proc.loads()));
+    kernel::LoadScan scan;
+    scan.add_range(proc.loads().data(), n);
+    benchmark::DoNotOptimize(scan);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
-BENCHMARK(BM_FullRescanOverhead)->Arg(8192)->Arg(65536);
+BENCHMARK(BM_RoundEndScan)->Arg(8192)->Arg(65536);
 
 // D4: raw generator throughput.
 void BM_RngXoshiro(benchmark::State& state) {

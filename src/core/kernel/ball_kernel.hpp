@@ -41,13 +41,17 @@
 // bins.
 //
 // Per-ball rounds (every xoshiro kernel, and d-choices / threshold on
-// the counter stream; step_sequential): the departure walk collects
-// the releasing bins or their destinations (the xoshiro clique path
-// block-draws after the walk so the generator state stays in
-// registers), choose variants pick per their placement convention, and
-// arrivals apply with the max load / empty count maintained
-// incrementally (design choice D3).  Sharded, d-choices and threshold
-// keep the per-ball scatter: throw banks the releasers, an extra
+// the counter stream; step_sequential) use the same range operations:
+// the branch-free departure scan (the counter-stream choose variants
+// also bank the releasing bins by compaction), then one draw per
+// arrival in releasing-bin order -- the xoshiro clique path block-draws
+// its destinations so the generator state stays in registers and
+// applies them with a prefetched scatter -- then the round-end scan for
+// the max load, the empty count and the Tetris first-empty rounds
+// (design choice D3).  Only the graph path walks the bins one by one,
+// because its neighbour draws interleave with the bin order.  Sharded,
+// d-choices and threshold keep the per-ball scatter: throw banks the
+// releasers, an extra
 // *choose* phase reads the now-stable post-departure loads and pushes
 // each pick to its target shard, and commit drains every buffer
 // addressed to a stripe's shards in canonical order (pipeline.hpp's
@@ -158,8 +162,7 @@ class BallProcessCore {
   /// Rounds executed since construction.
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
   [[nodiscard]] const LoadConfig& loads() const noexcept { return loads_; }
-  /// Current maximum load (O(1); maintained incrementally / by the
-  /// commit rescan).
+  /// Current maximum load (O(1); from the round-end scan).
   [[nodiscard]] load_t max_load() const noexcept { return stats_.max; }
   /// Current number of empty bins (O(1)).
   [[nodiscard]] std::uint32_t empty_bins() const noexcept {
@@ -199,8 +202,7 @@ class BallProcessCore {
       bytes += acc.releasers.capacity() * sizeof(bin_index_t);
     }
     if constexpr (kKind == BallVariantKind::kTetris) {
-      bytes += variant_.first_empty_.capacity() * sizeof(std::uint64_t) +
-               variant_.pending_empty_.capacity() * sizeof(bin_index_t);
+      bytes += variant_.first_empty_.capacity() * sizeof(std::uint64_t);
     }
     return bytes;
   }
@@ -347,8 +349,9 @@ class BallProcessCore {
     recompute_stats();
   }
 
-  /// Testing hook: recomputes the incremental bookkeeping from scratch
-  /// and throws std::logic_error on drift.
+  /// Testing hook: recomputes the kept bookkeeping (ball count, round-end
+  /// statistics, first-empty count) from scratch and throws
+  /// std::logic_error on drift.
   void check_invariants() const {
     if (rbb::total_balls(loads_) != balls_) {
       throw std::logic_error("BallProcessCore: ball count drifted");
@@ -379,24 +382,19 @@ class BallProcessCore {
     stats_ = scan;
   }
 
-  /// Incremental arrival bookkeeping shared by every sequential path.
-  void apply_arrival(bin_index_t v) {
-    load_t& load = loads_[v];
-    if (load == 0) --stats_.zeros;
-    if (++load > stats_.max) stats_.max = load;
-  }
-
   /// Applies a materialized destination block with a prefetched
   /// scatter: at large n the load vector out-sizes the cache and the
-  /// random writes otherwise stall per arrival.
+  /// random writes otherwise stall per arrival.  Branch-free; the
+  /// round-end scan_range() brings the statistics up to date.
   void apply_scatter(const std::vector<bin_index_t>& dests) {
-    constexpr std::uint32_t kPrefetchAhead = 16;
-    const auto count = static_cast<std::uint32_t>(dests.size());
-    for (std::uint32_t i = 0; i < count; ++i) {
+    constexpr std::size_t kPrefetchAhead = 16;
+    load_t* loads = loads_.data();
+    const std::size_t count = dests.size();
+    for (std::size_t i = 0; i < count; ++i) {
       if (i + kPrefetchAhead < count) {
-        __builtin_prefetch(&loads_[dests[i + kPrefetchAhead]], 1);
+        __builtin_prefetch(&loads[dests[i + kPrefetchAhead]], 1);
       }
-      apply_arrival(dests[i]);
+      ++loads[dests[i]];
     }
   }
 
@@ -417,18 +415,15 @@ class BallProcessCore {
     }
   }
 
-  // --- the count-split round (load-only, Tetris, leaky on the counter
-  // stream; count_split.hpp) -------------------------------------------------
+  // --- range operations ------------------------------------------------------
   //
-  // Three range operations shared by the sequential walk (one range,
-  // [0, n)) and the sharded stripes (their own bins): a departure scan,
-  // the per-leaf arrival draws, and the round-end scan.
+  // Shared by the sequential rounds (one range, [0, n)) and the sharded
+  // stripes (their own bins): the departure scans, the count-split
+  // per-leaf arrival draws, and the round-end scan.
 
   /// One departure from every non-empty bin of [begin, end); returns
   /// how many.  Branch-free, so it vectorizes.
-  std::uint32_t depart_range(bin_index_t begin, bin_index_t end)
-    requires kCountArrivals
-  {
+  std::uint32_t depart_range(bin_index_t begin, bin_index_t end) {
     load_t* loads = loads_.data();
     std::uint32_t departures = 0;
     for (bin_index_t u = begin; u < end; ++u) {
@@ -437,6 +432,24 @@ class BallProcessCore {
       departures += busy;
     }
     return departures;
+  }
+
+  /// depart_range() that also banks the releasing bins, in bin order,
+  /// into out[0, k) by branch-free compaction; `out` must hold
+  /// end - begin entries.  Returns k, the number of departures.
+  std::uint32_t depart_bank(bin_index_t begin, bin_index_t end,
+                            bin_index_t* out)
+    requires kChoose
+  {
+    load_t* loads = loads_.data();
+    std::uint32_t k = 0;
+    for (bin_index_t u = begin; u < end; ++u) {
+      const load_t busy = loads[u] != 0 ? 1 : 0;
+      loads[u] -= busy;
+      out[k] = u;
+      k += busy;
+    }
+    return k;
   }
 
   /// Draws leaf `leaf`'s `count` arrivals of round r and applies those
@@ -516,97 +529,66 @@ class BallProcessCore {
 
   /// One round of every sequential instantiation that is not
   /// count-split: the xoshiro kernels and the counter-stream choose
-  /// variants.
+  /// variants.  Shaped like step_counts: departures are one branch-free
+  /// range scan -- a constant fraction of the bins is always empty
+  /// (Lemma 1), so a per-bin branch on the load mispredicts like a coin
+  /// flip -- every draw follows in releasing-bin order, as a per-bin
+  /// walk would take them, and the round-end scan yields the statistics
+  /// and the Tetris first-empty rounds.  Only the graph path walks the
+  /// bins, because its neighbour draws interleave with the bin order.
   void step_sequential()
     requires(!kCountArrivals)
   {
     const std::uint32_t n = bin_count();
     const std::uint64_t r = round_;
-
     std::uint32_t departures = 0;
-    LoadScan scan;
-    scratch_.clear();
-    if constexpr (kKind == BallVariantKind::kTetris) {
-      variant_.pending_empty_.clear();
-    }
 
-    for (bin_index_t u = 0; u < n; ++u) {
-      load_t& load = loads_[u];
-      if (load > 0) {
-        --load;
-        ++departures;
-        if constexpr (kKind == BallVariantKind::kLoadOnly) {
-          if (variant_.graph_ != nullptr) {
+    if constexpr (kKind == BallVariantKind::kLoadOnly) {
+      if (variant_.graph_ != nullptr) {
+        scratch_.clear();
+        for (bin_index_t u = 0; u < n; ++u) {
+          if (loads_[u] > 0) {
+            --loads_[u];
+            ++departures;
             scratch_.push_back(
                 variant_.graph_->sample_neighbor(u, variant_.stream_.rng()));
           }
-          // xoshiro clique path: destinations are block-drawn below so
-          // the generator state stays in registers (design choice D4).
-        } else if constexpr (kChoose) {
-          if constexpr (Stream::kScheduleFree) {
-            scratch_.push_back(u);  // releasers; choices read the snapshot
-          }
-          // sequential stream: draws interleave with placement below.
-        } else {
-          --balls_;  // refill: the departing ball leaves the system
-          if constexpr (kKind == BallVariantKind::kTetris) {
-            if (load == 0 && variant_.first_empty_[u] == kNeverEmptied) {
-              variant_.pending_empty_.push_back(u);
-            }
-          }
         }
-      }
-      scan.add(load);
-    }
-    stats_ = scan;
-
-    if constexpr (kKind == BallVariantKind::kLoadOnly) {
-      if (variant_.graph_ == nullptr) {
+      } else {
         // Complete graph: destinations sampled as one block (same
-        // stream as per-ball index(n) calls) and applied with a
-        // prefetched scatter -- at large n the load vector out-sizes
-        // the cache and the random writes otherwise stall per arrival.
+        // stream as per-ball index(n) calls) so the generator state
+        // stays in registers (design choice D4).
+        departures = depart_range(0, n);
         scratch_.resize(departures);
         variant_.stream_.rng().fill_indices(scratch_.data(), departures, n);
-        apply_scatter(scratch_);
-      } else {
-        for (const bin_index_t v : scratch_) apply_arrival(v);
       }
+      apply_scatter(scratch_);
     } else if constexpr (kChoose) {
       if constexpr (!Stream::kScheduleFree) {
         // Classic online placement: arrivals of the same round are
         // visible to later probes/choices.
+        departures = depart_range(0, n);
         Rng& rng = variant_.stream_.rng();
-        if constexpr (kKind == BallVariantKind::kDChoices) {
-          const std::uint32_t d = variant_.d_;
-          for (std::uint32_t i = 0; i < departures; ++i) {
-            bin_index_t best = rng.index(n);
-            for (std::uint32_t j = 1; j < d; ++j) {
-              const bin_index_t c = rng.index(n);
-              if (loads_[c] < loads_[best]) best = c;
-            }
-            apply_arrival(best);
-          }
-        } else {
-          for (std::uint32_t i = 0; i < departures; ++i) {
-            apply_arrival(variant_.choose_one(rng, n, loads_));
-          }
+        for (std::uint32_t i = 0; i < departures; ++i) {
+          ++loads_[variant_.choose_one(rng, n, loads_)];
         }
       } else {
         // Batch-snapshot placement: all choices read the post-departure
         // configuration, then all placements commit (the convention the
         // sharded backend realizes; see variants.hpp).  The candidate
         // draws come from gathered planes, candidate-major.
-        const auto m = static_cast<std::uint32_t>(scratch_.size());
-        scratch_dest_.resize(m);
-        scratch_cand_.resize(m);
-        variant_.choose_batch(r, scratch_.data(), m, n, loads_,
+        scratch_.resize(n);
+        departures = depart_bank(0, n, scratch_.data());
+        scratch_dest_.resize(departures);
+        scratch_cand_.resize(departures);
+        variant_.choose_batch(r, scratch_.data(), departures, n, loads_,
                               scratch_dest_.data(), scratch_cand_.data());
         apply_scatter(scratch_dest_);
       }
     } else if constexpr (kRefill) {
-      // Refill on the xoshiro stream: the counter stream's refill
-      // rounds are count-split (step_counts).
+      // Refill on the xoshiro stream: the departing balls leave and a
+      // fresh batch lands, ball by ball or as multinomial counts.
+      departures = depart_range(0, n);
       const ball_count_t arrivals = draw_arrival_count(r);
       Rng& rng = variant_.stream_.rng();
       bool split = false;
@@ -614,28 +596,18 @@ class BallProcessCore {
         split = variant_.sampling_ == ArrivalSampling::kSplit;
       }
       if (split) {
-        const std::vector<std::uint32_t> counts =
-            occupancy_split(arrivals, n, rng);
-        for (bin_index_t v = 0; v < n; ++v) {
-          for (std::uint32_t c = 0; c < counts[v]; ++c) apply_arrival(v);
-        }
+        occupancy_split(arrivals, n, rng, scratch_);
+        for (bin_index_t v = 0; v < n; ++v) loads_[v] += scratch_[v];
       } else {
-        for (ball_count_t i = 0; i < arrivals; ++i) {
-          apply_arrival(rng.index(n));
-        }
+        for (ball_count_t i = 0; i < arrivals; ++i) ++loads_[rng.index(n)];
       }
-      balls_ += arrivals;
+      balls_ = balls_ - departures + arrivals;
       last_arrivals_ = arrivals;
-      if constexpr (kKind == BallVariantKind::kTetris) {
-        // A bin that reached zero in the departure walk was "empty at
-        // this round's end" only if no arrival refilled it.
-        for (const bin_index_t u : variant_.pending_empty_) {
-          if (loads_[u] == 0 && variant_.first_empty_[u] == kNeverEmptied) {
-            variant_.first_empty_[u] = r + 1;
-            --variant_.not_yet_emptied_;
-          }
-        }
-      }
+    }
+    stats_ = LoadScan{};
+    const std::uint32_t newly_emptied = scan_range(r, 0, n, stats_);
+    if constexpr (kKind == BallVariantKind::kTetris) {
+      variant_.not_yet_emptied_ -= newly_emptied;
     }
     last_departures_ = departures;
     ++round_;
@@ -721,17 +693,10 @@ class BallProcessCore {
     const bin_index_t begin = exec_.plan().stripe_begin_bin(g);
     const bin_index_t end = exec_.plan().stripe_end_bin(g);
     StripeAcc& acc = acc_[g];
-    acc.departures = 0;
     acc.scan = LoadScan{};
-    acc.releasers.clear();
-    for (bin_index_t u = begin; u < end; ++u) {
-      load_t& load = loads_[u];
-      if (load > 0) {
-        --load;
-        ++acc.departures;
-        acc.releasers.push_back(u);
-      }
-    }
+    acc.releasers.resize(end - begin);
+    acc.departures = depart_bank(begin, end, acc.releasers.data());
+    acc.releasers.resize(acc.departures);
     acc.cum_departures += acc.departures;
   }
 
@@ -849,13 +814,14 @@ class BallProcessCore {
   LeafSplit leaves_;  // the count-split leaf layout (kCountArrivals)
   ball_count_t balls_;
   std::uint64_t round_ = 0;
-  LoadScan stats_;  // max load / empty bins, maintained incrementally
+  LoadScan stats_;  // max load / empty bins of the round-end scan
   std::uint32_t last_departures_ = 0;
   ball_count_t last_arrivals_ = 0;
 
-  // Sequential-path scratch: releasing bins / block-drawn clique
-  // destinations (scratch_), the plane-materialized destinations
-  // (scratch_dest_), and the d-choices candidate plane (scratch_cand_).
+  // Sequential-path scratch: releasing bins, block-drawn clique or
+  // graph destinations, or Tetris split counts (scratch_), the
+  // plane-materialized destinations (scratch_dest_), and the d-choices
+  // candidate plane (scratch_cand_).
   std::vector<bin_index_t> scratch_;
   std::vector<bin_index_t> scratch_dest_;
   std::vector<bin_index_t> scratch_cand_;

@@ -114,16 +114,17 @@ struct LoadScan {
   load_t max = 0;
   std::uint32_t zeros = 0;
 
+  /// Branch-free: whether a bin is empty is a coin flip when a third of
+  /// the bins are empty at random.  (load - 1) >> 63 in 64 bits is 1
+  /// exactly when load == 0; `zeros += load == 0` would let the compiler
+  /// fold the max update into a branch on the zero test again (max is
+  /// unchanged by a zero load).
   void add(load_t load) noexcept {
-    if (load == 0) {
-      ++zeros;
-    } else if (load > max) {
-      max = load;
-    }
+    zeros += static_cast<std::uint32_t>((std::uint64_t{load} - 1) >> 63);
+    max = std::max(max, load);
   }
-  /// add() over loads[0, count) as two separate reductions: each one
-  /// vectorizes, while one fused loop compiles to a branch on the zero
-  /// test -- unpredictable when a third of the bins are empty at random.
+  /// add() over loads[0, count) as two separate reductions, each of
+  /// which vectorizes.
   void add_range(const load_t* loads, std::size_t count) noexcept {
     std::uint32_t z = 0;
     for (std::size_t u = 0; u < count; ++u) z += loads[u] == 0 ? 1u : 0u;

@@ -141,6 +141,20 @@ struct DChoices {
   }
   void init(const std::vector<load_t>& /*loads*/) {}
 
+  /// Online placement (sequential stream): the least loaded of d
+  /// candidates drawn one by one; ties keep the earlier draw.
+  template <typename S = Stream>
+    requires(!S::kScheduleFree)
+  [[nodiscard]] bin_index_t choose_one(
+      Rng& rng, std::uint32_t n, const std::vector<load_t>& loads) const {
+    bin_index_t best = rng.index(n);
+    for (std::uint32_t j = 1; j < d_; ++j) {
+      const bin_index_t c = rng.index(n);
+      if (loads[c] < loads[best]) best = c;
+    }
+    return best;
+  }
+
   /// Batch-snapshot choices for `m` released balls (releasers[i] = the
   /// releasing bin): per candidate index j, one gathered draw plane on
   /// slots (j, u) materializes every ball's j-th candidate at once --
@@ -317,7 +331,6 @@ struct Tetris {
   ArrivalSampling sampling_;
   std::vector<std::uint64_t> first_empty_;
   std::uint32_t not_yet_emptied_ = 0;
-  std::vector<bin_index_t> pending_empty_;  // xoshiro-path scratch
 };
 
 /// Leaky bins (Berenbrink et al., PODC 2016): one departure per

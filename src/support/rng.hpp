@@ -174,8 +174,9 @@ class Rng {
   /// the *same stream* as `count` successive index(n) calls by
   /// construction.  Batching keeps the generator state in registers
   /// across the block and decouples sampling from consumption, which
-  /// lets the complete-graph kernel prefetch its arrival scatter (see
-  /// RepeatedBallsProcess::step).
+  /// lets the complete-graph load-only round prefetch its arrival
+  /// scatter (BallProcessCore::step_sequential, core/kernel/
+  /// ball_kernel.hpp).
   void fill_indices(std::uint32_t* out, std::size_t count,
                     std::uint32_t n) noexcept {
     for (std::size_t i = 0; i < count; ++i) out[i] = index(n);

@@ -231,10 +231,16 @@ void occupancy_split_rec(std::uint64_t balls, std::uint32_t lo,
 
 std::vector<std::uint32_t> occupancy_split(std::uint64_t balls,
                                            std::uint32_t bins, Rng& rng) {
-  if (bins == 0) throw std::invalid_argument("occupancy_split: bins == 0");
-  std::vector<std::uint32_t> counts(bins, 0);
-  occupancy_split_rec(balls, 0, bins, counts, rng);
+  std::vector<std::uint32_t> counts;
+  occupancy_split(balls, bins, rng, counts);
   return counts;
+}
+
+void occupancy_split(std::uint64_t balls, std::uint32_t bins, Rng& rng,
+                     std::vector<std::uint32_t>& counts) {
+  if (bins == 0) throw std::invalid_argument("occupancy_split: bins == 0");
+  counts.assign(bins, 0);
+  occupancy_split_rec(balls, 0, bins, counts, rng);
 }
 
 std::vector<std::uint32_t> sample_distinct(std::uint32_t n, std::uint32_t k,

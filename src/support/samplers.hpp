@@ -84,6 +84,12 @@ class BinomialSampler {
                                                          std::uint32_t bins,
                                                          Rng& rng);
 
+/// occupancy_split() into a caller buffer, resized to `bins` entries:
+/// the same recursion and the same draws, without a fresh allocation
+/// per call.
+void occupancy_split(std::uint64_t balls, std::uint32_t bins, Rng& rng,
+                     std::vector<std::uint32_t>& counts);
+
 /// k distinct values sampled u.a.r. from [0, n), in unspecified order.
 /// Floyd's algorithm; O(k) expected.  Requires k <= n.
 [[nodiscard]] std::vector<std::uint32_t> sample_distinct(std::uint32_t n,

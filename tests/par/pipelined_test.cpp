@@ -15,6 +15,7 @@
 // buffers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -443,6 +444,56 @@ TEST(PipelineDriver, DrainsInCanonicalOrderAndScansEveryShardOnce) {
     ASSERT_FALSE(ThreadPool::nested_allowed(&ThreadPool::global()));
     expect_driver_contract(0);  // refused team: inline on the task thread
   });
+}
+
+/// LoadScan::add over `loads`, one bin at a time.
+kernel::LoadScan add_each(const std::vector<load_t>& loads) {
+  kernel::LoadScan scan;
+  for (const load_t load : loads) scan.add(load);
+  return scan;
+}
+
+/// LoadScan::add_range over `loads`, split at `cut` into two blocks.
+kernel::LoadScan add_blocks(const std::vector<load_t>& loads,
+                            std::size_t cut) {
+  kernel::LoadScan scan;
+  scan.add_range(loads.data(), cut);
+  scan.add_range(loads.data() + cut, loads.size() - cut);
+  return scan;
+}
+
+TEST(LoadScan, AddMatchesAddRangeOnRandomLoadsWithZeros) {
+  Rng rng(41);
+  for (const std::size_t n : {1u, 7u, 100u, 4097u}) {
+    std::vector<load_t> loads(n);
+    for (load_t& load : loads) {
+      load = rng.bernoulli(0.4) ? 0 : static_cast<load_t>(rng.index(50));
+    }
+    const kernel::LoadScan each = add_each(loads);
+    EXPECT_EQ(each.max, *std::max_element(loads.begin(), loads.end()));
+    EXPECT_EQ(each.zeros, static_cast<std::uint32_t>(
+                              std::count(loads.begin(), loads.end(), 0u)));
+    for (const std::size_t cut : {std::size_t{0}, n / 3, n}) {
+      const kernel::LoadScan range = add_blocks(loads, cut);
+      EXPECT_EQ(range.max, each.max) << "n = " << n << ", cut " << cut;
+      EXPECT_EQ(range.zeros, each.zeros) << "n = " << n << ", cut " << cut;
+    }
+  }
+}
+
+TEST(LoadScan, AddFindsTheMaxAtEitherEnd) {
+  for (const bool first : {true, false}) {
+    std::vector<load_t> loads = {0, 3, 0, 5, 2, 0, 4};
+    (first ? loads.front() : loads.back()) = 9;
+    const kernel::LoadScan each = add_each(loads);
+    const kernel::LoadScan range = add_blocks(loads, 0);
+    EXPECT_EQ(each.max, 9u);
+    EXPECT_EQ(range.max, 9u);
+    EXPECT_EQ(each.zeros, first ? 2u : 3u);
+    EXPECT_EQ(range.zeros, each.zeros);
+  }
+  EXPECT_EQ(add_each({0, 0, 0}).max, 0u);
+  EXPECT_EQ(add_each({0, 0, 0}).zeros, 3u);
 }
 
 }  // namespace

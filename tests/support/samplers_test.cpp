@@ -184,6 +184,19 @@ TEST(Occupancy, SplitZeroBalls) {
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0u), 0u);
 }
 
+TEST(Occupancy, SplitIntoAReusedBufferMatchesAFreshVector) {
+  // The caller buffer arrives dirty and of the wrong size: every entry
+  // is overwritten, and the draws are the allocating overload's.
+  Rng fresh_rng(16);
+  Rng buffer_rng(16);
+  std::vector<std::uint32_t> buffer(100, 7);
+  for (const std::uint32_t bins : {64u, 3u, 64u}) {
+    const auto fresh = occupancy_split(500, bins, fresh_rng);
+    occupancy_split(500, bins, buffer_rng, buffer);
+    EXPECT_EQ(buffer, fresh) << bins << " bins";
+  }
+}
+
 TEST(Occupancy, SingleBinGetsEverything) {
   Rng rng(14);
   EXPECT_EQ(occupancy_throw(42, 1, rng)[0], 42u);
