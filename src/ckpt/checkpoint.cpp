@@ -63,8 +63,20 @@ std::uint32_t digest(std::string_view canonical_options) noexcept {
   return serial::crc32(canonical_options);
 }
 
+namespace {
+
+// Fixed-size prefix before the variable-length meta block.
+constexpr std::size_t kFixedHeaderBytes =
+    sizeof kMagic + 4 /*version*/ + 4 /*family*/ + 4 /*stream*/ +
+    4 /*backend*/ + 8 /*bins*/ + 8 /*entities*/ + 8 /*seed*/ + 8 /*round*/ +
+    4 /*digest*/ + 4 /*meta_len*/;
+
+}  // namespace
+
 std::string encode(const Checkpoint& ckpt) {
   serial::ByteWriter w;
+  w.reserve(kFixedHeaderBytes + ckpt.meta.size() + 4 /*header crc*/ +
+            8 /*payload_len*/ + ckpt.payload.size() + 4 /*payload crc*/);
   w.bytes(kMagic, sizeof kMagic);
   w.u32(ckpt.header.version);
   w.u32(static_cast<std::uint32_t>(ckpt.header.family));
@@ -84,36 +96,28 @@ std::string encode(const Checkpoint& ckpt) {
   return w.take();
 }
 
-namespace {
-
-// Fixed-size prefix before the variable-length meta block.
-constexpr std::size_t kFixedHeaderBytes =
-    sizeof kMagic + 4 /*version*/ + 4 /*family*/ + 4 /*stream*/ +
-    4 /*backend*/ + 8 /*bins*/ + 8 /*entities*/ + 8 /*seed*/ + 8 /*round*/ +
-    4 /*digest*/ + 4 /*meta_len*/;
-
-}  // namespace
-
-Checkpoint decode(std::string_view bytes) {
-  if (bytes.size() < kFixedHeaderBytes) {
+Checkpoint decode(std::string bytes) {
+  const std::string_view image(bytes);
+  if (image.size() < kFixedHeaderBytes) {
     throw Error(ErrorKind::kTruncated,
-                "file is " + std::to_string(bytes.size()) +
+                "file is " + std::to_string(image.size()) +
                     " bytes, smaller than the fixed header (" +
                     std::to_string(kFixedHeaderBytes) + ")");
   }
-  if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
+  if (std::memcmp(image.data(), kMagic, sizeof kMagic) != 0) {
     throw Error(ErrorKind::kBadMagic, "not an rbb.ckpt file");
   }
 
-  serial::ByteReader r(bytes);
+  serial::ByteReader r(image);
   char magic[sizeof kMagic];
   r.bytes(magic, sizeof magic);
 
   Checkpoint ckpt;
-  ckpt.header.version = r.u32();
-  if (ckpt.header.version != kFormatVersion) {
+  Header& h = ckpt.header;
+  h.version = r.u32();
+  if (h.version != kFormatVersion) {
     throw Error(ErrorKind::kBadVersion,
-                "format version " + std::to_string(ckpt.header.version) +
+                "format version " + std::to_string(h.version) +
                     ", this build reads version " +
                     std::to_string(kFormatVersion));
   }
@@ -122,33 +126,31 @@ Checkpoint decode(std::string_view bytes) {
     throw Error(ErrorKind::kBadFamily,
                 "family tag " + std::to_string(family_tag) + " out of range");
   }
-  ckpt.header.family = static_cast<Family>(family_tag);
-  ckpt.header.stream = r.u32();
-  if (ckpt.header.stream != kStreamCounter) {
+  h.family = static_cast<Family>(family_tag);
+  h.stream = r.u32();
+  if (h.stream != kStreamCounter) {
     throw Error(ErrorKind::kBadStream,
-                "stream tag " + std::to_string(ckpt.header.stream) +
+                "stream tag " + std::to_string(h.stream) +
                     " is not a checkpointable counter stream");
   }
-  ckpt.header.backend = r.u32();
-  ckpt.header.bins = r.u64();
-  ckpt.header.entities = r.u64();
-  ckpt.header.seed = r.u64();
-  ckpt.header.round = r.u64();
-  ckpt.header.options_digest = r.u32();
+  h.backend = r.u32();
+  h.bins = r.u64();
+  h.entities = r.u64();
+  h.seed = r.u64();
+  h.round = r.u64();
+  h.options_digest = r.u32();
 
   const std::uint32_t meta_len = r.u32();
   if (meta_len > r.remaining()) {
     throw Error(ErrorKind::kTruncated, "meta block runs past end of file");
   }
-  ckpt.meta.resize(meta_len);
-  if (meta_len != 0) r.bytes(ckpt.meta.data(), meta_len);
-
   const std::size_t header_region = kFixedHeaderBytes + meta_len;
+  r = serial::ByteReader(image.substr(header_region));  // past the meta
   if (r.remaining() < 4) {
     throw Error(ErrorKind::kTruncated, "missing header checksum");
   }
   const std::uint32_t header_crc = r.u32();
-  if (header_crc != serial::crc32(bytes.substr(0, header_region))) {
+  if (header_crc != serial::crc32(image.substr(0, header_region))) {
     throw Error(ErrorKind::kHeaderCorrupt, "header/meta CRC32 mismatch");
   }
 
@@ -163,14 +165,22 @@ Checkpoint decode(std::string_view bytes) {
                     std::to_string(r.remaining()) +
                     " bytes follow the header)");
   }
-  ckpt.payload.resize(static_cast<std::size_t>(payload_len));
-  if (payload_len != 0) {
-    r.bytes(ckpt.payload.data(), static_cast<std::size_t>(payload_len));
-  }
-  const std::uint32_t payload_crc = r.u32();
-  if (payload_crc != serial::crc32(ckpt.payload)) {
+  const std::size_t payload_offset = header_region + 4 + 8;
+  const auto payload_size = static_cast<std::size_t>(payload_len);
+  std::uint32_t payload_crc = 0;
+  std::memcpy(&payload_crc, image.data() + payload_offset + payload_size,
+              sizeof payload_crc);
+  if (payload_crc !=
+      serial::crc32(image.data() + payload_offset, payload_size)) {
     throw Error(ErrorKind::kPayloadCorrupt, "payload CRC32 mismatch");
   }
+
+  ckpt.meta = std::string(image.substr(kFixedHeaderBytes, meta_len));
+  // Slide the payload to the front of the image's own buffer and cut
+  // the rest: one in-place move, no second payload-sized string.
+  bytes.erase(0, payload_offset);
+  bytes.resize(payload_size);
+  ckpt.payload = std::move(bytes);
   return ckpt;
 }
 

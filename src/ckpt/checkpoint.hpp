@@ -131,8 +131,11 @@ struct Checkpoint {
 [[nodiscard]] std::string encode(const Checkpoint& ckpt);
 
 /// Parses and fully verifies a checkpoint file image; throws Error on
-/// any corruption, truncation, or unknown tag.
-[[nodiscard]] Checkpoint decode(std::string_view bytes);
+/// any corruption, truncation, or unknown tag.  The payload is then cut
+/// out of `bytes` in place and becomes Checkpoint::payload, so an image
+/// moved in (as read_checkpoint does) is never copied into a second
+/// payload-sized buffer.
+[[nodiscard]] Checkpoint decode(std::string bytes);
 
 /// Restore-time identity check: the checkpoint must describe the same
 /// kernel family, shape, seed, and option digest as the process about

@@ -10,8 +10,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -153,16 +151,35 @@ bool write_checkpoint_file(const std::string& path, const Checkpoint& ckpt,
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     throw Error(ErrorKind::kIo, errno_message("cannot open", path));
   }
-  std::ostringstream contents;
-  contents << file.rdbuf();
-  if (file.bad()) {
-    throw Error(ErrorKind::kIo, errno_message("cannot read", path));
+  const auto fail = [&](const std::string& detail) {
+    (void)::close(fd);
+    throw Error(ErrorKind::kIo, detail);
+  };
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) fail(errno_message("cannot stat", path));
+  if (!S_ISREG(st.st_mode)) {
+    fail("cannot read " + path + ": not a regular file");
   }
-  return std::move(contents).str();
+  // One buffer of the file's size, filled by read() directly: the
+  // decoder then cuts the payload out of it in place.
+  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ::ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      fail(errno_message("cannot read", path));
+    }
+    if (n == 0) break;  // the file shrank since fstat
+    got += static_cast<std::size_t>(n);
+  }
+  (void)::close(fd);
+  bytes.resize(got);
+  return bytes;
 }
 
 Checkpoint read_checkpoint(const std::string& path) {

@@ -59,11 +59,14 @@ void maybe_crash(const char* phase, std::uint64_t round) noexcept;
                                          const Checkpoint& ckpt,
                                          std::string* error);
 
-/// Reads an entire file; throws Error(kIo) if unreadable.
+/// Reads an entire regular file with one open/fstat/read into a buffer
+/// of its size; throws Error(kIo) carrying the failing call's errno if
+/// it is unreadable, or naming it if it is not a regular file.
 [[nodiscard]] std::string read_file(const std::string& path);
 
-/// read_file + decode: throws Error with a named kind on any I/O
-/// failure, corruption, or truncation.
+/// read_file + decode, the payload cut out of the read buffer in place:
+/// throws Error with a named kind on any I/O failure, corruption, or
+/// truncation.
 [[nodiscard]] Checkpoint read_checkpoint(const std::string& path);
 
 /// Canonical checkpoint filename for a round: "rbb-%020u.ckpt" so

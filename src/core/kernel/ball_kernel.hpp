@@ -302,6 +302,13 @@ class BallProcessCore {
   void snapshot(serial::ByteWriter& w) const
     requires Stream::kScheduleFree
   {
+    using W = serial::ByteWriter;
+    std::size_t bytes = 3 * sizeof(std::uint64_t) + sizeof(std::uint32_t) +
+                        W::vec_bytes<load_t>(loads_.size());
+    if constexpr (kKind == BallVariantKind::kTetris) {
+      bytes += W::vec_bytes<std::uint64_t>(variant_.first_empty_.size());
+    }
+    w.reserve(bytes);
     w.u64(round_);
     w.u64(balls_);
     w.u32(last_departures_);

@@ -268,6 +268,10 @@ class MixedProcessCore {
   void snapshot(serial::ByteWriter& w) const
     requires Stream::kScheduleFree
   {
+    using W = serial::ByteWriter;
+    w.reserve(5 * sizeof(std::uint64_t) +
+              W::vec_bytes<ball_count_t>(last_departures_by_class_.size()) +
+              W::vec_bytes<load_t>(counts_.size()));
     w.u64(round_);
     w.u64(dropped_balls_);
     w.u64(dropped_weight_);

@@ -307,6 +307,17 @@ class TokenProcessCore {
   void snapshot(serial::ByteWriter& w) const
     requires Stream::kScheduleFree
   {
+    using W = serial::ByteWriter;
+    std::size_t bytes = sizeof(std::uint64_t) + store_.state_bytes() +
+                        W::vec_bytes<std::uint64_t>(progress_.size()) +
+                        sizeof(std::uint32_t);
+    if (options_.track_visits) {
+      bytes += W::vec_bytes<std::uint64_t>(visited_.size()) +
+               W::vec_bytes<std::uint32_t>(visited_count_.size()) +
+               W::vec_bytes<std::uint64_t>(cover_round_.size()) +
+               sizeof(std::uint32_t);
+    }
+    w.reserve(bytes);
     w.u64(round_);
     store_.save_state(w);
     w.vec(progress_);
@@ -320,15 +331,16 @@ class TokenProcessCore {
   }
 
   /// Inverse of snapshot(); the target must be constructed with the
-  /// same bins/tokens/policy/options (std::invalid_argument otherwise).
+  /// same bins/tokens/policy/options (std::invalid_argument otherwise,
+  /// thrown before any state is overwritten).  The arrays are copied
+  /// straight from the payload into place.
   void restore(serial::ByteReader& r)
     requires Stream::kScheduleFree
   {
     const std::uint64_t round = r.u64();
-    store_.load_state(r);
-    std::vector<std::uint64_t> progress;
-    r.vec(progress);
-    if (progress.size() != progress_.size()) {
+    const FlatTokenStore::SavedState store = store_.read_state(r);
+    const auto progress = r.vec_view<std::uint64_t>();
+    if (progress.count != progress_.size()) {
       throw std::invalid_argument("restore: token count mismatch");
     }
     const bool track_visits = r.u32() != 0;
@@ -336,23 +348,22 @@ class TokenProcessCore {
       throw std::invalid_argument("restore: visit-tracking mismatch");
     }
     if (track_visits) {
-      std::vector<std::uint64_t> visited;
-      std::vector<std::uint32_t> visited_count;
-      std::vector<std::uint64_t> cover_round;
-      r.vec(visited);
-      r.vec(visited_count);
-      r.vec(cover_round);
-      if (visited.size() != visited_.size() ||
-          visited_count.size() != visited_count_.size() ||
-          cover_round.size() != cover_round_.size()) {
+      const auto visited = r.vec_view<std::uint64_t>();
+      const auto visited_count = r.vec_view<std::uint32_t>();
+      const auto cover_round = r.vec_view<std::uint64_t>();
+      if (visited.count != visited_.size() ||
+          visited_count.count != visited_count_.size() ||
+          cover_round.count != cover_round_.size()) {
         throw std::invalid_argument("restore: visit-tracking shape mismatch");
       }
-      visited_ = std::move(visited);
-      visited_count_ = std::move(visited_count);
-      cover_round_ = std::move(cover_round);
-      covered_tokens_ = r.u32();
+      const std::uint32_t covered = r.u32();
+      visited.copy_to(visited_);
+      visited_count.copy_to(visited_count_);
+      cover_round.copy_to(cover_round_);
+      covered_tokens_ = covered;
     }
-    progress_ = std::move(progress);
+    store_.load_state(store);
+    progress.copy_to(progress_);
     round_ = round;
     rescan_stats();
     check_invariants();
@@ -360,32 +371,91 @@ class TokenProcessCore {
 
   /// Testing hook: queue/token-position consistency; throws
   /// std::logic_error on violation.  Walks the flat lists in place --
-  /// no per-bin heap copy.
+  /// no per-bin heap copy -- kWalkLanes bins at a time, round-robin,
+  /// each lane prefetching its next slot, so the pointer chases of
+  /// different lists overlap instead of stalling one after another.
+  /// Every bin gets the checks of a plain walk in list order, and the
+  /// violation reported is the one of the lowest bad bin, as a walk in
+  /// bin order would find first.
   void check_invariants() const {
+    struct Lane {
+      bin_index_t bin;
+      std::uint32_t token;   // next token to visit, or kNil
+      std::uint32_t expect;  // the header's count
+      std::uint32_t walked;
+      std::uint32_t last;
+    };
+    Lane lanes[kWalkLanes]{};
+    std::uint32_t active = 0;
+    bin_index_t next_bin = 0;
+    bin_index_t bad_bin = bins_;  // lowest bin with a violation so far
+    const char* bad = nullptr;
     std::uint64_t queued = 0;
-    for (bin_index_t u = 0; u < bins_; ++u) {
-      const std::uint32_t expect = store_.count(u);
-      std::uint32_t walked = 0;
-      std::uint32_t last = FlatTokenStore::kNil;
-      for (std::uint32_t t = store_.peek_head(u);
-           t != FlatTokenStore::kNil && walked <= expect;
-           t = store_.next(t)) {
-        if (store_.bin_of(t) != u) {
-          throw std::logic_error(
-              "TokenProcessCore: queue/token position mismatch");
+    const auto fail = [&](bin_index_t u, const char* what) {
+      if (u < bad_bin) {
+        bad_bin = u;
+        bad = what;
+      }
+    };
+    // A restored payload may link to a token id past the slot array; it
+    // is reported as a position mismatch before any slot is read.
+    const std::uint32_t tokens = token_count();
+    const auto prefetch = [&](std::uint32_t t) {
+      if (t < tokens) store_.prefetch_slot(t);
+    };
+    // Loads the next unchecked non-empty bin below bad_bin into `lane`;
+    // false when none is left.  An empty list (no head, count 0) passes
+    // every check without a lane.
+    const auto start = [&](Lane& lane) {
+      while (next_bin < bad_bin) {
+        const bin_index_t u = next_bin++;
+        const std::uint32_t head = store_.peek_head(u);
+        const std::uint32_t expect = store_.count(u);
+        if (head == FlatTokenStore::kNil && expect == 0) continue;
+        prefetch(head);
+        lane = Lane{u, head, expect, 0, FlatTokenStore::kNil};
+        return true;
+      }
+      return false;
+    };
+    while (active < kWalkLanes && start(lanes[active])) ++active;
+    while (active > 0) {
+      for (std::uint32_t i = 0; i < active;) {
+        Lane& lane = lanes[i];
+        if (lane.bin < bad_bin && lane.token != FlatTokenStore::kNil &&
+            lane.walked <= lane.expect) {
+          const std::uint32_t t = lane.token;
+          if (t >= tokens || store_.bin_of(t) != lane.bin) {
+            fail(lane.bin, "TokenProcessCore: queue/token position mismatch");
+          } else {
+            lane.last = t;
+            ++lane.walked;
+            lane.token = store_.next(t);
+            prefetch(lane.token);
+            ++i;
+            continue;
+          }
+        } else if (lane.bin < bad_bin) {
+          if (lane.walked != lane.expect) {
+            fail(lane.bin,
+                 "TokenProcessCore: queue length drifted (or list cycle)");
+          } else if (lane.expect > 0 && lane.last != store_.tail(lane.bin)) {
+            fail(lane.bin, "TokenProcessCore: tail out of sync");
+          } else {
+            queued += lane.walked;
+          }
         }
-        last = t;
-        ++walked;
+        // The lane's bin is done (or past bad_bin).  A refilled lane
+        // waits a pass for its prefetched head; a retired one takes the
+        // last lane's place.
+        if (start(lane)) {
+          ++i;
+        } else {
+          lane = lanes[--active];
+        }
       }
-      if (walked != expect) {
-        throw std::logic_error(
-            "TokenProcessCore: queue length drifted (or list cycle)");
-      }
-      if (expect > 0 && last != store_.tail(u)) {
-        throw std::logic_error("TokenProcessCore: tail out of sync");
-      }
-      queued += walked;
     }
+    if (bad != nullptr) throw std::logic_error(bad);
     if (queued != progress_.size()) {
       throw std::logic_error("TokenProcessCore: token count drifted");
     }
@@ -413,6 +483,9 @@ class TokenProcessCore {
   /// store out-sizes the cache and each push touches a random header
   /// (and, appending, a random tail slot).
   static constexpr std::uint32_t kPrefetchAhead = 16;
+
+  /// Lists check_invariants() walks at once.
+  static constexpr std::uint32_t kWalkLanes = 16;
 
   /// Marks `bin` visited by `token`; returns true when this visit
   /// completed the token's coverage (caller owns the covered counter so

@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "core/token_process.hpp"  // QueuePolicy
@@ -40,6 +41,16 @@
 namespace rbb::kernel {
 
 class FlatTokenStore {
+  struct TokenSlot {
+    std::uint32_t next;  // successor in the bin's list, or kNil
+    bin_index_t bin;     // bin of the last push
+  };
+  struct BinList {
+    std::uint32_t head;
+    std::uint32_t tail;
+    std::uint32_t count;
+  };
+
  public:
   /// List terminator / empty-bin head.  Token ids are < 2^32 - 1.
   static constexpr std::uint32_t kNil = 0xffffffffu;
@@ -155,21 +166,39 @@ class FlatTokenStore {
     w.vec(bins_);
   }
 
-  /// Inverse of save_state(); the store must be constructed with the
-  /// same bin/token counts and policy (std::invalid_argument otherwise).
-  void load_state(serial::ByteReader& r) {
+  /// Bytes save_state() writes.
+  [[nodiscard]] std::size_t state_bytes() const noexcept {
+    return sizeof(std::uint32_t) +
+           serial::ByteWriter::vec_bytes<TokenSlot>(slots_.size()) +
+           serial::ByteWriter::vec_bytes<BinList>(bins_.size());
+  }
+
+  /// save_state() bytes that passed read_state()'s checks, not yet
+  /// applied.
+  struct SavedState {
+    serial::ByteReader::VecView<TokenSlot> slots;
+    serial::ByteReader::VecView<BinList> bins;
+  };
+
+  /// Reads save_state() bytes and checks them against this store: the
+  /// same policy and bin/token counts (std::invalid_argument otherwise).
+  /// Leaves the store untouched; load_state() applies the result.
+  [[nodiscard]] SavedState read_state(serial::ByteReader& r) const {
     if (r.u32() != static_cast<std::uint32_t>(policy_)) {
       throw std::invalid_argument("FlatTokenStore: queue policy mismatch");
     }
-    std::vector<TokenSlot> slots;
-    std::vector<BinList> bins;
-    r.vec(slots);
-    r.vec(bins);
-    if (slots.size() != slots_.size() || bins.size() != bins_.size()) {
+    const SavedState saved{r.vec_view<TokenSlot>(), r.vec_view<BinList>()};
+    if (saved.slots.count != slots_.size() ||
+        saved.bins.count != bins_.size()) {
       throw std::invalid_argument("FlatTokenStore: shape mismatch");
     }
-    slots_ = std::move(slots);
-    bins_ = std::move(bins);
+    return saved;
+  }
+
+  /// Copies read_state()'s arrays straight into the store.
+  void load_state(const SavedState& saved) noexcept {
+    saved.slots.copy_to(slots_);
+    saved.bins.copy_to(bins_);
   }
 
   /// Bytes of resident storage (the memory column of sharded_scaling).
@@ -179,16 +208,6 @@ class FlatTokenStore {
   }
 
  private:
-  struct TokenSlot {
-    std::uint32_t next;  // successor in the bin's list, or kNil
-    bin_index_t bin;     // bin of the last push
-  };
-  struct BinList {
-    std::uint32_t head;
-    std::uint32_t tail;
-    std::uint32_t count;
-  };
-
   void push_back(bin_index_t u, std::uint32_t token) noexcept {
     slots_[token] = TokenSlot{kNil, u};
     BinList& list = bins_[u];

@@ -45,10 +45,17 @@ inline constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
 
 }  // namespace detail
 
-/// CRC32 of `size` bytes.  Chainable: pass a previous result as `crc`
-/// to extend the checksum over a further region.
-[[nodiscard]] inline std::uint32_t crc32(const void* data, std::size_t size,
-                                         std::uint32_t crc = 0) noexcept {
+/// Inputs shorter than this take the table loop: the fold needs one
+/// full 64-byte block to start.
+inline constexpr std::size_t kCrcFoldMinBytes = 64;
+
+/// CRC32 of `size` bytes, one byte per step through the 256-entry
+/// table.  The portable reference, the fold's tail path, and the whole
+/// computation below kCrcFoldMinBytes.  Chainable: pass a previous
+/// result as `crc` to extend the checksum over a further region.
+[[nodiscard]] inline std::uint32_t crc32_table(const void* data,
+                                               std::size_t size,
+                                               std::uint32_t crc = 0) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
   for (std::size_t i = 0; i < size; ++i) {
@@ -56,6 +63,15 @@ inline constexpr std::array<std::uint32_t, 256> kCrcTable = make_crc_table();
   }
   return ~crc;
 }
+
+/// CRC32 of `size` bytes (the checksum of every checkpoint region),
+/// chainable like crc32_table.  From kCrcFoldMinBytes up it folds 64
+/// bytes at a time by carry-less multiplies (PCLMULQDQ, serial.cpp) and
+/// takes the last size % 16 bytes through the table.  Equal to
+/// crc32_table for every input; where the CPU or the build lacks
+/// PCLMULQDQ it is crc32_table.
+[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
+                                  std::uint32_t crc = 0) noexcept;
 
 [[nodiscard]] inline std::uint32_t crc32(std::string_view bytes,
                                          std::uint32_t crc = 0) noexcept {
@@ -70,6 +86,16 @@ class ByteWriter {
   void u64(std::uint64_t v) { append(&v, sizeof v); }
   void f64(double v) { append(&v, sizeof v); }
   void bytes(const void* data, std::size_t size) { append(data, size); }
+
+  /// Makes room for `size` more bytes in one allocation, so a writer
+  /// that knows its byte count up front never re-copies what it wrote.
+  void reserve(std::size_t size) { bytes_.reserve(bytes_.size() + size); }
+
+  /// Bytes vec() writes for `count` elements of T.
+  template <typename T>
+  [[nodiscard]] static constexpr std::size_t vec_bytes(std::size_t count) {
+    return sizeof(std::uint64_t) + count * sizeof(T);
+  }
 
   /// u64 element count followed by the raw element bytes.
   template <typename T>
@@ -114,16 +140,39 @@ class ByteReader {
   template <typename T>
   void vec(std::vector<T>& out,
            std::uint64_t max_count = std::uint64_t{1} << 40) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::uint64_t count = u64();
-    if (count > max_count || count > remaining() / sizeof(T)) {
+    const VecView<T> view = vec_view<T>();
+    if (view.count > max_count) {
       throw std::runtime_error("serial: vector length exceeds payload");
     }
-    out.resize(static_cast<std::size_t>(count));
-    if (count != 0) {
-      std::memcpy(out.data(), take(static_cast<std::size_t>(count) * sizeof(T)),
-                  static_cast<std::size_t>(count) * sizeof(T));
+    out.resize(static_cast<std::size_t>(view.count));
+    view.copy_to(out);
+  }
+
+  /// A ByteWriter::vec record left in the payload: its element count
+  /// and bytes.
+  template <typename T>
+  struct VecView {
+    std::uint64_t count;
+    const char* bytes;
+    /// Copies the elements to `out`, which holds exactly `count`.
+    void copy_to(std::vector<T>& out) const noexcept {
+      if (count != 0) std::memcpy(out.data(), bytes, count * sizeof(T));
     }
+  };
+
+  /// Counterpart of ByteWriter::vec for an array of known size: reads
+  /// the element count and steps over the element bytes without
+  /// copying them.  The caller checks `count` against its own array
+  /// and calls copy_to() only after every check of the payload passed,
+  /// so a payload of another shape overwrites nothing.
+  template <typename T>
+  [[nodiscard]] VecView<T> vec_view() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    const std::uint64_t count = u64();
+    if (count > remaining() / sizeof(T)) {
+      throw std::runtime_error("serial: vector length exceeds payload");
+    }
+    return {count, take(static_cast<std::size_t>(count) * sizeof(T))};
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
