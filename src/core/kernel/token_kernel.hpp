@@ -22,6 +22,18 @@
 // The sequential instantiation realizes the same order with a plain
 // loop, which is why the two are bit-identical (pinned by tests/par/).
 //
+// The sequential round (step_sequential) runs in passes, like the
+// per-ball rounds of ball_kernel.hpp: a branch-free departure scan
+// banks the releasing bins, the pops run over that list, the
+// destinations are drawn as one block (fill_indices for FIFO / LIFO on
+// the complete graph, a gathered plane on the counter stream, neighbour
+// draws in bin order on a graph; the xoshiro random policy interleaves
+// each pop draw with its destination draw), a bookkeeping pass advances
+// progress and the delay clocks, and one push loop applies the arrivals
+// with the policy orientation fixed at compile time, prefetching each
+// push's header and token slot 16 moves ahead.  Pops and pushes are
+// branch-free splices (token_store.hpp).
+//
 // Queue policies (TokenOptions::policy): FIFO pops the oldest token,
 // LIFO the newest, random the k-th oldest where k is drawn uniformly --
 // under the counter stream from the dedicated pop-select slot plane
@@ -530,67 +542,110 @@ class TokenProcessCore {
     }
   }
 
+  /// One sequential round, both streams, in five passes: a branch-free
+  /// departure scan banks the releasing bins (a constant fraction of
+  /// the bins is empty, so a per-bin branch mispredicts like a coin
+  /// flip); the pops run over that list; the destinations follow as one
+  /// block; a bookkeeping pass advances progress and the delay clocks;
+  /// one push loop, its queue orientation hoisted, applies the
+  /// arrivals.  Later bins see pre-move queues (the
+  /// synchronous-round convention).
   void step_sequential() {
     const std::uint64_t r = round_;
-    seq_slots_.clear();
-    seq_tokens_.clear();
-    seq_dests_.clear();
+    const std::uint32_t n = bins_;
+    seq_slots_.resize(n);
+    seq_tokens_.resize(n);
+    seq_dests_.resize(n);
+    bin_index_t* slots = seq_slots_.data();
+    std::uint32_t* tokens = seq_tokens_.data();
+    bin_index_t* dests = seq_dests_.data();
+    const std::uint32_t k = store_.bank_nonempty(0, n, slots);
+    const bool random = options_.policy == QueuePolicy::kRandom;
     if constexpr (Stream::kScheduleFree) {
-      for (bin_index_t u = 0; u < bins_; ++u) {
-        if (u + kPrefetchAhead < bins_) prefetch_release(u + kPrefetchAhead);
-        if (store_.empty(u)) continue;
-        const std::uint32_t token = release_counter(u, r);
-        ++progress_[token];
-        seq_slots_.push_back(u);
-        seq_tokens_.push_back(token);
+      if (random) {
+        for (std::uint32_t i = 0; i < k; ++i) {
+          tokens[i] = release_counter(slots[i], r);
+        }
+      } else {
+        pop_fronts(slots, k, tokens);
       }
       // One gathered draw plane materializes every move's destination
       // (slot = releasing bin), bit-identical to the per-call draws.
-      seq_dests_.resize(seq_slots_.size());
-      stream_.fill_gather(r, seq_slots_.data(), 0, seq_slots_.size(), bins_,
-                          seq_dests_.data());
+      stream_.fill_gather(r, slots, 0, k, n, dests);
     } else {
-      // Sequential xoshiro draws: the random-policy pop draw and the
-      // destination draw (uniform bin, or uniform neighbor of u on a
-      // graph) interleave per releasing bin; arrivals apply after the
-      // walk (later bins see pre-move queues, the synchronous-round
-      // convention).  Every popped token is re-pushed this round, so
-      // its arrival clock restarts at r + 1 here.
       Rng& rng = stream_.rng();
       const Graph* graph = options_.graph;
-      for (bin_index_t u = 0; u < bins_; ++u) {
-        if (u + kPrefetchAhead < bins_) prefetch_release(u + kPrefetchAhead);
-        if (store_.empty(u)) continue;
-        const std::uint32_t token =
-            options_.policy == QueuePolicy::kRandom
-                ? store_.pop_at(u, static_cast<std::uint32_t>(
-                                       rng.below(store_.count(u))))
-                : store_.pop_front(u);
-        ++progress_[token];
-        if (options_.track_delays) {
-          delays_.add(r - arrival_round_[token]);
-          arrival_round_[token] = r + 1;
+      if (random) {
+        // The pop draw and the destination draw (uniform bin, or
+        // uniform neighbor of u on a graph) interleave per releasing bin.
+        for (std::uint32_t i = 0; i < k; ++i) {
+          const bin_index_t u = slots[i];
+          tokens[i] = store_.pop_at(
+              u, static_cast<std::uint32_t>(rng.below(store_.count(u))));
+          dests[i] = graph != nullptr ? graph->sample_neighbor(u, rng)
+                                      : rng.index(n);
         }
-        seq_tokens_.push_back(token);
-        seq_dests_.push_back(graph != nullptr ? graph->sample_neighbor(u, rng)
-                                              : rng.index(bins_));
+      } else {
+        // FIFO / LIFO pops draw nothing, so the destinations follow as
+        // a block: the same stream as per-releaser draws.
+        pop_fronts(slots, k, tokens);
+        if (graph == nullptr) {
+          rng.fill_indices(dests, k, n);
+        } else {
+          for (std::uint32_t i = 0; i < k; ++i) {
+            dests[i] = graph->sample_neighbor(slots[i], rng);
+          }
+        }
       }
     }
-    const std::size_t moves = seq_dests_.size();
-    for (std::size_t i = 0; i < moves; ++i) {
-      if (i + kPrefetchAhead < moves) {
-        store_.prefetch_bin(seq_dests_[i + kPrefetchAhead]);
-        store_.prefetch_slot(seq_tokens_[i + kPrefetchAhead]);
+    for (std::uint32_t i = 0; i < k; ++i) ++progress_[tokens[i]];
+    if (options_.track_delays) {
+      // Every popped token is re-pushed this round, so its arrival
+      // clock restarts at r + 1.
+      for (std::uint32_t i = 0; i < k; ++i) {
+        round_t& arrival = arrival_round_[tokens[i]];
+        delays_.add(r - arrival);
+        arrival = r + 1;
       }
-      const bin_index_t dest = seq_dests_[i];
-      const std::uint32_t token = seq_tokens_[i];
-      store_.push(dest, token);
-      if (mark_visited(token, dest, r + 1)) {
-        ++covered_tokens_;
-      }
+    }
+    if (options_.policy == QueuePolicy::kLifo) {
+      push_moves<true>(k, r + 1);
+    } else {
+      push_moves<false>(k, r + 1);
     }
     stats_dirty_ = true;  // recomputed lazily on the next stats query
     ++round_;
+  }
+
+  /// The FIFO / LIFO pops of the banked releasing bins slots[0, k) into
+  /// tokens[0, k).  No prefetch: fetching the head slots ahead slowed
+  /// the round at every store size measured.
+  void pop_fronts(const bin_index_t* slots, std::uint32_t k,
+                  std::uint32_t* tokens) {
+    for (std::uint32_t i = 0; i < k; ++i) {
+      tokens[i] = store_.pop_front(slots[i]);
+    }
+  }
+
+  /// The sequential round's push loop over the k banked moves, the
+  /// policy orientation fixed at compile time; each push's header and
+  /// token slot are fetched kPrefetchAhead moves ahead.
+  template <bool kLifo>
+  void push_moves(std::uint32_t k, std::uint64_t cover_at) {
+    const std::uint32_t* tokens = seq_tokens_.data();
+    const bin_index_t* dests = seq_dests_.data();
+    for (std::uint32_t i = 0; i < k; ++i) {
+      if (i + kPrefetchAhead < k) {
+        store_.prefetch_bin(dests[i + kPrefetchAhead]);
+        store_.prefetch_slot(tokens[i + kPrefetchAhead]);
+      }
+      if constexpr (kLifo) {
+        store_.push_front(dests[i], tokens[i]);
+      } else {
+        store_.push_back(dests[i], tokens[i]);
+      }
+      if (mark_visited(tokens[i], dests[i], cover_at)) ++covered_tokens_;
+    }
   }
 
   /// Phase 1 (throw) for one stripe of round r: releases the stripe's

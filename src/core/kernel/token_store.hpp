@@ -10,7 +10,8 @@
 // needs a queue's head (or, under the random policy, its k-th element)
 // and appends at its tail, so head/tail identity is the whole per-bin
 // state -- no per-bin allocation, no compaction, no growth: push and
-// pop_front are O(1) pointer splices into memory that never moves.
+// pop_front are O(1), branch-free pointer splices into memory that never
+// moves.
 // Resident state is 8m + 12n bytes with no per-bin allocation, which is
 // what lets sharded_scaling run token rows at n = 10^8.
 //
@@ -99,6 +100,20 @@ class FlatTokenStore {
     return bins_[u].tail;
   }
 
+  /// Banks the non-empty bins of [begin, end), in bin order, into
+  /// out[0, k) by branch-free compaction; `out` must hold end - begin
+  /// entries.  Returns k.  The departure scan of the sequential round.
+  std::uint32_t bank_nonempty(bin_index_t begin, bin_index_t end,
+                              bin_index_t* out) const noexcept {
+    const BinList* lists = bins_.data();
+    std::uint32_t k = 0;
+    for (bin_index_t u = begin; u < end; ++u) {
+      out[k] = u;
+      k += lists[u].count != 0 ? 1 : 0;
+    }
+    return k;
+  }
+
   /// Enqueues `token` into bin u per the policy orientation.
   void push(bin_index_t u, std::uint32_t token) noexcept {
     if (policy_ == QueuePolicy::kLifo) {
@@ -108,13 +123,41 @@ class FlatTokenStore {
     }
   }
 
+  /// push() for FIFO / random: appends at the tail.  Branch-free (an
+  /// empty target is a coin flip for the predictor -- Lemma 1): with
+  /// `all` = ~0 for an empty list, the token becomes the head and its
+  /// own link is rewritten to kNil; otherwise it is linked behind the
+  /// tail.  The selects are mask arithmetic: written as conditionals,
+  /// the compiler turns them back into branches.
+  void push_back(bin_index_t u, std::uint32_t token) noexcept {
+    BinList& list = bins_[u];
+    const std::uint32_t all = empty_mask(list.count);
+    slots_[token] = TokenSlot{kNil, u};
+    slots_[select(all, token, list.tail)].next = token | all;
+    list.head = select(all, token, list.head);
+    list.tail = token;
+    ++list.count;
+  }
+
+  /// push() for LIFO: prepends at the head (branch-free).
+  void push_front(bin_index_t u, std::uint32_t token) noexcept {
+    BinList& list = bins_[u];
+    slots_[token] = TokenSlot{list.head, u};
+    list.tail = select(empty_mask(list.count), token, list.tail);
+    list.head = token;
+    ++list.count;
+  }
+
   /// Removes and returns the head of bin u.  Requires !empty(u).  The
-  /// releasing pop of FIFO (oldest) and LIFO (newest).
+  /// releasing pop of FIFO (oldest) and LIFO (newest).  Branch-free:
+  /// the last pop leaves head = kNil (the token's own link) and ORs the
+  /// tail to kNil.
   std::uint32_t pop_front(bin_index_t u) noexcept {
     BinList& list = bins_[u];
     const std::uint32_t token = list.head;
     list.head = slots_[token].next;
-    if (--list.count == 0) list.tail = kNil;
+    --list.count;
+    list.tail |= empty_mask(list.count);
     return token;
   }
 
@@ -208,24 +251,14 @@ class FlatTokenStore {
   }
 
  private:
-  void push_back(bin_index_t u, std::uint32_t token) noexcept {
-    slots_[token] = TokenSlot{kNil, u};
-    BinList& list = bins_[u];
-    if (list.count == 0) {
-      list.head = token;
-    } else {
-      slots_[list.tail].next = token;
-    }
-    list.tail = token;
-    ++list.count;
+  /// ~0 when `count` is zero, else 0.
+  static std::uint32_t empty_mask(std::uint32_t count) noexcept {
+    return 0u - static_cast<std::uint32_t>(count == 0);
   }
-
-  void push_front(bin_index_t u, std::uint32_t token) noexcept {
-    BinList& list = bins_[u];
-    slots_[token] = TokenSlot{list.head, u};
-    if (list.count == 0) list.tail = token;
-    list.head = token;
-    ++list.count;
+  /// `mask` ? a : b for an all-ones / all-zeros mask.
+  static std::uint32_t select(std::uint32_t mask, std::uint32_t a,
+                              std::uint32_t b) noexcept {
+    return b ^ ((a ^ b) & mask);
   }
 
   QueuePolicy policy_;

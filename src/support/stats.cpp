@@ -33,11 +33,7 @@ double OnlineMoments::ci95_halfwidth() const noexcept {
   return 1.959963984540054 * stderror();
 }
 
-void Histogram::add(std::uint64_t value, std::uint64_t weight) {
-  if (value >= counts_.size()) counts_.resize(value + 1, 0);
-  counts_[value] += weight;
-  total_ += weight;
-}
+void Histogram::grow(std::uint64_t value) { counts_.resize(value + 1, 0); }
 
 void Histogram::merge(const Histogram& other) {
   if (other.counts_.size() > counts_.size()) {

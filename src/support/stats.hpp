@@ -58,7 +58,13 @@ class Histogram {
  public:
   Histogram() = default;
 
-  void add(std::uint64_t value, std::uint64_t weight = 1);
+  /// Inline: the bounds check and the increment run on every token
+  /// release of a delay-tracking round; only the growth is out of line.
+  void add(std::uint64_t value, std::uint64_t weight = 1) {
+    if (value >= counts_.size()) grow(value);
+    counts_[value] += weight;
+    total_ += weight;
+  }
   void merge(const Histogram& other);
 
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
@@ -80,6 +86,9 @@ class Histogram {
   }
 
  private:
+  /// Extends counts_ with zeros to cover `value`.
+  void grow(std::uint64_t value);
+
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
 };

@@ -9,6 +9,7 @@
 // exactly the moves the transparent per-bin-vector semantics define.
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -102,6 +103,73 @@ TEST(FlatTokenParity, SeqCounterMatchesReferenceEveryPolicy) {
       expect_same_state(core, ref, to_string(policy));
     }
     ASSERT_NO_THROW(core.check_invariants());
+  }
+}
+
+/// Steps `core` and `ref` in lockstep for kRounds rounds, comparing the
+/// full state after each round, then the visit and delay bookkeeping
+/// that `options` enables.
+template <typename Core, typename Ref>
+void expect_lockstep(Core& core, Ref& ref, const TokenOptions& options,
+                     const std::string& what) {
+  for (std::uint64_t r = 0; r < kRounds; ++r) {
+    core.step();
+    ref.step();
+    expect_same_state(core, ref, what.c_str());
+  }
+  for (std::uint32_t i = 0; options.track_visits && i < core.token_count();
+       ++i) {
+    ASSERT_EQ(core.visited_count(i), ref.visited_count(i)) << what;
+    ASSERT_EQ(core.cover_round(i), ref.cover_round(i)) << what;
+  }
+  if (options.track_delays) {
+    EXPECT_EQ(core.delay_histogram().counts(),
+              ref.delay_histogram().counts())
+        << what;
+  }
+  ASSERT_NO_THROW(core.check_invariants()) << what;
+}
+
+/// The sequential round's parity grid, run on the seq-xoshiro core and
+/// (delays off: a xoshiro-only feature) the seq-counter core.
+void expect_seq_grid(std::uint32_t n, const std::vector<std::uint32_t>& start,
+                     bool visits, const std::string& what) {
+  for (const QueuePolicy policy : kPolicies) {
+    for (const bool delays : {false, true}) {
+      const TokenOptions options{.track_visits = visits,
+                                 .policy = policy,
+                                 .track_delays = delays};
+      const std::string label = what + " " + to_string(policy) +
+                                (visits ? " visits" : "") +
+                                (delays ? " delays" : "");
+      SequentialTokenProcess core(n, start, Rng(kSeed), options);
+      ReferenceTokenProcess<kernel::SequentialStream> ref(
+          n, start, kernel::SequentialStream(Rng(kSeed)), options);
+      expect_lockstep(core, ref, options, "seq " + label);
+      if (delays) continue;
+      SequentialCounterTokenProcess counter(n, start, kSeed, options);
+      ReferenceTokenProcess<kernel::CounterStream> counter_ref(
+          n, start, kernel::CounterStream(kSeed), options);
+      expect_lockstep(counter, counter_ref, options, "seq-counter " + label);
+    }
+  }
+}
+
+TEST(FlatTokenParity, SeqCoresMatchReferenceAcrossLoadGrid) {
+  // m in {n/4, n, 4n} tokens, spread round-robin, plus every token in one
+  // bin; visit tracking off and on.
+  constexpr std::uint32_t n = 256;
+  std::vector<std::vector<std::uint32_t>> starts;
+  for (const std::uint32_t m : {n / 4, n, 4 * n}) {
+    std::vector<std::uint32_t> start(m);
+    for (std::uint32_t i = 0; i < m; ++i) start[i] = (i * 7) % n;
+    starts.push_back(start);
+  }
+  starts.emplace_back(n, 5u);  // all in one bin
+  for (const std::vector<std::uint32_t>& start : starts) {
+    for (const bool visits : {false, true}) {
+      expect_seq_grid(n, start, visits, "m=" + std::to_string(start.size()));
+    }
   }
 }
 

@@ -131,6 +131,65 @@ TEST(Histogram, MergeAddsCounts) {
   EXPECT_EQ(a.max_value(), 10u);
 }
 
+TEST(Histogram, AddAtSizeGrowsByOne) {
+  // The inline add's bounds check: value == counts().size() is the first
+  // value that needs the out-of-line growth.
+  Histogram h;
+  h.add(2);
+  ASSERT_EQ(h.counts().size(), 3u);
+  h.add(h.counts().size());
+  EXPECT_EQ(h.counts().size(), 4u);
+  EXPECT_EQ(h.count_at(3), 1u);
+  EXPECT_EQ(h.count_at(2), 1u);
+  EXPECT_EQ(h.count_at(0), 0u);
+  EXPECT_EQ(h.total(), 2u);
+  h.add(h.counts().size() - 1);  // in range: no growth
+  EXPECT_EQ(h.counts().size(), 4u);
+  EXPECT_EQ(h.count_at(3), 2u);
+}
+
+TEST(Histogram, WeightedAddCountsTheWeight) {
+  Histogram h;
+  h.add(0, 5);  // grows from empty
+  h.add(4, 3);  // grows
+  h.add(4, 2);  // in range
+  h.add(1, 0);  // zero weight: a value with no mass
+  EXPECT_EQ(h.total(), 10u);
+  EXPECT_EQ(h.count_at(0), 5u);
+  EXPECT_EQ(h.count_at(4), 5u);
+  EXPECT_EQ(h.count_at(1), 0u);
+  EXPECT_EQ(h.max_value(), 4u);
+  EXPECT_NEAR(h.mean(), 2.0, 1e-12);
+}
+
+TEST(Histogram, MergeAfterGrowth) {
+  // Both sides grown by adds before the merge, the longer one on either
+  // side: counts add bin by bin and the shorter side is zero-extended.
+  Histogram a;
+  Histogram b;
+  a.add(1, 2);
+  a.add(3);
+  b.add(3, 4);
+  b.add(9);
+  Histogram c = b;
+  a.merge(b);
+  EXPECT_EQ(a.counts().size(), 10u);
+  EXPECT_EQ(a.total(), 8u);
+  EXPECT_EQ(a.count_at(1), 2u);
+  EXPECT_EQ(a.count_at(3), 5u);
+  EXPECT_EQ(a.count_at(9), 1u);
+  Histogram d;
+  d.add(1, 2);
+  d.add(3);
+  c.merge(d);
+  EXPECT_EQ(c.counts(), a.counts());
+  EXPECT_EQ(c.total(), a.total());
+  a.add(12);  // grows past the merged size
+  EXPECT_EQ(a.counts().size(), 13u);
+  EXPECT_EQ(a.total(), 9u);
+  EXPECT_EQ(a.max_value(), 12u);
+}
+
 TEST(TotalVariation, UniformDistributionIsZero) {
   EXPECT_NEAR(total_variation_from_uniform({5, 5, 5, 5}), 0.0, 1e-12);
 }
