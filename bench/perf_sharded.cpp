@@ -1,18 +1,13 @@
-// Throughput benchmarks for the sharded round kernel (src/par/) against
-// the sequential kernels, plus the counter-RNG primitives it rides on.
-//
-// The acceptance bar for the backend is recorded in BENCH_sharded.json
-// (generated by `rbb run sharded_scaling --format=json`); this bench is
-// the finer-grained google-benchmark view: per-round wall time at
-// n = 10^6 / 10^7 across worker counts, the sequential floors, and the
-// raw Philox draw cost.  Run on a many-core box, BM_ShardedRound at
-// 8 threads vs BM_SeqCounterRound at the same n is the >= 3x headline;
-// on a 1-core CI container the thread sweep degenerates (all configs
-// time-share one core) but stays bit-correct.
+// Fine-grained google-benchmark views of the sharded round kernel
+// (src/par/) that no tracked baseline reports: shard-size sensitivity,
+// the per-phase breakdown of one sharded round, and the raw draw cost
+// of the counter RNG next to the sequential generator.  Per-variant
+// ns/ball of the sequential, seq-counter and sharded backends at
+// n = 10^6 / 10^7 is the sharded_scaling experiment's job (`rbb run
+// sharded_scaling --format=json`, tracked in BENCH_sharded.json).
 #include <benchmark/benchmark.h>
 
 #include "core/config.hpp"
-#include "core/process.hpp"
 #include "obs/metrics.hpp"
 #include "par/sharded_process.hpp"
 #include "support/counter_rng.hpp"
@@ -22,46 +17,6 @@ namespace {
 using namespace rbb;
 
 // --- the kernels ------------------------------------------------------------
-
-void BM_SeqXoshiroRound(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  Rng rng(1);
-  RepeatedBallsProcess proc(make_config(InitialConfig::kOnePerBin, n, n, rng),
-                            rng);
-  for (auto _ : state) benchmark::DoNotOptimize(proc.step());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_SeqXoshiroRound)->Arg(1000000)->Arg(10000000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_SeqCounterRound(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  Rng rng(1);
-  par::SequentialCounterProcess proc(
-      make_config(InitialConfig::kOnePerBin, n, n, rng), 1);
-  for (auto _ : state) benchmark::DoNotOptimize(proc.step());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_SeqCounterRound)->Arg(1000000)->Arg(10000000)
-    ->Unit(benchmark::kMillisecond);
-
-// Arg pair: n, worker threads (1 = inline, no pool).
-void BM_ShardedRound(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto threads = static_cast<unsigned>(state.range(1));
-  Rng rng(1);
-  par::ShardedRepeatedBallsProcess proc(
-      make_config(InitialConfig::kOnePerBin, n, n, rng), 1,
-      par::ShardedOptions{threads, 0});
-  for (auto _ : state) benchmark::DoNotOptimize(proc.step());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
-}
-BENCHMARK(BM_ShardedRound)
-    ->Args({1000000, 1})->Args({1000000, 2})->Args({1000000, 4})
-    ->Args({1000000, 8})
-    ->Args({10000000, 1})->Args({10000000, 2})->Args({10000000, 4})
-    ->Args({10000000, 8})
-    ->Unit(benchmark::kMillisecond);
 
 // Shard-size sensitivity at fixed n and threads: too small pays buffer
 // bookkeeping, too large spills the commit phase out of cache.

@@ -790,7 +790,7 @@ class BallProcessCore {
           },
           [&](std::uint32_t, std::uint64_t,
               const std::vector<bin_index_t>& arrivals) {
-            for (const bin_index_t dest : arrivals) ++loads_[dest];
+            apply_scatter(arrivals);
           },
           scan);
     }

@@ -36,7 +36,8 @@
 // in ascending source-stripe order, each buffer in push order
 // (ascending (u, j) within the stripe) -- so per destination bin the
 // arrival order is identical, and capacity/drop decisions depend on
-// nothing else.
+// nothing else.  The sequential round and the sharded phases share
+// both passes (depart_range, arrive).
 #pragma once
 
 #include <algorithm>
@@ -417,22 +418,6 @@ class MixedProcessCore {
     return c;
   }
 
-  /// Applies one packed arrival word, or drops it at a full bin and
-  /// adds its weight to `dropped_weight`; returns true if the ball
-  /// landed.  Caller owns the destination bin's row.
-  bool apply_arrival(std::uint64_t word, weighted_load_t& dropped_weight) {
-    const auto cls = static_cast<std::uint32_t>(word >> 32);
-    const auto v = static_cast<bin_index_t>(word);
-    if (caps_[v] != 0 && loads_[v] >= caps_[v]) {
-      dropped_weight += weights_.class_weights[cls];
-      return false;
-    }
-    ++counts_[static_cast<std::size_t>(v) * class_count() + cls];
-    ++loads_[v];
-    wload_[v] += weights_.class_weights[cls];
-    return true;
-  }
-
   /// Rebuilds the derived per-bin loads/weighted loads and the system
   /// totals from the per-class census (constructor / reassign / restore).
   void recompute_from_counts() {
@@ -480,22 +465,21 @@ class MixedProcessCore {
 
   void rescan_stats() { stats_ = scan_bins(0, bin_count()); }
 
-  // --- the sequential round -------------------------------------------------
+  // --- the round passes ----------------------------------------------------
 
-  void step_sequential() {
+  /// The departure pass of round r over bins [begin, end): bin u
+  /// releases min(load, rate) balls, each a class pick (take_class)
+  /// then a uniform destination, counted into by_class[class] and
+  /// handed to emit(dest, word) in ascending (u, j) order; returns the
+  /// departure count.  Draws are scalar on purpose: the class-draw
+  /// bound shrinks per pick, so no two draws share a plane.
+  template <typename Emit>
+  ball_count_t depart_range(std::uint64_t r, bin_index_t begin,
+                            bin_index_t end, ball_count_t* by_class,
+                            const Emit& emit) {
     const std::uint32_t n = bin_count();
-    const std::uint64_t r = round_;
-
-    std::fill(last_departures_by_class_.begin(),
-              last_departures_by_class_.end(), 0);
-    scratch_.clear();
-
-    // Departure walk: bin u releases min(load, rate) balls; each pick
-    // removes a uniform ball (class proportional to counts) and draws
-    // a uniform destination.  Draws are keyed by (round, j, u) on both
-    // streams' slot spaces, scalar on purpose: the class-draw bound
-    // shrinks per pick, so no two draws share a plane.
-    for (bin_index_t u = 0; u < n; ++u) {
+    ball_count_t departures = 0;
+    for (bin_index_t u = begin; u < end; ++u) {
       const std::uint32_t releases =
           static_cast<std::uint32_t>(std::min<load_t>(loads_[u], rates_[u]));
       for (std::uint32_t j = 0; j < releases; ++j) {
@@ -510,18 +494,50 @@ class MixedProcessCore {
           dest = stream_.rng().index(n);
         }
         const std::uint32_t cls = take_class(u, x);
-        ++last_departures_by_class_[cls];
-        scratch_.push_back(pack(cls, dest));
+        ++by_class[cls];
+        emit(dest, pack(cls, dest));
       }
+      departures += releases;
     }
-    last_departures_ = scratch_.size();
+    return departures;
+  }
 
-    // Arrivals in ascending global (u, j) order == push order.
+  /// The arrival pass: applies the packed words in order, dropping each
+  /// arrival at a bin already at its capacity and adding its weight to
+  /// `dropped_weight`; returns the number dropped.  Caller owns every
+  /// destination bin's row.
+  ball_count_t arrive(const std::vector<std::uint64_t>& words,
+                      weighted_load_t& dropped_weight) {
     ball_count_t drops = 0;
-    weighted_load_t dropped_w = 0;
-    for (const std::uint64_t word : scratch_) {
-      if (!apply_arrival(word, dropped_w)) ++drops;
+    for (const std::uint64_t word : words) {
+      const auto cls = static_cast<std::uint32_t>(word >> 32);
+      const auto v = static_cast<bin_index_t>(word);
+      if (caps_[v] != 0 && loads_[v] >= caps_[v]) {
+        dropped_weight += weights_.class_weights[cls];
+        ++drops;
+        continue;
+      }
+      ++counts_[static_cast<std::size_t>(v) * class_count() + cls];
+      ++loads_[v];
+      wload_[v] += weights_.class_weights[cls];
     }
+    return drops;
+  }
+
+  /// One sequential round: the departure pass over every bin into
+  /// scratch_, the arrival pass in ascending global (u, j) order (==
+  /// push order), then the round-end scan.
+  void step_sequential() {
+    std::fill(last_departures_by_class_.begin(),
+              last_departures_by_class_.end(), 0);
+    scratch_.clear();
+    last_departures_ =
+        depart_range(round_, 0, bin_count(), last_departures_by_class_.data(),
+                     [&](bin_index_t, std::uint64_t word) {
+                       scratch_.push_back(word);
+                     });
+    weighted_load_t dropped_w = 0;
+    const ball_count_t drops = arrive(scratch_, dropped_w);
     balls_ -= drops;
     total_weight_ -= dropped_w;
     dropped_balls_ += drops;
@@ -548,41 +564,27 @@ class MixedProcessCore {
 
   using Rows = ShardRows<std::uint64_t>;
 
-  /// Phase 1 (throw) for one stripe of round r: walks its own bins,
-  /// removes the departing balls (class picks touch only owned rows)
-  /// and pushes the packed (class, destination) words to their target
-  /// shards in ascending (u, j) order.  The class-draw bound
-  /// `remaining` reads only own-bin loads, whose value at throw start
-  /// is the post-commit state of the previous round --
-  /// schedule-independent.
+  /// Phase 1 (throw) for one stripe of round r: the departure pass over
+  /// its own bins (class picks touch only owned rows), each packed
+  /// (class, destination) word pushed to its target shard in ascending
+  /// (u, j) order.  The class-draw bound reads only own-bin loads, whose
+  /// value at throw start is the post-commit state of the previous
+  /// round -- schedule-independent.
   void throw_stripe(std::uint32_t g, std::uint64_t r, Rows rows)
     requires kShardedExec
   {
-    const std::uint32_t n = bin_count();
     const std::uint32_t k = class_count();
     const ShardPlan& plan = exec_.plan();
     StripeAcc& acc = acc_[g];
-    acc.departures = 0;
     acc.drops = 0;
     acc.scan = BinScan{};
     ball_count_t* dep_by_class = &class_acc_[static_cast<std::size_t>(g) * k];
     std::fill(dep_by_class, dep_by_class + k, 0);
-    const bin_index_t begin = plan.stripe_begin_bin(g);
-    const bin_index_t end = plan.stripe_end_bin(g);
-    for (bin_index_t u = begin; u < end; ++u) {
-      const std::uint32_t releases =
-          static_cast<std::uint32_t>(std::min<load_t>(loads_[u], rates_[u]));
-      for (std::uint32_t j = 0; j < releases; ++j) {
-        const load_t remaining = loads_[u];
-        const std::uint32_t x =
-            stream_.index(r, mixed_class_slot(j, u), remaining);
-        const bin_index_t dest = stream_.index(r, mixed_dest_slot(j, u), n);
-        const std::uint32_t cls = take_class(u, x);
-        ++dep_by_class[cls];
-        ++acc.departures;
-        rows.push(dest, pack(cls, dest));
-      }
-    }
+    acc.departures =
+        depart_range(r, plan.stripe_begin_bin(g), plan.stripe_end_bin(g),
+                     dep_by_class, [&](bin_index_t dest, std::uint64_t word) {
+                       rows.push(dest, word);
+                     });
   }
 
   /// Runs `rounds` >= 1 sharded rounds through the round driver
@@ -613,12 +615,9 @@ class MixedProcessCore {
         [&](std::uint32_t g, std::uint64_t,
             const std::vector<std::uint64_t>& words) {
           StripeAcc& acc = acc_[g];
-          for (const std::uint64_t word : words) {
-            if (!apply_arrival(word, acc.cum_dropped_weight)) {
-              ++acc.drops;
-              ++acc.cum_drops;
-            }
-          }
+          const ball_count_t drops = arrive(words, acc.cum_dropped_weight);
+          acc.drops += drops;
+          acc.cum_drops += drops;
         },
         [&](std::uint32_t g, std::uint64_t, bin_index_t begin,
             bin_index_t end) { acc_[g].scan.merge(scan_bins(begin, end)); });

@@ -22,17 +22,18 @@
 // The sequential instantiation realizes the same order with a plain
 // loop, which is why the two are bit-identical (pinned by tests/par/).
 //
-// The sequential round (step_sequential) runs in passes, like the
-// per-ball rounds of ball_kernel.hpp: a branch-free departure scan
-// banks the releasing bins, the pops run over that list, the
-// destinations are drawn as one block (fill_indices for FIFO / LIFO on
-// the complete graph, a gathered plane on the counter stream, neighbour
+// Every round, sequential or sharded, is two passes, like the per-ball
+// rounds of ball_kernel.hpp.  The release pass (release_range) banks a
+// bin range's releasing bins branch-free, pops them, draws their
+// destinations as one block (fill_indices for FIFO / LIFO on the
+// complete graph, a gathered plane on the counter stream, neighbour
 // draws in bin order on a graph; the xoshiro random policy interleaves
-// each pop draw with its destination draw), a bookkeeping pass advances
-// progress and the delay clocks, and one push loop applies the arrivals
-// with the policy orientation fixed at compile time, prefetching each
-// push's header and token slot 16 moves ahead.  Pops and pushes are
-// branch-free splices (token_store.hpp).
+// each pop draw with its destination draw) and advances progress.  The
+// push pass (push_moves) applies arrivals with the policy orientation
+// fixed at compile time, prefetching 16 moves ahead.  The sequential
+// round runs both over [0, n); a sharded stripe releases kDrawChunk-bin
+// blocks into stack buffers, and each commit pushes one buffer.  Pops
+// and pushes are branch-free splices (token_store.hpp).
 //
 // Queue policies (TokenOptions::policy): FIFO pops the oldest token,
 // LIFO the newest, random the k-th oldest where k is drawn uniformly --
@@ -57,6 +58,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.hpp"
@@ -491,7 +493,7 @@ class TokenProcessCore {
 
   using Rows = ShardRows<Arrival>;
 
-  /// Scatter loops prefetch this many arrivals ahead: at mega n the
+  /// The push pass prefetches this many arrivals ahead: at mega n the
   /// store out-sizes the cache and each push touches a random header
   /// (and, appending, a random tail slot).
   static constexpr std::uint32_t kPrefetchAhead = 16;
@@ -531,40 +533,26 @@ class TokenProcessCore {
     return store_.pop_front(u);
   }
 
-  /// Prefetches the head slot (the pop target) and progress counter of
-  /// bin `u` if it will release; headers themselves stream sequentially
-  /// through the scan, so peeking ahead is cache-hot.
-  void prefetch_release(bin_index_t u) const {
-    const std::uint32_t h = store_.peek_head(u);
-    if (h != FlatTokenStore::kNil) {
-      store_.prefetch_slot(h);
-      __builtin_prefetch(&progress_[h], 1);
-    }
-  }
-
-  /// One sequential round, both streams, in five passes: a branch-free
-  /// departure scan banks the releasing bins (a constant fraction of
-  /// the bins is empty, so a per-bin branch mispredicts like a coin
-  /// flip); the pops run over that list; the destinations follow as one
-  /// block; a bookkeeping pass advances progress and the delay clocks;
-  /// one push loop, its queue orientation hoisted, applies the
-  /// arrivals.  Later bins see pre-move queues (the
-  /// synchronous-round convention).
-  void step_sequential() {
-    const std::uint64_t r = round_;
+  /// The release pass of round r over bins [begin, end), both streams,
+  /// in three steps: a branch-free departure scan banks the releasing
+  /// bins into slots (a constant fraction of the bins is empty, so a
+  /// per-bin branch mispredicts like a coin flip); the pops run over
+  /// that list into tokens, each advancing its token's progress; the
+  /// destinations follow as one block into dests.  slots, tokens and
+  /// dests must hold end - begin entries; returns the number of
+  /// releases k, index-aligned in the three.  It pops only the lists of
+  /// [begin, end), so disjoint stripes release concurrently.
+  std::uint32_t release_range(std::uint64_t r, bin_index_t begin,
+                              bin_index_t end, bin_index_t* slots,
+                              std::uint32_t* tokens, bin_index_t* dests) {
     const std::uint32_t n = bins_;
-    seq_slots_.resize(n);
-    seq_tokens_.resize(n);
-    seq_dests_.resize(n);
-    bin_index_t* slots = seq_slots_.data();
-    std::uint32_t* tokens = seq_tokens_.data();
-    bin_index_t* dests = seq_dests_.data();
-    const std::uint32_t k = store_.bank_nonempty(0, n, slots);
+    const std::uint32_t k = store_.bank_nonempty(begin, end, slots);
     const bool random = options_.policy == QueuePolicy::kRandom;
     if constexpr (Stream::kScheduleFree) {
       if (random) {
         for (std::uint32_t i = 0; i < k; ++i) {
           tokens[i] = release_counter(slots[i], r);
+          ++progress_[tokens[i]];
         }
       } else {
         pop_fronts(slots, k, tokens);
@@ -582,6 +570,7 @@ class TokenProcessCore {
           const bin_index_t u = slots[i];
           tokens[i] = store_.pop_at(
               u, static_cast<std::uint32_t>(rng.below(store_.count(u))));
+          ++progress_[tokens[i]];
           dests[i] = graph != nullptr ? graph->sample_neighbor(u, rng)
                                       : rng.index(n);
         }
@@ -598,7 +587,26 @@ class TokenProcessCore {
         }
       }
     }
-    for (std::uint32_t i = 0; i < k; ++i) ++progress_[tokens[i]];
+    return k;
+  }
+
+  /// One sequential round: the release pass over every bin, the delay
+  /// clocks, then the push pass.  Later bins see pre-move queues (the
+  /// synchronous-round convention).  Flattened: in a large translation
+  /// unit GCC's inline-unit-growth budget otherwise left Rng::below out
+  /// of line in the block draw, a call per draw (+20% on the delays
+  /// driver's rounds).
+  [[gnu::flatten]] void step_sequential() {
+    const std::uint64_t r = round_;
+    const std::uint32_t n = bins_;
+    seq_slots_.resize(n);
+    seq_tokens_.resize(n);
+    seq_dests_.resize(n);
+    const std::uint32_t* tokens = seq_tokens_.data();
+    const bin_index_t* dests = seq_dests_.data();
+    const std::uint32_t k = release_range(r, 0, n, seq_slots_.data(),
+                                          seq_tokens_.data(),
+                                          seq_dests_.data());
     if (options_.track_delays) {
       // Every popped token is re-pushed this round, so its arrival
       // clock restarts at r + 1.
@@ -608,108 +616,84 @@ class TokenProcessCore {
         arrival = r + 1;
       }
     }
-    if (options_.policy == QueuePolicy::kLifo) {
-      push_moves<true>(k, r + 1);
-    } else {
-      push_moves<false>(k, r + 1);
-    }
+    covered_tokens_ += push_moves(
+        k, [&](std::size_t i) { return Arrival{dests[i], tokens[i]}; },
+        r + 1);
     stats_dirty_ = true;  // recomputed lazily on the next stats query
     ++round_;
   }
 
   /// The FIFO / LIFO pops of the banked releasing bins slots[0, k) into
   /// tokens[0, k).  No prefetch: fetching the head slots ahead slowed
-  /// the round at every store size measured.
+  /// the round at every store size measured.  Like every pop loop, it
+  /// advances the token's progress in the same iteration: the counter's
+  /// address comes from the cache-hot header, so at mega n its miss
+  /// overlaps the pop's own slot miss (on a 4-vCPU Xeon, a separate pass
+  /// cost the sharded throw ~4% at n = 10^7).
   void pop_fronts(const bin_index_t* slots, std::uint32_t k,
                   std::uint32_t* tokens) {
     for (std::uint32_t i = 0; i < k; ++i) {
       tokens[i] = store_.pop_front(slots[i]);
+      ++progress_[tokens[i]];
     }
   }
 
-  /// The sequential round's push loop over the k banked moves, the
-  /// policy orientation fixed at compile time; each push's header and
-  /// token slot are fetched kPrefetchAhead moves ahead.
-  template <bool kLifo>
-  void push_moves(std::uint32_t k, std::uint64_t cover_at) {
-    const std::uint32_t* tokens = seq_tokens_.data();
-    const bin_index_t* dests = seq_dests_.data();
-    for (std::uint32_t i = 0; i < k; ++i) {
-      if (i + kPrefetchAhead < k) {
-        store_.prefetch_bin(dests[i + kPrefetchAhead]);
-        store_.prefetch_slot(tokens[i + kPrefetchAhead]);
+  /// The push pass: enqueues the arrivals move(0), ..., move(k - 1) in
+  /// that order, with the policy orientation fixed at compile time;
+  /// each push's header and token slot are fetched kPrefetchAhead moves
+  /// ahead.  Returns how many tokens these visits completed (the caller
+  /// owns the covered counter, so the sharded commit can accumulate per
+  /// stripe).
+  template <typename Move>
+  std::uint32_t push_moves(std::size_t k, const Move& move,
+                           std::uint64_t cover_at) {
+    const auto push_all = [&](auto lifo) {
+      std::uint32_t covered = 0;
+      for (std::size_t i = 0; i < k; ++i) {
+        if (i + kPrefetchAhead < k) {
+          const Arrival ahead = move(i + kPrefetchAhead);
+          store_.prefetch_bin(ahead.dest);
+          store_.prefetch_slot(ahead.token);
+        }
+        const Arrival arrival = move(i);
+        if constexpr (decltype(lifo)::value) {
+          store_.push_front(arrival.dest, arrival.token);
+        } else {
+          store_.push_back(arrival.dest, arrival.token);
+        }
+        if (mark_visited(arrival.token, arrival.dest, cover_at)) ++covered;
       }
-      if constexpr (kLifo) {
-        store_.push_front(dests[i], tokens[i]);
-      } else {
-        store_.push_back(dests[i], tokens[i]);
-      }
-      if (mark_visited(tokens[i], dests[i], cover_at)) ++covered_tokens_;
-    }
+      return covered;
+    };
+    return options_.policy == QueuePolicy::kLifo ? push_all(std::true_type{})
+                                                 : push_all(std::false_type{});
   }
 
-  /// Phase 1 (throw) for one stripe of round r: releases the stripe's
-  /// queue heads in ascending bin order into its buffer row, so every
-  /// buffer is filled sorted by releasing bin.  A token sits in exactly
-  /// one queue and a stripe pops only its own bins' lists, so the store
-  /// and progress_ writes are stripe-exclusive.
+  /// Phase 1 (throw) for one stripe of round r: the release pass over
+  /// kDrawChunk-bin blocks of the stripe into stack buffers, each
+  /// block's moves pushed to their buffer rows in ascending releasing
+  /// bin, so every buffer is filled sorted by releasing bin.  A token
+  /// sits in exactly one queue and a stripe pops only its own bins'
+  /// lists, so the store and progress_ writes are stripe-exclusive.
   void throw_stripe(std::uint32_t g, std::uint64_t r, Rows rows)
     requires kShardedExec
   {
-    const std::uint32_t n = bins_;
     const ShardPlan& plan = exec_.plan();
     acc_[g].scan = LoadScan{};
-    const bin_index_t begin = plan.stripe_begin_bin(g);
     const bin_index_t end = plan.stripe_end_bin(g);
-    // Releasing bins and their tokens bank into stack chunks; each
-    // flush draws the chunk's destinations from one gathered plane.
-    // Ascending-u push order per buffer is preserved, so the
-    // canonical arrival order is unchanged.
-    bin_index_t slot_buf[kDrawChunk];
-    std::uint32_t token_buf[kDrawChunk];
-    bin_index_t dest_buf[kDrawChunk];
-    std::uint32_t pending = 0;
-    const auto flush = [&] {
+    bin_index_t slots[kDrawChunk];
+    std::uint32_t tokens[kDrawChunk];
+    bin_index_t dests[kDrawChunk];
+    for (bin_index_t begin = plan.stripe_begin_bin(g); begin < end;) {
+      const bin_index_t block_end =
+          begin + std::min<bin_index_t>(kDrawChunk, end - begin);
       obs::add(obs::Counter::kChunkFlushes);
-      stream_.fill_gather(r, slot_buf, 0, pending, n, dest_buf);
-      for (std::uint32_t i = 0; i < pending; ++i) {
-        rows.push(dest_buf[i], Arrival{dest_buf[i], token_buf[i]});
+      const std::uint32_t k =
+          release_range(r, begin, block_end, slots, tokens, dests);
+      for (std::uint32_t i = 0; i < k; ++i) {
+        rows.push(dests[i], Arrival{dests[i], tokens[i]});
       }
-      pending = 0;
-    };
-    for (bin_index_t u = begin; u < end; ++u) {
-      if (u + kPrefetchAhead < end) prefetch_release(u + kPrefetchAhead);
-      if (store_.empty(u)) continue;
-      const std::uint32_t token = release_counter(u, r);
-      ++progress_[token];
-      slot_buf[pending] = u;
-      token_buf[pending] = token;
-      if (++pending == kDrawChunk) flush();
-    }
-    if (pending > 0) flush();
-  }
-
-  /// Phase 2 (commit) for one buffer of arrivals into stripe g's shards,
-  /// handed over by the driver in canonical order (sorted by releasing
-  /// bin per destination).  A token arrives in exactly one buffer and a
-  /// stripe pushes only into its own shards' lists, so the store and
-  /// visited_ writes are stripe-exclusive.
-  void apply_arrivals(std::uint32_t g, std::uint64_t r,
-                      const std::vector<Arrival>& buf)
-    requires kShardedExec
-  {
-    const std::size_t arrivals = buf.size();
-    for (std::size_t i = 0; i < arrivals; ++i) {
-      if (i + kPrefetchAhead < arrivals) {
-        const Arrival& ahead = buf[i + kPrefetchAhead];
-        store_.prefetch_bin(ahead.dest);
-        store_.prefetch_slot(ahead.token);
-      }
-      const Arrival& arrival = buf[i];
-      store_.push(arrival.dest, arrival.token);
-      if (mark_visited(arrival.token, arrival.dest, r + 1)) {
-        ++acc_[g].cum_newly_covered;
-      }
+      begin = block_end;
     }
   }
 
@@ -730,9 +714,12 @@ class TokenProcessCore {
           throw_stripe(g, r0 + i, rows);
         },
         NoChoose{},
+        // Phase 2 (commit): a token arrives in exactly one buffer and a
+        // stripe pushes only into its own shards' lists.
         [&](std::uint32_t g, std::uint64_t i,
             const std::vector<Arrival>& buf) {
-          apply_arrivals(g, r0 + i, buf);
+          acc_[g].cum_newly_covered += push_moves(
+              buf.size(), [&](std::size_t j) { return buf[j]; }, r0 + i + 1);
         },
         [&](std::uint32_t g, std::uint64_t, bin_index_t begin,
             bin_index_t end) { acc_[g].scan.merge(scan_bins(begin, end)); });

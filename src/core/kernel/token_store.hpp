@@ -79,9 +79,6 @@ class FlatTokenStore {
   [[nodiscard]] std::uint32_t count(bin_index_t u) const noexcept {
     return bins_[u].count;
   }
-  [[nodiscard]] bool empty(bin_index_t u) const noexcept {
-    return bins_[u].count == 0;
-  }
   /// Bin the token was last pushed into (== its current bin; a popped
   /// token keeps the old value until the core re-enqueues it, exactly
   /// the mid-round semantics the queue-backed core had for token_bin_).

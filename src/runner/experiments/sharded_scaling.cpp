@@ -103,9 +103,8 @@ void register_sharded_scaling(Registry& registry) {
     std::vector<std::uint64_t> ns = by_scale<std::vector<std::uint64_t>>(
         ctx.scale, {100000}, {1000000, 10000000}, {1000000, 10000000},
         {1000000, 10000000, 100000000});
-    if (ctx.params.u64("n") != 0) ns = {ctx.params.u64("n")};
-    const auto shard_size =
-        static_cast<std::uint32_t>(ctx.params.u32("shard-size"));
+    if (ctx.params.u64("n") != 0) ns = {ctx.params.u32("n")};
+    const std::uint32_t shard_size = ctx.params.u32("shard-size");
     const std::string& variant_filter = ctx.params.str("variant");
     const auto variant_on = [&](const char* name) {
       return variant_filter == "all" || variant_filter == name;

@@ -59,7 +59,7 @@ void register_threshold_allocation(Registry& registry) {
         p.seed = ctx.seed();
         p.process = StabilityProcess::kThreshold;
         p.choices = probes;
-        p.threshold = static_cast<std::uint32_t>(ctx.params.u64("threshold"));
+        p.threshold = ctx.params.u32("threshold");
         p.plan = ctx.trial_plan(trials);
         const StabilityResult r = run_stability(p);
         table.row()

@@ -47,12 +47,12 @@ std::string fmt_f64(double v) {
 /// resume meta must cover; execution options stay out by design).
 struct TrajectorySpec {
   std::string family;
-  std::uint64_t n = 0;
+  std::uint32_t n = 0;
   std::uint64_t rounds = 0;
   std::uint64_t sample_every = 0;
   std::uint64_t seed = 0;
   // family knobs (each used by one family, carried for all)
-  std::uint64_t d = 2;           // dchoices
+  std::uint32_t d = 2;           // dchoices
   double lambda = 0.5;           // leaky
   std::string policy = "fifo";   // token
   std::uint64_t arrivals = 0;    // tetris (0 = paper's floor(3n/4))
@@ -191,11 +191,11 @@ void register_trajectory(Registry& registry) {
   e.run = [](const RunContext& ctx) {
     TrajectorySpec s;
     s.family = ctx.params.str("family");
-    s.n = ctx.params.u64("n");
+    s.n = ctx.params.u32("n");
     s.rounds = ctx.params.u64("rounds");
     s.sample_every = ctx.params.u64("sample-every");
     s.seed = ctx.seed();
-    s.d = ctx.params.u64("d");
+    s.d = ctx.params.u32("d");
     s.lambda = ctx.params.f64("lambda");
     s.policy = ctx.params.str("policy");
     s.arrivals = ctx.params.u64("arrivals");
@@ -203,7 +203,6 @@ void register_trajectory(Registry& registry) {
     s.weights = ctx.params.str("weights");
     s.bin_profile = ctx.params.str("bin-profile");
     if (s.n == 0) throw std::invalid_argument("trajectory: --n must be > 0");
-    const auto n32 = static_cast<std::uint32_t>(s.n);
     const ckpt::Family tag = family_tag(s.family);
     const std::uint32_t digest = ckpt::digest(canonical_options(s));
 
@@ -300,9 +299,9 @@ void register_trajectory(Registry& registry) {
     Rng cfg_rng(s.seed);
     const par::ShardedOptions opts{
         .threads = ctx.threads(),
-        .shard_size = static_cast<std::uint32_t>(ctx.params.u64("shard-size"))};
+        .shard_size = ctx.params.u32("shard-size")};
     if (s.family == "load") {
-      LoadConfig config = make_config(InitialConfig::kOnePerBin, n32, s.n,
+      LoadConfig config = make_config(InitialConfig::kOnePerBin, s.n, s.n,
                                       cfg_rng);
       if (ctx.sharded()) {
         par::ShardedRepeatedBallsProcess p(std::move(config), s.seed, opts);
@@ -315,16 +314,16 @@ void register_trajectory(Registry& registry) {
       kernel::TokenOptions topt;
       topt.policy = queue_policy_from_string(s.policy);
       if (ctx.sharded()) {
-        par::ShardedTokenProcess p(n32, identity_placement(n32), s.seed, opts,
+        par::ShardedTokenProcess p(s.n, identity_placement(s.n), s.seed, opts,
                                    topt);
         drive(p, s.n);
       } else {
-        par::SequentialCounterTokenProcess p(n32, identity_placement(n32),
+        par::SequentialCounterTokenProcess p(s.n, identity_placement(s.n),
                                              s.seed, topt);
         drive(p, s.n);
       }
     } else if (s.family == "tetris") {
-      LoadConfig config = make_config(InitialConfig::kOnePerBin, n32, s.n,
+      LoadConfig config = make_config(InitialConfig::kOnePerBin, s.n, s.n,
                                       cfg_rng);
       if (ctx.sharded()) {
         par::ShardedTetrisProcess p(std::move(config), s.seed, s.arrivals,
@@ -336,18 +335,17 @@ void register_trajectory(Registry& registry) {
         drive(p, s.n);
       }
     } else if (s.family == "dchoices") {
-      LoadConfig config = make_config(InitialConfig::kOnePerBin, n32, s.n,
+      LoadConfig config = make_config(InitialConfig::kOnePerBin, s.n, s.n,
                                       cfg_rng);
-      const auto d = static_cast<std::uint32_t>(s.d);
       if (ctx.sharded()) {
-        par::ShardedDChoicesProcess p(std::move(config), d, s.seed, opts);
+        par::ShardedDChoicesProcess p(std::move(config), s.d, s.seed, opts);
         drive(p, s.n);
       } else {
-        par::SequentialCounterDChoicesProcess p(std::move(config), d, s.seed);
+        par::SequentialCounterDChoicesProcess p(std::move(config), s.d, s.seed);
         drive(p, s.n);
       }
     } else if (s.family == "leaky") {
-      LoadConfig config = make_config(InitialConfig::kOnePerBin, n32, s.n,
+      LoadConfig config = make_config(InitialConfig::kOnePerBin, s.n, s.n,
                                       cfg_rng);
       if (ctx.sharded()) {
         par::ShardedLeakyBinsProcess p(std::move(config), s.lambda, s.seed,
@@ -359,7 +357,7 @@ void register_trajectory(Registry& registry) {
         drive(p, s.n);
       }
     } else if (s.family == "mixed") {
-      MixedSpec spec = make_mixed_spec(n32, s.ratio, s.weights, s.bin_profile);
+      MixedSpec spec = make_mixed_spec(s.n, s.ratio, s.weights, s.bin_profile);
       const std::uint64_t balls = spec.balls;
       if (ctx.sharded()) {
         par::ShardedMixedProcess p(std::move(spec), s.seed, opts);

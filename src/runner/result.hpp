@@ -69,7 +69,7 @@ struct RunMeta {
     std::string value;  // canonical text
   };
 
-  /// The run's honest thread accounting (ROADMAP item 5), emitted in
+  /// The run's honest thread accounting (ROADMAP item 3), emitted in
   /// every serialization so perf rows carry the hardware they came
   /// from: tools/bench_diff.py refuses to gate rows whose effective
   /// parallelism differs between baselines.

@@ -12,30 +12,41 @@
 //   apply in ascending (u, j) order; an arrival into a bin at capacity
 //   is dropped.
 //
-// The parity tests replay both kernel instantiations against this
+// Constructed from an Rng instead of a seed, it replays the sequential
+// xoshiro stream of MixedProcess: per departure, in the same (u, j)
+// order, the class pick x = Rng.index(load_u) and then the destination
+// Rng.index(n), both from the one Rng.
+//
+// The parity tests replay every kernel instantiation against this
 // oracle, so a bug in the kernel's shared bookkeeping cannot hide by
 // being bit-identical across its own execution policies.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/kernel/stream.hpp"
 #include "core/mixed_config.hpp"
 #include "support/counter_rng.hpp"
+#include "support/rng.hpp"
 
 namespace rbb::par::testing {
 
 struct MixedOracle {
   MixedSpec spec;
   CounterRng rng;
+  std::optional<Rng> seq_rng;  // set: replay the sequential stream
   std::vector<load_t> counts;  // bin-major [bin * k + class]
   std::uint64_t dropped = 0;
   std::uint64_t round = 0;
 
   MixedOracle(MixedSpec s, std::uint64_t seed)
       : spec(std::move(s)), rng(seed), counts(spec.class_counts) {}
+  MixedOracle(MixedSpec s, Rng seq)
+      : spec(std::move(s)), rng(0), seq_rng(seq), counts(spec.class_counts) {}
 
   [[nodiscard]] std::uint32_t classes() const {
     return static_cast<std::uint32_t>(spec.weights.class_weights.size());
@@ -73,7 +84,8 @@ struct MixedOracle {
           std::min<load_t>(load(u), spec.rates[u]));
       for (std::uint32_t j = 0; j < releases; ++j) {
         std::uint32_t x =
-            rng.index(round, kernel::mixed_class_slot(j, u), load(u));
+            seq_rng ? seq_rng->index(load(u))
+                    : rng.index(round, kernel::mixed_class_slot(j, u), load(u));
         std::uint32_t cls = 0;
         while (cls + 1 < k &&
                x >= counts[static_cast<std::size_t>(u) * k + cls]) {
@@ -82,7 +94,9 @@ struct MixedOracle {
         }
         --counts[static_cast<std::size_t>(u) * k + cls];
         arrivals.emplace_back(
-            cls, rng.index(round, kernel::mixed_dest_slot(j, u), spec.bins));
+            cls, seq_rng ? seq_rng->index(spec.bins)
+                         : rng.index(round, kernel::mixed_dest_slot(j, u),
+                                     spec.bins));
       }
     }
     for (const auto& [cls, dest] : arrivals) {

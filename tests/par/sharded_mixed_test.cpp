@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/mixed_process.hpp"
 #include "engine/engine.hpp"
 #include "mixed_reference.hpp"
 #include "par/sharded_variants.hpp"
@@ -73,6 +74,7 @@ Trajectory run_sharded(const MixedSpec& spec, ShardedOptions options) {
 const MixedSpec kWeightedCapped = spec_of(1024, 8.0, "zipf", "capped");
 const MixedSpec kBimodalTwoSpeed = spec_of(2048, 2.0, "bimodal", "two-speed");
 const MixedSpec kStalled = spec_of(512, 0.5, "unit", "stalled-tenth");
+const MixedSpec kOddStripes = spec_of(1000, 4.0, "zipf", "capped");
 
 TEST(ShardedMixed, TrajectoryIdenticalFor1_2_8Workers) {
   for (const MixedSpec* spec :
@@ -118,23 +120,55 @@ TEST(ShardedMixed, BitIdenticalToSequentialCounterSibling) {
 
 TEST(ShardedMixed, BothInstantiationsMatchTheNaiveWeightedOracle) {
   for (const MixedSpec* spec :
-       {&kWeightedCapped, &kBimodalTwoSpeed, &kStalled}) {
+       {&kWeightedCapped, &kBimodalTwoSpeed, &kStalled, &kOddStripes}) {
     testing::MixedOracle oracle(*spec, kSeed);
     SequentialCounterMixedProcess seq(*spec, kSeed);
     ShardedMixedProcess sharded(*spec, kSeed,
                                 {.threads = 2, .shard_size = 256});
+    // Stripes of 400, 400 and 200 bins at n = 1000: longer than
+    // kDrawChunk and not a multiple of it.
+    ShardedMixedProcess odd(*spec, kSeed, {.threads = 2, .shard_size = 400});
     for (std::uint64_t r = 0; r < 12; ++r) {
       oracle.step();
       seq.step();
       sharded.step();
+      odd.step();
       ASSERT_EQ(seq.loads(), oracle.loads()) << "round " << r;
       ASSERT_EQ(sharded.loads(), oracle.loads()) << "round " << r;
+      ASSERT_EQ(odd.loads(), oracle.loads()) << "round " << r;
+      ASSERT_EQ(odd.dropped_balls(), oracle.dropped) << "round " << r;
       ASSERT_EQ(seq.dropped_balls(), oracle.dropped) << "round " << r;
       for (std::uint32_t u = 0; u < spec->bins; u += 97) {
         ASSERT_EQ(seq.weighted_load(u), oracle.weighted_load(u))
             << "round " << r << " bin " << u;
       }
     }
+  }
+}
+
+TEST(ShardedMixed, SequentialXoshiroCoreMatchesTheNaiveWeightedOracle) {
+  for (const MixedSpec* spec :
+       {&kWeightedCapped, &kBimodalTwoSpeed, &kStalled}) {
+    testing::MixedOracle oracle(*spec, Rng(kSeed, 3));
+    MixedProcess process(*spec, Rng(kSeed, 3));
+    for (std::uint64_t r = 0; r < 12; ++r) {
+      oracle.step();
+      const MixedRoundStats stats = process.step();
+      ASSERT_EQ(process.loads(), oracle.loads()) << "round " << r;
+      ASSERT_EQ(process.dropped_balls(), oracle.dropped) << "round " << r;
+      ASSERT_EQ(stats.total_balls, spec->balls - oracle.dropped)
+          << "round " << r;
+      for (std::uint32_t u = 0; u < spec->bins; ++u) {
+        for (std::uint32_t c = 0; c < oracle.classes(); ++c) {
+          ASSERT_EQ(process.class_load(u, c),
+                    oracle.counts[static_cast<std::size_t>(u) *
+                                      oracle.classes() +
+                                  c])
+              << "round " << r << " bin " << u << " class " << c;
+        }
+      }
+    }
+    ASSERT_NO_THROW(process.check_invariants());
   }
 }
 

@@ -188,6 +188,19 @@ TEST(FlatTokenParity, ShardedMatchesReferenceAcrossGrid) {
         ASSERT_NO_THROW(core.check_invariants());
       }
     }
+    // Stripes of 400, 400 and 200 bins at n = 1000: longer than
+    // kDrawChunk and not a multiple of it, so a release block ends part
+    // way through at each stripe end.
+    constexpr std::uint32_t kOddN = 1000;
+    static_assert(400 > kernel::kDrawChunk && 400 % kernel::kDrawChunk != 0);
+    ReferenceTokenProcess<kernel::CounterStream> odd_ref(
+        kOddN, skewed_placement(kOddN), kernel::CounterStream(kSeed), options);
+    odd_ref.run(kRounds);
+    ShardedTokenProcess odd(kOddN, skewed_placement(kOddN), kSeed,
+                            ShardedOptions{2, 400}, options);
+    odd.run(kRounds);
+    expect_same_state(odd, odd_ref, to_string(policy));
+    ASSERT_NO_THROW(odd.check_invariants());
   }
 }
 

@@ -308,6 +308,28 @@ TEST(Cli, RunReportsOversizedU32CleanlyInsteadOfTruncating) {
   EXPECT_NE(r.err.find("exceeds the 32-bit range"), std::string::npos);
 }
 
+TEST(Cli, RunRejectsOversizedU32ExperimentParams) {
+  // Each value passes u64 validation; truncated to 32 bits it would
+  // silently run another instance (--n=4294967300 as 4 bins holding
+  // 4294967300 balls), so every one must exit 1 naming the range.
+  const std::vector<std::vector<std::string>> cases = {
+      {"run", "trajectory", "--n=4294967300", "--rounds=4"},
+      {"run", "trajectory", "--n=64", "--rounds=4", "--backend=sharded",
+       "--shard-size=4294967296"},
+      {"run", "trajectory", "--family=dchoices", "--n=64", "--rounds=4",
+       "--d=4294967298"},
+      {"run", "sharded_scaling", "--n=4294967300"},
+      {"run", "threshold_allocation", "--scale=smoke",
+       "--threshold=4294967296"},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    const CliResult r = rbb(args);
+    EXPECT_EQ(r.code, 1) << args[1] << " " << args[2];
+    EXPECT_NE(r.err.find("exceeds the 32-bit range"), std::string::npos)
+        << args[1] << " " << args[2] << ": " << r.err;
+  }
+}
+
 TEST(Cli, RunReportsDriverRejectionsCleanly) {
   // n = 1 is rejected inside run_stability ("n < 2"); the CLI must turn
   // that into exit 1 + message, not std::terminate.
