@@ -14,6 +14,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/huge_pages.hpp"
 
 namespace rbb::ckpt {
 
@@ -164,9 +165,13 @@ std::string read_file(const std::string& path) {
   if (!S_ISREG(st.st_mode)) {
     fail("cannot read " + path + ": not a regular file");
   }
-  // One buffer of the file's size, filled by read() directly: the
+  // One buffer of the file's size, advised for huge pages before the
+  // zero fill first touches it and filled by read() directly: the
   // decoder then cuts the payload out of it in place.
-  std::string bytes(static_cast<std::size_t>(st.st_size), '\0');
+  std::string bytes;
+  bytes.reserve(static_cast<std::size_t>(st.st_size));
+  advise_huge_pages(bytes.data(), bytes.capacity());
+  bytes.resize(static_cast<std::size_t>(st.st_size));
   std::size_t got = 0;
   while (got < bytes.size()) {
     const ::ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);

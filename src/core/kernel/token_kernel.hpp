@@ -9,9 +9,10 @@
 // rounds across all cores through pipeline.hpp's round driver.
 //
 // Queue state is the flat implicit-FIFO store of token_store.hpp: one
-// contiguous token-link array plus per-bin {head, tail, count} headers,
-// 8m + 12n bytes total -- no per-bin allocation, which is what lets
-// sharded_scaling run token rows at n = 10^8.
+// contiguous array of {next, bin, walks} token slots plus per-bin
+// {head, tail, count} headers, 16m + 12n bytes total, progress
+// included -- no per-bin allocation, which is what lets sharded_scaling
+// run token rows at n = 10^8.
 //
 // Enqueue order is not commutative, so determinism comes from a
 // *canonical arrival order*: stripes are contiguous and walked in
@@ -28,12 +29,13 @@
 // destinations as one block (fill_indices for FIFO / LIFO on the
 // complete graph, a gathered plane on the counter stream, neighbour
 // draws in bin order on a graph; the xoshiro random policy interleaves
-// each pop draw with its destination draw) and advances progress.  The
-// push pass (push_moves) applies arrivals with the policy orientation
-// fixed at compile time, prefetching 16 moves ahead.  The sequential
-// round runs both over [0, n); a sharded stripe releases kDrawChunk-bin
-// blocks into stack buffers, and each commit pushes one buffer.  Pops
-// and pushes are branch-free splices (token_store.hpp).
+// each pop draw with its destination draw); each pop advances its
+// token's progress in the slot it holds.  The push pass (push_moves)
+// applies arrivals with the policy orientation fixed at compile time,
+// prefetching 16 moves ahead.  The sequential round runs both over
+// [0, n); a sharded stripe releases kDrawChunk-bin blocks into stack
+// buffers, and each commit pushes one buffer.  Pops and pushes are
+// branch-free splices (token_store.hpp).
 //
 // Queue policies (TokenOptions::policy): FIFO pops the oldest token,
 // LIFO the newest, random the k-th oldest where k is drawn uniformly --
@@ -113,8 +115,7 @@ class TokenProcessCore {
         options_(options),
         store_(bins == 0 ? 1 : bins,
                static_cast<std::uint32_t>(start_bin.size()),
-               options.policy),
-        progress_(start_bin.size(), 0) {
+               options.policy) {
     if (bins_ == 0) {
       throw std::invalid_argument("TokenProcessCore: bins == 0");
     }
@@ -219,12 +220,14 @@ class TokenProcessCore {
   }
   /// Walk steps token i has performed (times it was released).
   [[nodiscard]] std::uint64_t progress(std::uint32_t token) const {
-    return progress_[token];
+    return store_.walks(token);
   }
   /// Minimum progress over all tokens; O(m).
   [[nodiscard]] std::uint64_t min_progress() const {
-    std::uint64_t lo = progress_.empty() ? 0 : progress_[0];
-    for (const std::uint64_t p : progress_) lo = std::min(lo, p);
+    std::uint64_t lo = store_.walks(0);
+    for (std::uint32_t t = 1; t < token_count(); ++t) {
+      lo = std::min(lo, store_.walks(t));
+    }
     return lo;
   }
 
@@ -279,13 +282,12 @@ class TokenProcessCore {
     return exec_.plan();
   }
 
-  /// Bytes of resident kernel state (queue store, progress, visit
+  /// Bytes of resident kernel state (queue store with progress, visit
   /// bitsets, arrival rounds, scratch and scatter buffers at their
   /// current capacity).  Feeds the memory column of sharded_scaling.
   [[nodiscard]] std::size_t resident_state_bytes() const noexcept {
     std::size_t bytes =
         store_.resident_bytes() +
-        progress_.capacity() * sizeof(std::uint64_t) +
         arrival_round_.capacity() * sizeof(round_t) +
         visited_.capacity() * sizeof(std::uint64_t) +
         visited_count_.capacity() * sizeof(std::uint32_t) +
@@ -302,7 +304,7 @@ class TokenProcessCore {
   /// persists; the reassigned position counts as a visit and restarts
   /// the token's arrival clock.
   void reassign(const std::vector<bin_index_t>& new_bin) {
-    if (new_bin.size() != progress_.size()) {
+    if (new_bin.size() != token_count()) {
       throw std::invalid_argument("reassign: token count mismatch");
     }
     for (const bin_index_t bin : new_bin) {
@@ -314,7 +316,7 @@ class TokenProcessCore {
   }
 
   /// Serializes the complete trajectory state (DESIGN.md Sect. 7): the
-  /// raw flat-store arrays, per-token progress, round, and (when
+  /// raw flat-store arrays with per-token progress, round, and (when
   /// enabled) the visit-tracking bookkeeping.  Counter streams draw by
   /// (seed, round, slot), so this closes the state; round-boundary only
   /// (the scatter buffers are provably drained there).
@@ -322,9 +324,8 @@ class TokenProcessCore {
     requires Stream::kScheduleFree
   {
     using W = serial::ByteWriter;
-    std::size_t bytes = sizeof(std::uint64_t) + store_.state_bytes() +
-                        W::vec_bytes<std::uint64_t>(progress_.size()) +
-                        sizeof(std::uint32_t);
+    std::size_t bytes =
+        sizeof(std::uint64_t) + store_.state_bytes() + sizeof(std::uint32_t);
     if (options_.track_visits) {
       bytes += W::vec_bytes<std::uint64_t>(visited_.size()) +
                W::vec_bytes<std::uint32_t>(visited_count_.size()) +
@@ -334,7 +335,6 @@ class TokenProcessCore {
     w.reserve(bytes);
     w.u64(round_);
     store_.save_state(w);
-    w.vec(progress_);
     w.u32(options_.track_visits ? 1u : 0u);
     if (options_.track_visits) {
       w.vec(visited_);
@@ -347,16 +347,13 @@ class TokenProcessCore {
   /// Inverse of snapshot(); the target must be constructed with the
   /// same bins/tokens/policy/options (std::invalid_argument otherwise,
   /// thrown before any state is overwritten).  The arrays are copied
-  /// straight from the payload into place.
+  /// straight from the payload into place, the token slots in one pass
+  /// over the link and progress records.
   void restore(serial::ByteReader& r)
     requires Stream::kScheduleFree
   {
     const std::uint64_t round = r.u64();
     const FlatTokenStore::SavedState store = store_.read_state(r);
-    const auto progress = r.vec_view<std::uint64_t>();
-    if (progress.count != progress_.size()) {
-      throw std::invalid_argument("restore: token count mismatch");
-    }
     const bool track_visits = r.u32() != 0;
     if (track_visits != options_.track_visits) {
       throw std::invalid_argument("restore: visit-tracking mismatch");
@@ -377,7 +374,6 @@ class TokenProcessCore {
       covered_tokens_ = covered;
     }
     store_.load_state(store);
-    progress.copy_to(progress_);
     round_ = round;
     rescan_stats();
     check_invariants();
@@ -470,7 +466,7 @@ class TokenProcessCore {
       }
     }
     if (bad != nullptr) throw std::logic_error(bad);
-    if (queued != progress_.size()) {
+    if (queued != token_count()) {
       throw std::logic_error("TokenProcessCore: token count drifted");
     }
     if (!buffers_.drained()) {
@@ -493,10 +489,22 @@ class TokenProcessCore {
 
   using Rows = ShardRows<Arrival>;
 
-  /// The push pass prefetches this many arrivals ahead: at mega n the
-  /// store out-sizes the cache and each push touches a random header
-  /// (and, appending, a random tail slot).
+  /// The pops and the push pass prefetch this many moves ahead: at
+  /// mega n the store out-sizes the cache and each pop touches a random
+  /// head slot, each push a random header and token slot (and,
+  /// appending, a random tail slot).
   static constexpr std::uint32_t kPrefetchAhead = 16;
+  /// Tail slots are prefetched this many pushes ahead: the tail is read
+  /// from a header prefetched at kPrefetchAhead, which must arrive
+  /// first.
+  static constexpr std::uint32_t kTailAhead = 8;
+  /// A per-core L2 size.  A store that fits is served from L2, where
+  /// the head and tail prefetches only add work; past it they overlap
+  /// the misses.  Sequential FIFO rounds on a 4-vCPU Xeon (2 MiB L2),
+  /// always-prefetching vs never: +11% at n = 2^12 (run_delays' size)
+  /// and 2^14, +4% at 2^16 (1.8 MB store), -1% at 2^17 and 2^19, -8%
+  /// at 10^6 and -4% at 10^7.
+  static constexpr std::size_t kCacheBytes = std::size_t{2} << 20;
 
   /// Lists check_invariants() walks at once.
   static constexpr std::uint32_t kWalkLanes = 16;
@@ -537,7 +545,7 @@ class TokenProcessCore {
   /// in three steps: a branch-free departure scan banks the releasing
   /// bins into slots (a constant fraction of the bins is empty, so a
   /// per-bin branch mispredicts like a coin flip); the pops run over
-  /// that list into tokens, each advancing its token's progress; the
+  /// that list into tokens, each counting its token's walk; the
   /// destinations follow as one block into dests.  slots, tokens and
   /// dests must hold end - begin entries; returns the number of
   /// releases k, index-aligned in the three.  It pops only the lists of
@@ -552,7 +560,6 @@ class TokenProcessCore {
       if (random) {
         for (std::uint32_t i = 0; i < k; ++i) {
           tokens[i] = release_counter(slots[i], r);
-          ++progress_[tokens[i]];
         }
       } else {
         pop_fronts(slots, k, tokens);
@@ -570,7 +577,6 @@ class TokenProcessCore {
           const bin_index_t u = slots[i];
           tokens[i] = store_.pop_at(
               u, static_cast<std::uint32_t>(rng.below(store_.count(u))));
-          ++progress_[tokens[i]];
           dests[i] = graph != nullptr ? graph->sample_neighbor(u, rng)
                                       : rng.index(n);
         }
@@ -624,36 +630,54 @@ class TokenProcessCore {
   }
 
   /// The FIFO / LIFO pops of the banked releasing bins slots[0, k) into
-  /// tokens[0, k).  No prefetch: fetching the head slots ahead slowed
-  /// the round at every store size measured.  Like every pop loop, it
-  /// advances the token's progress in the same iteration: the counter's
-  /// address comes from the cache-hot header, so at mega n its miss
-  /// overlaps the pop's own slot miss (on a 4-vCPU Xeon, a separate pass
-  /// cost the sharded throw ~4% at n = 10^7).
+  /// tokens[0, k); each pop counts its token's walk in the slot line it
+  /// already holds.  Out of cache, the head slot of the bin
+  /// kPrefetchAhead pops ahead is prefetched: the bank list makes that
+  /// bin, and its streamed header the head, known before the pop.  On a
+  /// 4-vCPU Xeon at m = n = 10^7 this only paid off on huge pages; on
+  /// 4 KiB pages the page walks serialized the misses anyway.
   void pop_fronts(const bin_index_t* slots, std::uint32_t k,
                   std::uint32_t* tokens) {
-    for (std::uint32_t i = 0; i < k; ++i) {
-      tokens[i] = store_.pop_front(slots[i]);
-      ++progress_[tokens[i]];
+    const auto pop_all = [&](auto prefetch) {
+      for (std::uint32_t i = 0; i < k; ++i) {
+        if constexpr (decltype(prefetch)::value) {
+          if (i + kPrefetchAhead < k) {
+            store_.prefetch_head(slots[i + kPrefetchAhead]);
+          }
+        }
+        tokens[i] = store_.pop_front(slots[i]);
+      }
+    };
+    if (store_out_of_cache()) {
+      pop_all(std::true_type{});
+    } else {
+      pop_all(std::false_type{});
     }
   }
 
   /// The push pass: enqueues the arrivals move(0), ..., move(k - 1) in
   /// that order, with the policy orientation fixed at compile time;
   /// each push's header and token slot are fetched kPrefetchAhead moves
-  /// ahead.  Returns how many tokens these visits completed (the caller
-  /// owns the covered counter, so the sharded commit can accumulate per
+  /// ahead.  Out of cache, an appending push's tail slot follows
+  /// kTailAhead moves ahead, read from the header fetched before it.
+  /// Returns how many tokens these visits completed (the caller owns
+  /// the covered counter, so the sharded commit can accumulate per
   /// stripe).
   template <typename Move>
   std::uint32_t push_moves(std::size_t k, const Move& move,
                            std::uint64_t cover_at) {
-    const auto push_all = [&](auto lifo) {
+    const auto push_all = [&](auto lifo, auto prefetch_tail) {
       std::uint32_t covered = 0;
       for (std::size_t i = 0; i < k; ++i) {
         if (i + kPrefetchAhead < k) {
           const Arrival ahead = move(i + kPrefetchAhead);
           store_.prefetch_bin(ahead.dest);
           store_.prefetch_slot(ahead.token);
+        }
+        if constexpr (decltype(prefetch_tail)::value) {
+          if (i + kTailAhead < k) {
+            store_.prefetch_tail(move(i + kTailAhead).dest);
+          }
         }
         const Arrival arrival = move(i);
         if constexpr (decltype(lifo)::value) {
@@ -665,8 +689,18 @@ class TokenProcessCore {
       }
       return covered;
     };
-    return options_.policy == QueuePolicy::kLifo ? push_all(std::true_type{})
-                                                 : push_all(std::false_type{});
+    if (options_.policy == QueuePolicy::kLifo) {
+      return push_all(std::true_type{}, std::false_type{});
+    }
+    return store_out_of_cache() ? push_all(std::false_type{}, std::true_type{})
+                                : push_all(std::false_type{}, std::false_type{});
+  }
+
+  /// Whether the store out-sizes kCacheBytes, the point from which the
+  /// pops' head and the pushes' tail prefetches pay (decided once per
+  /// pass from the input, like the push orientation).
+  [[nodiscard]] bool store_out_of_cache() const noexcept {
+    return store_.resident_bytes() > kCacheBytes;
   }
 
   /// Phase 1 (throw) for one stripe of round r: the release pass over
@@ -674,7 +708,8 @@ class TokenProcessCore {
   /// block's moves pushed to their buffer rows in ascending releasing
   /// bin, so every buffer is filled sorted by releasing bin.  A token
   /// sits in exactly one queue and a stripe pops only its own bins'
-  /// lists, so the store and progress_ writes are stripe-exclusive.
+  /// lists, so the store writes (progress included) are
+  /// stripe-exclusive.
   void throw_stripe(std::uint32_t g, std::uint64_t r, Rows rows)
     requires kShardedExec
   {
@@ -776,7 +811,6 @@ class TokenProcessCore {
   Exec exec_;
   TokenOptions options_;
   FlatTokenStore store_;
-  std::vector<std::uint64_t> progress_;
   std::uint64_t round_ = 0;
   // Lazily maintained stats (refresh_stats); mutable so const queries
   // can pay the rescan on demand.

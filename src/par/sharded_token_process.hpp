@@ -15,8 +15,9 @@
 // and ::track_delays need the sequential xoshiro core
 // (kernel::SequentialTokenProcess); both classes here reject them at
 // construction.  Queue state is the flat implicit-FIFO store
-// (core/kernel/token_store.hpp): 8m + 12n bytes, no per-bin
-// allocation, which is what makes token rows benchable at n = 10^8.
+// (core/kernel/token_store.hpp): 16m + 12n bytes with progress, no
+// per-bin allocation, which is what makes token rows benchable at
+// n = 10^8.
 #pragma once
 
 #include <cstdint>

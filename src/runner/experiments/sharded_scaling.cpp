@@ -16,7 +16,7 @@
 // flat implicit-FIFO store), tetris (3n/4 fresh arrivals/round),
 // dchoices (d = 2).  Every variant runs the full n sweep -- the former
 // 10^6 token cap fell with the per-bin queues (token state is now
-// 8m + 12n bytes of flat storage).
+// 16m + 12n bytes of flat storage, progress included).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -78,11 +78,12 @@ void register_sharded_scaling(Registry& registry) {
       "bit-identical for every thread "
       "count and shard size.  n sweeps by scale up to 10^8 at "
       "--scale=mega for all four variants (token rows are uncapped: the "
-      "flat implicit-FIFO store is 8m + 12n bytes); --n times a single "
+      "flat implicit-FIFO store is 16m + 12n bytes); --n times a single "
       "size instead.  --threads fixes a single worker count, otherwise "
       "{1, 4, max} are measured.  Each row also reports the resident "
-      "kernel state per ball and the process peak RSS -- informational "
-      "columns, not gated by tools/bench_diff.py.  The JSON output of "
+      "kernel state per ball, the process peak RSS and the memory "
+      "transparent huge pages back -- informational columns, not gated "
+      "by tools/bench_diff.py.  The JSON output of "
       "this experiment is the tracked perf baseline BENCH_sharded.json.  "
       "Single-instance measurement: --trials is rejected.";
   e.family = ProcessFamily::kKernelSuite;
@@ -137,8 +138,8 @@ void register_sharded_scaling(Registry& registry) {
         "variant",
         {"n", "variant", "backend", "threads", "rounds", "wall_s",
          "rounds_per_sec", "ns_per_ball", "speedup_vs_seq",
-         "state_bytes_per_ball", "peak_rss_mb"},
-        {"state_bytes_per_ball", "peak_rss_mb"});
+         "state_bytes_per_ball", "peak_rss_mb", "thp_mb"},
+        {"state_bytes_per_ball", "peak_rss_mb", "thp_mb"});
 
     for (const std::uint64_t n_requested : ns) {
       /// Times the three backends of one variant at one n.  make_seq /
@@ -168,11 +169,12 @@ void register_sharded_scaling(Registry& registry) {
                          .cell(wall / balls * 1e9, 2)
                          .cell(seq_wall / wall, 2)
                          .cell(state_bytes / static_cast<double>(n64), 1);
-          const PeakRss rss = peak_rss();
-          if (rss.available) {
-            r.cell(static_cast<double>(rss.bytes) / (1024.0 * 1024.0), 1);
-          } else {
-            r.cell(std::string("unavailable"));
+          for (const MemReading m : {peak_rss(), anon_huge_bytes()}) {
+            if (m.available) {
+              r.cell(static_cast<double>(m.bytes) / (1024.0 * 1024.0), 1);
+            } else {
+              r.cell(std::string("unavailable"));
+            }
           }
         };
         double seq_wall = 0;
@@ -268,10 +270,13 @@ void register_sharded_scaling(Registry& registry) {
             "max-throughput regime; ns_per_ball = wall / (rounds * n); "
             "speedup_vs_seq is against the same variant's seq row");
     rs.note("state_bytes_per_ball (resident kernel state / n, measured "
-            "post-run) and peak_rss_mb (VmHWM; the literal string "
+            "post-run), peak_rss_mb (VmHWM; the literal string "
             "\"unavailable\" where the platform exposes no watermark; "
             "process-wide, so earlier rows' allocations raise later "
-            "rows' watermark) are informational -- declared in the "
+            "rows' watermark) and thp_mb (AnonHugePages of "
+            "/proc/self/smaps_rollup with the row's instance alive: the "
+            "memory transparent huge pages back, \"unavailable\" likewise) "
+            "are informational -- declared in the "
             "table's `informational` set, which tools/bench_diff.py "
             "reads instead of hardcoding names");
     rs.note("sharded trajectories are bit-identical across the threads "

@@ -138,6 +138,45 @@ std::uint64_t entity_count(const Proc& proc) {
   }
 }
 
+/// The knobs that belong to one family each.
+struct FamilyKnob {
+  const char* name;
+  const char* family;
+};
+constexpr FamilyKnob kFamilyKnobs[] = {
+    {"d", "dchoices"},  {"lambda", "leaky"}, {"policy", "token"},
+    {"arrivals", "tetris"}, {"ratio", "mixed"}, {"weights", "mixed"},
+    {"bin-profile", "mixed"}};
+
+/// Rejects a knob of another family that is set off its default: the
+/// run would ignore it, and the checkpoint digest leaves it out, so a
+/// resume would accept it too.  Values compare typed, so resume's
+/// replayed meta (`ratio=2` for the default "2") passes.
+void reject_foreign_knobs(const ParamValues& params,
+                          const std::string& family) {
+  const ParamValues defaults(params.specs());
+  for (const ParamSpec& spec : params.specs()) {
+    const auto knob = std::find_if(
+        std::begin(kFamilyKnobs), std::end(kFamilyKnobs),
+        [&](const FamilyKnob& k) { return spec.name == k.name; });
+    if (knob == std::end(kFamilyKnobs) || family == knob->family) continue;
+    const std::string& name = spec.name;
+    bool moved = false;
+    if (spec.type == ParamSpec::Type::kU64) {
+      moved = params.u64(name) != defaults.u64(name);
+    } else if (spec.type == ParamSpec::Type::kF64) {
+      moved = params.f64(name) != defaults.f64(name);
+    } else {
+      moved = params.str(name) != defaults.str(name);
+    }
+    if (moved) {
+      throw std::invalid_argument("trajectory: --" + name +
+                                  " applies to --family=" + knob->family +
+                                  " only, not --family=" + family);
+    }
+  }
+}
+
 /// Rounds between checkpoint/sample/interrupt polls: long enough to
 /// keep the sharded pipeline fed, short enough that ^C lands within
 /// milliseconds at any n.
@@ -160,7 +199,10 @@ void register_trajectory(Registry& registry) {
       "the current chunk, writes a final checkpoint and exits with "
       "status 130, and `rbb resume <ckpt>` continues the run to "
       "completion -- bit-identically to an uninterrupted run, on either "
-      "backend at any worker count (the snapshot CRC column proves it).";
+      "backend at any worker count (the snapshot CRC column proves it).  "
+      "Each family knob (--d, --lambda, --policy, --arrivals, --ratio, "
+      "--weights, --bin-profile) is rejected off its default under any "
+      "other family.";
   e.family = ProcessFamily::kKernelSuite;
   e.checkpointable = true;
   e.single_instance = true;
@@ -204,6 +246,7 @@ void register_trajectory(Registry& registry) {
     s.bin_profile = ctx.params.str("bin-profile");
     if (s.n == 0) throw std::invalid_argument("trajectory: --n must be > 0");
     const ckpt::Family tag = family_tag(s.family);
+    reject_foreign_knobs(ctx.params, s.family);
     const std::uint32_t digest = ckpt::digest(canonical_options(s));
 
     ResultSet rs;

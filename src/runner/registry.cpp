@@ -119,7 +119,8 @@ void Registry::add(Experiment experiment) {
       {"repeat", ParamSpec::Type::kU64, "1",
        "execute the run K times and keep the fastest execution's results "
        "and wall time (best-of-K timing discipline for perf rows; "
-       "--metrics describes the kept execution, --trace the last)"},
+       "--metrics describes the kept execution, --trace the last); "
+       "rejected by experiments with no round kernel"},
       {"trial-parallelism", ParamSpec::Type::kString, "auto",
        "trial fan-out width for Monte-Carlo experiments: auto (legacy "
        "shared-pool fan-out, or min(trials, --threads) concurrent trials "
@@ -245,6 +246,13 @@ CompletedRun run_experiment(const Experiment& experiment,
   const std::uint64_t repeat = values.u64("repeat");
   if (repeat == 0) {
     throw std::invalid_argument("--repeat expects a positive count");
+  }
+  if (experiment.family == ProcessFamily::kNone && repeat != 1) {
+    throw std::invalid_argument(
+        experiment.name +
+        " does not accept --repeat: it runs no round kernel, so there is "
+        "no perf row to time best-of-K (drop the flag, or pick a "
+        "backend-capable experiment)");
   }
   const bool wants_checkpoints = !values.str("checkpoint-dir").empty() ||
                                  values.u64("checkpoint-every") != 0 ||

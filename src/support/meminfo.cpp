@@ -4,16 +4,19 @@
 #include <cstring>
 
 namespace rbb {
+namespace {
 
-PeakRss parse_peak_rss_status(const char* path) noexcept {
+/// The "<key> <value> kB" line of the file at `path`, in bytes.
+MemReading parse_kb_line(const char* path, const char* key) noexcept {
   std::FILE* f = std::fopen(path, "r");
   if (f == nullptr) return {};
-  PeakRss result;
+  const std::size_t key_len = std::strlen(key);
+  MemReading result;
   char line[256];
   while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+    if (std::strncmp(line, key, key_len) == 0) {
       unsigned long long kb = 0;
-      if (std::sscanf(line + 6, "%llu", &kb) == 1) {
+      if (std::sscanf(line + key_len, "%llu", &kb) == 1) {
         result.available = true;
         result.bytes = static_cast<std::uint64_t>(kb) * 1024;
       }
@@ -24,8 +27,22 @@ PeakRss parse_peak_rss_status(const char* path) noexcept {
   return result;
 }
 
+}  // namespace
+
+PeakRss parse_peak_rss_status(const char* path) noexcept {
+  return parse_kb_line(path, "VmHWM:");
+}
+
 PeakRss peak_rss() noexcept {
   return parse_peak_rss_status("/proc/self/status");
+}
+
+MemReading parse_anon_huge_smaps(const char* path) noexcept {
+  return parse_kb_line(path, "AnonHugePages:");
+}
+
+MemReading anon_huge_bytes() noexcept {
+  return parse_anon_huge_smaps("/proc/self/smaps_rollup");
 }
 
 }  // namespace rbb

@@ -25,6 +25,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "support/huge_pages.hpp"
+
 namespace rbb::serial {
 
 namespace detail {
@@ -88,8 +90,13 @@ class ByteWriter {
   void bytes(const void* data, std::size_t size) { append(data, size); }
 
   /// Makes room for `size` more bytes in one allocation, so a writer
-  /// that knows its byte count up front never re-copies what it wrote.
-  void reserve(std::size_t size) { bytes_.reserve(bytes_.size() + size); }
+  /// that knows its byte count up front never re-copies what it wrote,
+  /// and advises the allocation for huge pages before the writes touch
+  /// it (capacity is not rounded up).
+  void reserve(std::size_t size) {
+    bytes_.reserve(bytes_.size() + size);
+    advise_huge_pages(bytes_.data(), bytes_.capacity());
+  }
 
   /// Bytes vec() writes for `count` elements of T.
   template <typename T>

@@ -19,6 +19,7 @@
 #include "engine/engine.hpp"
 #include "graph/graph.hpp"
 #include "par/sharded_token_process.hpp"
+#include "support/serial.hpp"
 #include "token_reference.hpp"
 
 namespace rbb::par {
@@ -303,6 +304,123 @@ TEST(FlatTokenParity, SnapshotOrderIsArrivalOrderEveryPolicy) {
       EXPECT_EQ(proc.progress(kN - 1), 1u);
     }
     ASSERT_NO_THROW(proc.check_invariants());
+  }
+}
+
+TEST(FlatTokenParity, PrefetchingStoreMatchesReference) {
+  // A store past the core's 2 MiB cache constant (2^17 tokens and bins:
+  // 3.7 MB) takes the head- and tail-prefetching pop and push loops,
+  // which the small grids above never reach.
+  constexpr std::uint32_t n = 1u << 17;
+  constexpr std::uint64_t kBigRounds = 3;
+  const std::vector<std::uint32_t> start = skewed_placement(n);
+  for (const QueuePolicy policy : kPolicies) {
+    const TokenOptions options{.track_visits = false, .policy = policy};
+    const std::string name = to_string(policy);
+    SequentialTokenProcess seq(n, start, Rng(kSeed), options);
+    ReferenceTokenProcess<kernel::SequentialStream> seq_ref(
+        n, start, kernel::SequentialStream(Rng(kSeed)), options);
+    seq.run(kBigRounds);
+    seq_ref.run(kBigRounds);
+    expect_same_state(seq, seq_ref, ("seq " + name).c_str());
+    ASSERT_NO_THROW(seq.check_invariants());
+
+    ReferenceTokenProcess<kernel::CounterStream> ref(
+        n, start, kernel::CounterStream(kSeed), options);
+    ref.run(kBigRounds);
+    SequentialCounterTokenProcess counter(n, start, kSeed, options);
+    counter.run(kBigRounds);
+    expect_same_state(counter, ref, ("seq-counter " + name).c_str());
+    ShardedTokenProcess sharded(n, start, kSeed, ShardedOptions{2, 0},
+                                options);
+    sharded.run(kBigRounds);
+    expect_same_state(sharded, ref, ("sharded " + name).c_str());
+    ASSERT_NO_THROW(sharded.check_invariants());
+  }
+}
+
+/// Sum of every token's progress.
+template <typename Core>
+std::uint64_t total_progress(const Core& core) {
+  std::uint64_t sum = 0;
+  for (std::uint32_t i = 0; i < core.token_count(); ++i) {
+    sum += core.progress(i);
+  }
+  return sum;
+}
+
+/// Runs `rounds` rounds one at a time; each must add exactly the
+/// round's releases -- its non-empty bins -- to the progress total,
+/// which `expected` carries across calls.
+template <typename Core>
+void expect_rounds_count_releases(Core& core, std::uint64_t rounds,
+                                  std::uint64_t& expected,
+                                  const std::string& what) {
+  for (std::uint64_t r = 0; r < rounds; ++r) {
+    expected += core.bin_count() - core.empty_bins();
+    core.step();
+    ASSERT_EQ(total_progress(core), expected)
+        << what << " round " << core.round();
+  }
+}
+
+TEST(FlatTokenParity, ProgressCountsEveryRelease) {
+  // Progress lives in the token's slot: pops count it, pushes and the
+  // reassign rebuild must leave it alone, and a snapshot must carry it
+  // into the restored instance.
+  const std::vector<std::uint32_t> pile(kN, 5u);
+  constexpr std::uint64_t kLeg = 6;
+  for (const QueuePolicy policy : kPolicies) {
+    const TokenOptions options{.track_visits = false, .policy = policy};
+    const std::string name = to_string(policy);
+    // Runs a leg, reassigns every token onto one bin, runs another leg;
+    // returns the progress total.
+    const auto legs = [&](auto& core, const std::string& what) {
+      std::uint64_t expected = 0;
+      expect_rounds_count_releases(core, kLeg, expected, what);
+      core.reassign(pile);
+      EXPECT_EQ(total_progress(core), expected) << what << " reassign";
+      expect_rounds_count_releases(core, kLeg, expected, what);
+      return expected;
+    };
+    // Snapshots `core` into a fresh `restored` and runs a further leg on
+    // it from the restored total.
+    const auto restore_leg = [&](const auto& core, auto& restored,
+                                 std::uint64_t expected,
+                                 const std::string& what) {
+      serial::ByteWriter w;
+      core.snapshot(w);
+      serial::ByteReader r(w.str());
+      restored.restore(r);
+      ASSERT_EQ(total_progress(restored), expected) << what << " restore";
+      for (std::uint32_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(restored.progress(i), core.progress(i)) << what << " " << i;
+      }
+      expect_rounds_count_releases(restored, kLeg, expected, what);
+    };
+
+    SequentialTokenProcess seq(kN, skewed_placement(kN), Rng(kSeed, 0),
+                               options);
+    legs(seq, name + " seq");
+
+    SequentialCounterTokenProcess counter(kN, skewed_placement(kN), kSeed,
+                                          options);
+    const std::uint64_t counted = legs(counter, name + " seq-counter");
+    SequentialCounterTokenProcess counter_back(kN, skewed_placement(kN),
+                                               kSeed, options);
+    restore_leg(counter, counter_back, counted, name + " seq-counter");
+
+    for (const unsigned threads : {1u, 2u}) {
+      const std::string what =
+          name + " sharded x" + std::to_string(threads);
+      ShardedTokenProcess sharded(kN, skewed_placement(kN), kSeed,
+                                  ShardedOptions{threads, 128}, options);
+      const std::uint64_t total = legs(sharded, what);
+      EXPECT_EQ(total, counted) << what;
+      ShardedTokenProcess back(kN, skewed_placement(kN), kSeed,
+                               ShardedOptions{threads, 128}, options);
+      restore_leg(sharded, back, total, what);
+    }
   }
 }
 

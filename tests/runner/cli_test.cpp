@@ -330,6 +330,45 @@ TEST(Cli, RunRejectsOversizedU32ExperimentParams) {
   }
 }
 
+TEST(Cli, RunRejectsRepeatWithoutRoundKernel) {
+  // zchain runs no round kernel: --repeat is rejected wherever --threads
+  // is, instead of re-running an untimed computation K times.
+  for (const char* flag : {"--repeat=3", "--threads=2"}) {
+    const CliResult r = rbb({"run", "zchain", "--scale=smoke", flag});
+    EXPECT_EQ(r.code, 1) << flag;
+    EXPECT_NE(r.err.find("does not accept"), std::string::npos) << flag;
+  }
+  EXPECT_EQ(rbb({"run", "zchain", "--scale=smoke", "--repeat=1"}).code, 0);
+}
+
+TEST(Cli, TrajectoryRejectsKnobsOfAnotherFamily) {
+  // A knob of another family would be ignored by the run and left out
+  // of the checkpoint digest; it fails loudly instead.
+  const CliResult policy =
+      rbb({"run", "trajectory", "--family=mixed", "--policy=random",
+           "--n=64", "--rounds=2"});
+  EXPECT_EQ(policy.code, 1);
+  EXPECT_NE(policy.err.find("--policy applies to --family=token"),
+            std::string::npos)
+      << policy.err;
+  const CliResult d = rbb({"run", "trajectory", "--family=load", "--d=7",
+                           "--ratio=3", "--n=64", "--rounds=2"});
+  EXPECT_EQ(d.code, 1);
+  EXPECT_NE(d.err.find("--d applies to --family=dchoices"),
+            std::string::npos)
+      << d.err;
+  // The owning family takes the knob; a default-valued foreign knob
+  // (what `rbb resume` replays) passes.
+  EXPECT_EQ(rbb({"run", "trajectory", "--family=token", "--policy=random",
+                 "--n=64", "--rounds=2"})
+                .code,
+            0);
+  EXPECT_EQ(rbb({"run", "trajectory", "--family=load", "--d=2",
+                 "--ratio=2.0", "--policy=fifo", "--n=64", "--rounds=2"})
+                .code,
+            0);
+}
+
 TEST(Cli, RunReportsDriverRejectionsCleanly) {
   // n = 1 is rejected inside run_stability ("n < 2"); the CLI must turn
   // that into exit 1 + message, not std::terminate.

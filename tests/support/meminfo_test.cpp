@@ -1,6 +1,7 @@
-// Tests for the peak-RSS probe (src/support/meminfo.*): the VmHWM
-// parse must say "unavailable" explicitly -- never a silent 0 -- when
-// the status file is missing, lacks the line, or carries garbage.
+// Tests for the memory probes (src/support/meminfo.*): the VmHWM and
+// AnonHugePages parses must say "unavailable" explicitly -- never a
+// silent 0 -- when the file is missing, lacks the line, or carries
+// garbage.
 #include "support/meminfo.hpp"
 
 #include <gtest/gtest.h>
@@ -68,6 +69,31 @@ TEST(Meminfo, ZeroKbIsAvailable) {
   EXPECT_TRUE(rss.available);
   EXPECT_EQ(rss.bytes, 0u);
   std::remove(path.c_str());
+}
+
+TEST(Meminfo, ParsesAnonHugePagesLine) {
+  const std::string path = write_status("smaps_rollup_valid",
+                                        "Rss:               40960 kB\n"
+                                        "Anonymous:         36864 kB\n"
+                                        "AnonHugePages:     32768 kB\n"
+                                        "ShmemPmdMapped:        0 kB\n");
+  const MemReading thp = parse_anon_huge_smaps(path.c_str());
+  EXPECT_TRUE(thp.available);
+  EXPECT_EQ(thp.bytes, 32768ull * 1024);
+  std::remove(path.c_str());
+}
+
+TEST(Meminfo, AnonHugePagesMissingLineOrFileIsUnavailable) {
+  const std::string path = write_status("smaps_rollup_no_thp",
+                                        "Rss:               40960 kB\n"
+                                        "Anonymous:         36864 kB\n");
+  const MemReading thp = parse_anon_huge_smaps(path.c_str());
+  EXPECT_FALSE(thp.available);
+  EXPECT_EQ(thp.bytes, 0u);
+  std::remove(path.c_str());
+  EXPECT_FALSE(
+      parse_anon_huge_smaps("/nonexistent/dir/smaps-for-meminfo-test")
+          .available);
 }
 
 #ifdef __linux__
