@@ -40,13 +40,6 @@ struct RoundStats {
   std::uint32_t departures = 0;  // |W^t| of the round just executed
 };
 
-/// Per-round statistics of the repeated d-choices process.
-struct DChoicesRoundStats {
-  std::uint32_t max_load = 0;
-  std::uint32_t empty_bins = 0;
-  std::uint32_t departures = 0;
-};
-
 /// Per-round statistics of the Tetris process (end-of-round state).
 struct TetrisRoundStats {
   std::uint32_t max_load = 0;
@@ -123,7 +116,7 @@ struct LoadOnly {
 template <typename StreamP>
 struct DChoices {
   using Stream = StreamP;
-  using Stats = DChoicesRoundStats;
+  using Stats = RoundStats;
   static constexpr BallVariantKind kKind = BallVariantKind::kDChoices;
   static constexpr bool kConservesBalls = true;
 

@@ -28,7 +28,7 @@ void register_convergence(Registry& registry) {
       "sharded rounds inside each trial (default: all of it fans out "
       "across trials); per-round thread scaling in isolation is the "
       "sharded_scaling experiment.";
-  e.family = ProcessFamily::kLoadOnly;
+  e.kind = ExperimentKind::kTrialKernel;
   e.params = {
       {"beta", ParamSpec::Type::kF64, "4.0", "legitimacy constant"},
       {"ball-ratio", ParamSpec::Type::kF64, "0",

@@ -24,7 +24,7 @@ void register_dchoices(Registry& registry) {
       "can realize; cf. the batched setting of Berenbrink et al. 2016).  --threads sets the total budget and "
       "--trial-parallelism splits it between concurrent trials and "
       "the sharded rounds inside each trial.";
-  e.family = ProcessFamily::kDChoices;
+  e.kind = ExperimentKind::kTrialKernel;
   e.run = [](const RunContext& ctx) {
     const std::uint32_t trials = ctx.trials_or(2, 4, 8);
     const std::uint64_t wf = by_scale<std::uint64_t>(ctx.scale, 5, 15, 40);

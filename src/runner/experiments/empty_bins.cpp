@@ -30,7 +30,7 @@ void register_empty_bins(Registry& registry) {
       "sequential kernel).  --threads sets the total budget and "
       "--trial-parallelism splits it between concurrent trials and "
       "the sharded rounds inside each trial.";
-  e.family = ProcessFamily::kLoadOnly;
+  e.kind = ExperimentKind::kTrialKernel;
   e.params = {
       {"ball-ratio", ParamSpec::Type::kF64, "0",
        "balls m = round(ratio * n) (0 = the paper's m = n; the Lemma-1 "

@@ -36,6 +36,7 @@ void register_exact_chain(Registry& registry) {
       "chain (Sect. 5 conjecture); (6) the exact worst-case convergence "
       "transient (Theorem 1 in miniature); (7) the exact single-queue "
       "stationary law of leaky bins [18].";
+  e.kind = ExperimentKind::kAnalytic;
   e.run = [](const RunContext& ctx) {
     const std::uint32_t n_max = by_scale<std::uint32_t>(ctx.scale, 4, 6, 6);
     ResultSet rs;

@@ -26,7 +26,7 @@ void register_leaky_bins(Registry& registry) {
       "--threads sets the total budget and "
       "--trial-parallelism splits it between concurrent trials and "
       "the sharded rounds inside each trial.";
-  e.family = ProcessFamily::kLeaky;
+  e.kind = ExperimentKind::kTrialKernel;
   e.params = {
       {"n", ParamSpec::Type::kU64, "0", "bins (0 = scale default)"},
   };

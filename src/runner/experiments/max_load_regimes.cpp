@@ -30,7 +30,7 @@ void register_max_load_regimes(Registry& registry) {
       "window on the src/par/ counter-RNG kernel bit-identically.  --threads sets the total budget and "
       "--trial-parallelism splits it between concurrent trials and "
       "the sharded rounds inside each trial.";
-  e.family = ProcessFamily::kLoadOnly;
+  e.kind = ExperimentKind::kTrialKernel;
   e.params = {
       {"window-factor", ParamSpec::Type::kU64, "0",
        "window = factor * n rounds (0 = scale default)"},

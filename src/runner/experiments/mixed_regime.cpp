@@ -30,7 +30,7 @@ void register_mixed_regime(Registry& registry) {
       "src/par/ counter-RNG kernel bit-identically.  --threads sets the total budget and "
       "--trial-parallelism splits it between concurrent trials and "
       "the sharded rounds inside each trial.";
-  e.family = ProcessFamily::kMixed;
+  e.kind = ExperimentKind::kTrialKernel;
   e.params = {
       {"ball-ratio", ParamSpec::Type::kF64, "0",
        "single m/n ratio instead of the {0.5, 1, 2, 8} sweep"},

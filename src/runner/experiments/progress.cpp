@@ -27,7 +27,7 @@ void register_progress(Registry& registry) {
       "backend.  --threads sets the total budget and "
       "--trial-parallelism splits it between concurrent trials and "
       "the sharded rounds inside each trial.";
-  e.family = ProcessFamily::kToken;
+  e.kind = ExperimentKind::kTrialKernel;
   e.run = [](const RunContext& ctx) {
     const std::uint32_t trials = ctx.trials_or(2, 4, 10);
     const std::uint64_t wf = by_scale<std::uint64_t>(ctx.scale, 8, 16, 64);

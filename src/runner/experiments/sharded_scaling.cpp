@@ -85,9 +85,9 @@ void register_sharded_scaling(Registry& registry) {
       "transparent huge pages back -- informational columns, not gated "
       "by tools/bench_diff.py.  The JSON output of "
       "this experiment is the tracked perf baseline BENCH_sharded.json.  "
-      "Single-instance measurement: --trials is rejected.";
-  e.family = ProcessFamily::kKernelSuite;
-  e.single_instance = true;
+      "Single-instance measurement that times every backend: it takes "
+      "no --trials and no --backend.";
+  e.kind = ExperimentKind::kKernelSuite;
   e.params = {
       {"rounds", ParamSpec::Type::kU64, "0",
        "measured rounds per point (0 = auto, ~6.4e7 bin-visits per "

@@ -27,7 +27,7 @@ void register_stability(Registry& registry) {
       "kernel; --threads sets the total budget and --trial-parallelism "
       "splits it between concurrent trials and sharded rounds inside "
       "each trial.";
-  e.family = ProcessFamily::kLoadOnly;
+  e.kind = ExperimentKind::kTrialKernel;
   e.params = {
       {"window-factor", ParamSpec::Type::kU64, "0",
        "window = factor * n rounds (0 = scale default)"},

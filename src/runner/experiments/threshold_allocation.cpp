@@ -30,7 +30,7 @@ void register_threshold_allocation(Registry& registry) {
       "post-departure configuration).  --threads sets the total budget and "
       "--trial-parallelism splits it between concurrent trials and "
       "the sharded rounds inside each trial.";
-  e.family = ProcessFamily::kThreshold;
+  e.kind = ExperimentKind::kTrialKernel;
   e.params = {
       {"threshold", ParamSpec::Type::kU64, "0",
        "accept bound on the probed load (0 = mean load + 1)"},

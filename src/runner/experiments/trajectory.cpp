@@ -203,9 +203,7 @@ void register_trajectory(Registry& registry) {
       "Each family knob (--d, --lambda, --policy, --arrivals, --ratio, "
       "--weights, --bin-profile) is rejected off its default under any "
       "other family.";
-  e.family = ProcessFamily::kKernelSuite;
-  e.checkpointable = true;
-  e.single_instance = true;
+  e.kind = ExperimentKind::kCheckpointed;
   e.params = {
       {"family", ParamSpec::Type::kString, "load",
        "kernel family: load, token, tetris, dchoices, leaky or mixed"},

@@ -3,62 +3,109 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <set>
 #include <stdexcept>
-
 #include <thread>
 
-#include "engine/process.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_export.hpp"
-#include "par/sharded_mixed.hpp"
-#include "par/sharded_process.hpp"
-#include "par/sharded_token_process.hpp"
-#include "par/sharded_variants.hpp"
+#include "support/meminfo.hpp"
 
 namespace rbb::runner {
 
 namespace {
 
-/// A usable sharded port: the type exists, runs under sharded
-/// execution, and plugs into the engine like any other process.  The
-/// capability of a ProcessFamily is DERIVED from this predicate over
-/// the family's src/par/ instantiation -- deleting or breaking a port
-/// flips the corresponding experiments to reject --backend=sharded at
-/// the same commit, with no bool to forget.
-template <typename P>
-constexpr bool has_sharded_port() {
-  return P::kShardedExec && SimProcess<P>;
+constexpr unsigned bit(ExperimentKind kind) {
+  return 1u << static_cast<unsigned>(kind);
+}
+
+constexpr unsigned kAllKinds =
+    bit(ExperimentKind::kAnalytic) | bit(ExperimentKind::kMonteCarlo) |
+    bit(ExperimentKind::kTrialKernel) | bit(ExperimentKind::kKernelSuite) |
+    bit(ExperimentKind::kCheckpointed);
+constexpr unsigned kTrialKinds =
+    bit(ExperimentKind::kMonteCarlo) | bit(ExperimentKind::kTrialKernel);
+constexpr unsigned kBackendKinds =
+    bit(ExperimentKind::kTrialKernel) | bit(ExperimentKind::kCheckpointed);
+constexpr unsigned kThreadKinds =
+    kBackendKinds | bit(ExperimentKind::kKernelSuite);
+constexpr unsigned kCheckpointKinds = bit(ExperimentKind::kCheckpointed);
+
+constexpr std::uint64_t kDefaultCheckpointKeep = 3;
+
+/// One common spec and the kinds (bit set) whose run functions read it.
+struct CommonSpec {
+  unsigned kinds;
+  ParamSpec spec;
+};
+
+/// Every common spec, in the order Registry::add prepends them.
+const std::vector<CommonSpec>& common_specs() {
+  static const std::vector<CommonSpec> specs = {
+      {kAllKinds & ~bit(ExperimentKind::kAnalytic),
+       {"seed", ParamSpec::Type::kU64, "1", "root RNG seed"}},
+      {kTrialKinds,
+       {"trials", ParamSpec::Type::kU64, "0",
+        "trials per sweep point (0 = scale default)"}},
+      {kBackendKinds,
+       {"backend", ParamSpec::Type::kString, "seq",
+        "round kernel: seq (sequential) or sharded (src/par/ "
+        "counter-RNG kernel)"}},
+      {kThreadKinds,
+       {"threads", ParamSpec::Type::kU64, "0",
+        "total thread budget (0 = the shared pool, i.e. all hardware "
+        "threads): Monte-Carlo experiments split it between concurrent "
+        "trials and each trial's sharded rounds (see "
+        "--trial-parallelism), single-instance experiments size the "
+        "round team with it"}},
+      {kAllKinds,
+       {"metrics", ParamSpec::Type::kFlag, "false",
+        "scrape the telemetry registry (src/obs/) after the run and emit "
+        "the additive `metrics` block: counter totals, per-phase ns, "
+        "barrier-wait fraction, effective parallelism (CPU seconds per "
+        "wall second)"}},
+      {kAllKinds,
+       {"trace", ParamSpec::Type::kString, "",
+        "write the run's phase spans as Chrome-trace JSON to this path "
+        "(open at https://ui.perfetto.dev; under `sweep` each point "
+        "overwrites it, so the last point wins)"}},
+      {kThreadKinds,
+       {"repeat", ParamSpec::Type::kU64, "1",
+        "execute the run K times and keep the fastest execution's "
+        "results and wall time (best-of-K timing discipline for perf "
+        "rows; --metrics describes the kept execution, --trace the "
+        "last)"}},
+      {bit(ExperimentKind::kTrialKernel),
+       {"trial-parallelism", ParamSpec::Type::kString, "auto",
+        "trial fan-out width: auto (legacy shared-pool fan-out, or "
+        "min(trials, --threads) concurrent trials when --threads is set) "
+        "or an explicit K; the thread budget is split evenly across "
+        "concurrent trials so each instance's sharded rounds still "
+        "parallelize (trial x round nesting)"}},
+      {kCheckpointKinds,
+       {"checkpoint-dir", ParamSpec::Type::kString, "",
+        "write rbb.ckpt.v1 snapshots into this directory (SIGINT also "
+        "writes a final checkpoint when set)"}},
+      {kCheckpointKinds,
+       {"checkpoint-every", ParamSpec::Type::kU64, "0",
+        "checkpoint period in rounds (0 = only the SIGINT/exit "
+        "checkpoint; requires --checkpoint-dir)"}},
+      {kCheckpointKinds,
+       {"checkpoint-keep", ParamSpec::Type::kU64,
+        std::to_string(kDefaultCheckpointKeep),
+        "retain only the newest K periodic checkpoints (older ones are "
+        "pruned after each successful write; requires --checkpoint-dir)"}},
+      {kCheckpointKinds,
+       {"resume-from", ParamSpec::Type::kString, "",
+        "restore state from this rbb.ckpt.v1 file before running and "
+        "continue to the round target (the `rbb resume` verb fills this "
+        "in from the checkpoint's own metadata)"}},
+  };
+  return specs;
 }
 
 }  // namespace
-
-bool backend_capable(ProcessFamily family) {
-  switch (family) {
-    case ProcessFamily::kNone:
-      return false;
-    case ProcessFamily::kLoadOnly:
-      return has_sharded_port<par::ShardedRepeatedBallsProcess>();
-    case ProcessFamily::kToken:
-      return has_sharded_port<par::ShardedTokenProcess>();
-    case ProcessFamily::kTetris:
-      return has_sharded_port<par::ShardedTetrisProcess>();
-    case ProcessFamily::kDChoices:
-      return has_sharded_port<par::ShardedDChoicesProcess>();
-    case ProcessFamily::kThreshold:
-      return has_sharded_port<par::ShardedThresholdProcess>();
-    case ProcessFamily::kLeaky:
-      return has_sharded_port<par::ShardedLeakyBinsProcess>();
-    case ProcessFamily::kMixed:
-      return has_sharded_port<par::ShardedMixedProcess>();
-    case ProcessFamily::kKernelSuite:
-      return has_sharded_port<par::ShardedRepeatedBallsProcess>() &&
-             has_sharded_port<par::ShardedTokenProcess>() &&
-             has_sharded_port<par::ShardedTetrisProcess>() &&
-             has_sharded_port<par::ShardedDChoicesProcess>();
-  }
-  return false;
-}
 
 void Registry::add(Experiment experiment) {
   if (experiment.name.empty()) {
@@ -72,80 +119,26 @@ void Registry::add(Experiment experiment) {
     throw std::invalid_argument("Registry::add: duplicate experiment " +
                                 experiment.name);
   }
-  for (const ParamSpec& spec : experiment.params) {
-    // seed/trials are prepended below; scale/format/out/check/help are
-    // intercepted by the CLI frontends before parameter assignment, so a
-    // parameter with one of these names would be silently unsettable via
-    // `rbb run` -- exactly the frontend drift the registry exists to
-    // prevent.
-    for (const char* reserved :
-         {"seed", "trials", "backend", "threads", "metrics", "trace",
-          "repeat", "trial-parallelism", "checkpoint-dir", "checkpoint-every",
-          "checkpoint-keep", "resume-from", "scale", "format", "out", "check",
-          "help"}) {
-      if (spec.name == reserved) {
-        throw std::invalid_argument(
-            "Registry::add: " + experiment.name +
-            " declares the reserved parameter name --" + spec.name);
-      }
+  std::vector<ParamSpec> params;
+  for (const CommonSpec& common : common_specs()) {
+    if ((common.kinds & bit(experiment.kind)) != 0) {
+      params.push_back(common.spec);
     }
   }
-  // Every experiment shares the Monte-Carlo knobs and the round-kernel
-  // selector; prepending them here keeps the declarations thin and the
-  // CLI surface uniform.  --backend=sharded is validated against the
-  // experiment's opt-in in run_experiment.
-  std::vector<ParamSpec> params = {
-      {"seed", ParamSpec::Type::kU64, "1", "root RNG seed"},
-      {"trials", ParamSpec::Type::kU64, "0",
-       "trials per sweep point (0 = scale default)"},
-      {"backend", ParamSpec::Type::kString, "seq",
-       "round kernel: seq (single-thread xoshiro) or sharded "
-       "(src/par/ counter-RNG kernel; sharded-capable experiments only)"},
-      {"threads", ParamSpec::Type::kU64, "0",
-       "total thread budget (0 = the shared pool, i.e. all hardware "
-       "threads): Monte-Carlo experiments split it between concurrent "
-       "trials and each trial's sharded rounds (see "
-       "--trial-parallelism), single-instance experiments size the "
-       "round team with it; rejected by experiments with no round "
-       "kernel"},
-      {"metrics", ParamSpec::Type::kFlag, "false",
-       "scrape the telemetry registry (src/obs/) after the run and emit "
-       "the additive `metrics` block: counter totals, per-phase ns, "
-       "barrier-wait fraction, effective parallelism"},
-      {"trace", ParamSpec::Type::kString, "",
-       "write the run's phase spans as Chrome-trace JSON to this path "
-       "(open at https://ui.perfetto.dev; under `sweep` each point "
-       "overwrites it, so the last point wins)"},
-      {"repeat", ParamSpec::Type::kU64, "1",
-       "execute the run K times and keep the fastest execution's results "
-       "and wall time (best-of-K timing discipline for perf rows; "
-       "--metrics describes the kept execution, --trace the last); "
-       "rejected by experiments with no round kernel"},
-      {"trial-parallelism", ParamSpec::Type::kString, "auto",
-       "trial fan-out width for Monte-Carlo experiments: auto (legacy "
-       "shared-pool fan-out, or min(trials, --threads) concurrent trials "
-       "when --threads is set) or an explicit K; the thread budget is "
-       "split evenly across concurrent trials so each instance's sharded "
-       "rounds still parallelize (trial x round nesting); rejected by "
-       "experiments with no round kernel"},
-      {"checkpoint-dir", ParamSpec::Type::kString, "",
-       "write rbb.ckpt.v1 snapshots into this directory "
-       "(checkpoint-capable single-instance experiments only, e.g. "
-       "trajectory; SIGINT also writes a final checkpoint when set)"},
-      {"checkpoint-every", ParamSpec::Type::kU64, "0",
-       "checkpoint period in rounds (0 = only the SIGINT/exit checkpoint; "
-       "requires --checkpoint-dir)"},
-      {"checkpoint-keep", ParamSpec::Type::kU64, "3",
-       "retain only the newest K periodic checkpoints (older ones are "
-       "pruned after each successful write)"},
-      {"resume-from", ParamSpec::Type::kString, "",
-       "restore state from this rbb.ckpt.v1 file before running and "
-       "continue to the round target (the `rbb resume` verb fills this "
-       "in from the checkpoint's own metadata)"},
-  };
   params.insert(params.end(),
                 std::make_move_iterator(experiment.params.begin()),
                 std::make_move_iterator(experiment.params.end()));
+  // A name declared twice would shadow one of its specs, and the CLI
+  // frontends intercept scale/format/out/check/help before parameter
+  // assignment: either way the parameter could never be set.
+  std::set<std::string> taken = {"scale", "format", "out", "check", "help"};
+  for (const ParamSpec& spec : params) {
+    if (!taken.insert(spec.name).second) {
+      throw std::invalid_argument("Registry::add: " + experiment.name +
+                                  " declares --" + spec.name +
+                                  ", which is already taken");
+    }
+  }
   experiment.params = std::move(params);
   experiments_.push_back(std::move(experiment));
 }
@@ -215,70 +208,37 @@ TrialPlan RunContext::trial_plan(std::uint32_t trials) const {
 
 CompletedRun run_experiment(const Experiment& experiment,
                             const ParamValues& values, BenchScale scale) {
-  const std::string& backend = values.str("backend");
-  if (backend != "seq" && backend != "sharded") {
-    throw std::invalid_argument("--backend expects seq or sharded, got \"" +
-                                backend + "\"");
+  if (values.has("backend")) {
+    const std::string& backend = values.str("backend");
+    if (backend != "seq" && backend != "sharded") {
+      throw std::invalid_argument("--backend expects seq or sharded, got \"" +
+                                  backend + "\"");
+    }
   }
-  if (backend == "sharded" && !backend_capable(experiment.family)) {
-    throw std::invalid_argument(
-        experiment.name +
-        " does not support --backend=sharded: its process family has no "
-        "src/par/ instantiation of the policy core (run with "
-        "--backend=seq, or pick a backend-capable experiment such as "
-        "sharded_scaling)");
-  }
-  if (experiment.family == ProcessFamily::kNone &&
-      (values.u64("threads") != 0 ||
-       values.str("trial-parallelism") != "auto")) {
-    throw std::invalid_argument(
-        experiment.name +
-        " does not accept --threads or --trial-parallelism: it runs no "
-        "round kernel, so there is no thread budget to size (drop the "
-        "flags, or pick a backend-capable experiment)");
-  }
-  if (experiment.single_instance && values.u64("trials") != 0) {
-    throw std::invalid_argument(
-        experiment.name +
-        " does not accept --trials: it runs a single instance, so there "
-        "are no trials to count (drop the flag)");
-  }
-  const std::uint64_t repeat = values.u64("repeat");
+  const std::uint64_t repeat = values.has("repeat") ? values.u64("repeat") : 1;
   if (repeat == 0) {
     throw std::invalid_argument("--repeat expects a positive count");
   }
-  if (experiment.family == ProcessFamily::kNone && repeat != 1) {
-    throw std::invalid_argument(
-        experiment.name +
-        " does not accept --repeat: it runs no round kernel, so there is "
-        "no perf row to time best-of-K (drop the flag, or pick a "
-        "backend-capable experiment)");
+  if (values.has("checkpoint-dir")) {
+    const bool has_dir = !values.str("checkpoint-dir").empty();
+    if (!has_dir && values.u64("checkpoint-every") != 0) {
+      throw std::invalid_argument(
+          "--checkpoint-every requires --checkpoint-dir");
+    }
+    if (!has_dir && values.u64("checkpoint-keep") != kDefaultCheckpointKeep) {
+      throw std::invalid_argument(
+          "--checkpoint-keep requires --checkpoint-dir");
+    }
+    if ((has_dir || !values.str("resume-from").empty()) && repeat != 1) {
+      throw std::invalid_argument(
+          "--repeat is incompatible with checkpointing (a best-of-K rerun "
+          "would overwrite the checkpoint stream)");
+    }
   }
-  const bool wants_checkpoints = !values.str("checkpoint-dir").empty() ||
-                                 values.u64("checkpoint-every") != 0 ||
-                                 !values.str("resume-from").empty();
-  if (wants_checkpoints && !experiment.checkpointable) {
-    throw std::invalid_argument(
-        experiment.name +
-        " does not support checkpointing: --checkpoint-dir/"
-        "--checkpoint-every/resume only apply to checkpoint-capable "
-        "single-instance experiments (e.g. trajectory)");
-  }
-  if (values.u64("checkpoint-every") != 0 &&
-      values.str("checkpoint-dir").empty()) {
-    throw std::invalid_argument(
-        "--checkpoint-every requires --checkpoint-dir");
-  }
-  if (wants_checkpoints && repeat != 1) {
-    throw std::invalid_argument(
-        "--repeat is incompatible with checkpointing (a best-of-K rerun "
-        "would overwrite the checkpoint stream)");
-  }
-  // Validate the --trial-parallelism grammar up front, even for run
-  // functions that never consult the plan: a typo must fail the run,
-  // not silently fall back to the legacy fan-out.
+  // Validate the --trial-parallelism grammar before the run starts, so
+  // a typo fails before any work is done.
   const RunContext ctx{values, scale};
-  (void)ctx.trial_plan(1);
+  if (values.has("trial-parallelism")) (void)ctx.trial_plan(1);
 
   const bool metrics_on = values.flag("metrics");
   const std::string& trace_path = values.str("trace");
@@ -286,6 +246,7 @@ CompletedRun run_experiment(const Experiment& experiment,
   CompletedRun run;
   obs::MetricsSnapshot best_snap;
   double best_wall = -1;
+  double best_busy_cores = 0;
   // Best-of-K: rerun the whole experiment and keep the fastest
   // execution's results, wall time, and metrics scrape (trials are
   // seed-deterministic, so every execution computes identical tables --
@@ -301,14 +262,17 @@ CompletedRun run_experiment(const Experiment& experiment,
       if (!trace_path.empty()) obs::start_trace();
       obs::set_enabled(true);
     }
+    const double cpu0 = process_cpu_seconds();
     const auto t0 = std::chrono::steady_clock::now();
     ResultSet results = experiment.run(ctx);
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
+    const double cpu = process_cpu_seconds() - cpu0;
     if (telemetry) obs::set_enabled(false);
     if (best_wall < 0 || wall < best_wall) {
       best_wall = wall;
+      best_busy_cores = wall > 0 ? cpu / wall : 0;
       run.results = std::move(results);
       if (metrics_on) best_snap = obs::scrape();
     }
@@ -321,18 +285,12 @@ CompletedRun run_experiment(const Experiment& experiment,
   run.meta.git_rev = git_revision();
   fill_meta_params(run.meta, values);
 
-  // Honest thread accounting, in every result: what the machine has,
-  // what was asked for, and how many threads could actually run tasks
-  // (an explicit sharded --threads=k builds a private pool of k;
-  // everything else shares the global pool plus the submitting thread).
-  const std::uint32_t threads_requested = values.u32("threads");
+  // Thread accounting, in every result: what the machine has and what
+  // was asked for.  How many cores the run kept busy is measured, not
+  // derived from flags: --metrics reports it below.
   run.meta.parallelism.hardware_concurrency =
       std::thread::hardware_concurrency();
-  run.meta.parallelism.threads_requested = threads_requested;
-  run.meta.parallelism.runnable_threads =
-      (backend == "sharded" && threads_requested >= 1)
-          ? threads_requested
-          : ThreadPool::global().thread_count() + 1;
+  run.meta.parallelism.threads_requested = ctx.threads();
   run.meta.parallelism.repeat = repeat;
 
   if (telemetry) {
@@ -355,11 +313,7 @@ CompletedRun run_experiment(const Experiment& experiment,
       }
       run.meta.metrics.barrier_wait_fraction = snap.barrier_wait_fraction();
       run.meta.metrics.pipeline_fill_fraction = snap.pipeline_fill_fraction();
-      run.meta.metrics.effective_parallelism =
-          std::min(run.meta.parallelism.runnable_threads,
-                   run.meta.parallelism.hardware_concurrency == 0
-                       ? run.meta.parallelism.runnable_threads
-                       : run.meta.parallelism.hardware_concurrency);
+      run.meta.metrics.effective_parallelism = best_busy_cores;
     }
   }
   return run;

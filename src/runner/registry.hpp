@@ -36,19 +36,18 @@ struct RunContext {
   [[nodiscard]] std::uint64_t seed() const { return params.u64("seed"); }
 
   /// True when the run asked for the sharded round kernel (src/par/)
-  /// via --backend=sharded.  Only reachable inside experiments whose
-  /// declared ProcessFamily is backend-capable; run_experiment rejects
-  /// the flag elsewhere.
+  /// via --backend=sharded; false where the kind declares no --backend.
   [[nodiscard]] bool sharded() const {
-    return params.str("backend") == "sharded";
+    return params.has("backend") && params.str("backend") == "sharded";
   }
 
   /// The --threads budget: 0 = the shared global pool (all hardware
   /// threads), k = k threads in total (trial_plan splits it between
   /// trials and rounds; single-instance experiments give it all to the
-  /// round team).  run_experiment rejects it on ProcessFamily::kNone.
+  /// round team).  0 where the kind declares no --threads.
   [[nodiscard]] unsigned threads() const {
-    return static_cast<unsigned>(params.u32("threads"));
+    return params.has("threads") ? static_cast<unsigned>(params.u32("threads"))
+                                 : 0;
   }
 
   /// The trial count: the --trials override wins (range-checked), else
@@ -63,8 +62,7 @@ struct RunContext {
 
   /// Checkpointing surface (--checkpoint-dir/--checkpoint-every/
   /// --checkpoint-keep, plus the resume-from path the `rbb resume` verb
-  /// fills in).  Only checkpoint-capable experiments see non-default
-  /// values; run_experiment rejects the flags elsewhere.
+  /// fills in).  Declared by ExperimentKind::kCheckpointed only.
   [[nodiscard]] std::string checkpoint_dir() const {
     return params.str("checkpoint-dir");
   }
@@ -95,32 +93,20 @@ struct RunContext {
   [[nodiscard]] TrialPlan trial_plan(std::uint32_t trials) const;
 };
 
-/// Which process-core family an experiment's run function instantiates
-/// (the variant axis of the policy matrix, DESIGN.md Sect. 5).
-///
-/// This replaced the old hand-maintained `sharded_capable` bool: an
-/// experiment declares WHAT it runs, and whether --backend=sharded is
-/// accepted is *derived* from the declared family -- backend_capable()
-/// checks, at compile time, that a sharded instantiation of the
-/// family's kernel exists and satisfies the engine's SimProcess
-/// concept.  Adding a sharded port to a kernel therefore flips every
-/// experiment of that family at once, and the flag can never drift
-/// from the code.
-enum class ProcessFamily {
-  kNone,      // no round kernel (exact chains, Jackson, samplers, ...)
-  kLoadOnly,  // the paper's load-only process
-  kToken,     // FIFO token / traversal processes
-  kTetris,    // the auxiliary Tetris process
-  kDChoices,  // repeated d-choices
-  kThreshold, // 1-2-3-Toolkit threshold allocation
-  kLeaky,     // leaky bins
-  kMixed,     // mixed-regime engine (m != n, weights, heterogeneity)
-  kKernelSuite,  // drives several kernel families (sharded_scaling)
+/// Which common flags an experiment's run function reads.  Registry::add
+/// prepends exactly the common specs of the kind (plus --metrics and
+/// --trace, which every experiment takes), so a common flag the run
+/// would ignore is an unknown option to the parser.
+enum class ExperimentKind {
+  kAnalytic,      // exact computation: no seed, no trials (exact_chain)
+  kMonteCarlo,    // trials without a TrialPlan: --seed --trials
+  kTrialKernel,   // trials through ctx.trial_plan: --seed --trials
+                  // --backend --threads --trial-parallelism --repeat
+  kKernelSuite,   // one timed instance per backend: --seed --threads
+                  // --repeat (sharded_scaling)
+  kCheckpointed,  // one checkpointable instance: --seed --backend
+                  // --threads --repeat and the checkpoint flags
 };
-
-/// True iff the family's kernel has a sharded instantiation (derived
-/// from the src/par/ types; see registry.cpp).
-[[nodiscard]] bool backend_capable(ProcessFamily family);
 
 /// One registered experiment.
 struct Experiment {
@@ -128,29 +114,20 @@ struct Experiment {
   std::string claim;        // DESIGN.md Sect. 4 E-number, "" for extras
   std::string title;        // one-line claim summary (list / docs)
   std::string description;  // prose for describe / docs
-  /// The process family the run function drives.  --backend=sharded is
-  /// accepted iff backend_capable(family); run_experiment rejects it
-  /// elsewhere.  kNone (the default) never accepts the flag.
-  ProcessFamily family = ProcessFamily::kNone;
-  /// True for single-instance experiments that honor the checkpoint
-  /// surface (--checkpoint-dir/--checkpoint-every, `rbb resume`).
-  /// run_experiment rejects the checkpoint flags on every other
-  /// experiment so they can never be silently ignored.
-  bool checkpointable = false;
-  /// True for experiments that run exactly one instance, with no trial
-  /// loop.  run_experiment rejects --trials on them so it can never be
-  /// silently ignored.
-  bool single_instance = false;
-  std::vector<ParamSpec> params;  // registry prepends seed/trials/backend/...
+  /// The common flags the run function reads (see ExperimentKind).
+  ExperimentKind kind = ExperimentKind::kMonteCarlo;
+  std::vector<ParamSpec> params;  // registry prepends the kind's common specs
   std::function<ResultSet(const RunContext&)> run;
 };
 
 /// Name-keyed experiment collection.  add() validates the declaration
-/// and prepends the common seed/trials specs every experiment shares.
+/// and prepends the common specs of the experiment's kind.
 class Registry {
  public:
   /// Registers an experiment; throws std::invalid_argument on an empty
-  /// name, a duplicate name, or a missing run function.
+  /// name, a duplicate name, a missing run function, or a parameter
+  /// declared twice (a clash with a prepended common spec or a frontend
+  /// option included).
   void add(Experiment experiment);
 
   [[nodiscard]] const Experiment* find(const std::string& name) const;

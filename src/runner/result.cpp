@@ -131,8 +131,6 @@ std::string to_json(const RunMeta& meta, const ResultSet& rs) {
       << meta.parallelism.hardware_concurrency << ",\n";
   out << "    \"threads_requested\": " << meta.parallelism.threads_requested
       << ",\n";
-  out << "    \"runnable_threads\": " << meta.parallelism.runnable_threads
-      << ",\n";
   out << "    \"repeat\": " << meta.parallelism.repeat << "\n";
   out << "  },\n";
   out << "  \"params\": {";
@@ -163,7 +161,7 @@ std::string to_json(const RunMeta& meta, const ResultSet& rs) {
     out << "    \"pipeline_fill_fraction\": "
         << format_double(meta.metrics.pipeline_fill_fraction, 6) << ",\n";
     out << "    \"effective_parallelism\": "
-        << meta.metrics.effective_parallelism << "\n";
+        << format_double(meta.metrics.effective_parallelism, 2) << "\n";
     out << "  },\n";
   }
   out << "  \"notes\": [";
@@ -227,7 +225,6 @@ std::string to_csv(const RunMeta& meta, const ResultSet& rs) {
   out << "# parallelism hardware_concurrency="
       << meta.parallelism.hardware_concurrency
       << " threads_requested=" << meta.parallelism.threads_requested
-      << " runnable_threads=" << meta.parallelism.runnable_threads
       << " repeat=" << meta.parallelism.repeat << "\n";
   for (const RunMeta::Param& param : meta.params) {
     out << "# param " << param.name << "=" << param.value << "\n";
@@ -244,7 +241,7 @@ std::string to_csv(const RunMeta& meta, const ResultSet& rs) {
     out << "# metric pipeline_fill_fraction="
         << format_double(meta.metrics.pipeline_fill_fraction, 6) << "\n";
     out << "# metric effective_parallelism="
-        << meta.metrics.effective_parallelism << "\n";
+        << format_double(meta.metrics.effective_parallelism, 2) << "\n";
   }
   for (const ResultSet::Entry& entry : rs.tables()) {
     out << "\n# table " << entry.id << ": " << entry.title << "\n";
@@ -279,8 +276,8 @@ std::string to_text(const RunMeta& meta, const ResultSet& rs) {
         << format_double(meta.metrics.barrier_wait_fraction, 6) << "\n";
     out << "pipeline_fill_fraction: "
         << format_double(meta.metrics.pipeline_fill_fraction, 6) << "\n";
-    out << "effective_parallelism: " << meta.metrics.effective_parallelism
-        << "\n";
+    out << "effective_parallelism: "
+        << format_double(meta.metrics.effective_parallelism, 2) << "\n";
   }
   return out.str();
 }

@@ -76,7 +76,6 @@ struct RunMeta {
   struct Parallelism {
     std::uint32_t hardware_concurrency = 0;  // std::thread value, 0 unknown
     std::uint32_t threads_requested = 0;     // the --threads parameter
-    std::uint32_t runnable_threads = 0;      // threads that can run tasks
     /// The --repeat request: the run function executed this many times
     /// and the serialized results/wall time are the fastest execution
     /// (best-of-K timing discipline for perf rows).
@@ -101,7 +100,9 @@ struct RunMeta {
     /// doing overlapped work instead of spinning (obs/metrics.hpp);
     /// exactly 0 when no team ran.
     double pipeline_fill_fraction = 0;
-    std::uint32_t effective_parallelism = 0;  // min(runnable, hardware)
+    /// Busy cores of the kept execution: user + system CPU seconds
+    /// (getrusage) over its wall seconds.
+    double effective_parallelism = 0;
   };
 
   std::string experiment;  // registry name, e.g. "stability"

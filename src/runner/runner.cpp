@@ -42,37 +42,39 @@ options for run / sweep:
                                 sharded single-instance experiments)
   --format=table|json|csv       output rendering (default: table)
   --out=PATH                    write to PATH instead of stdout
-  --backend=seq|sharded         round kernel (sharded-capable
-                                experiments only; default: seq)
-  --threads=N                   total thread budget (0 = all); split
-                                by --trial-parallelism on Monte-Carlo
-                                experiments (kernel experiments only)
-  --metrics                     scrape src/obs/ telemetry after the run
-                                and emit the additive `metrics` block
-                                (counters, per-phase ns, barrier-wait
-                                fraction, effective parallelism)
-  --trace=FILE                  write the run's phase spans as
-                                Chrome-trace JSON (open in Perfetto)
-  --repeat=K                    execute the run K times, keep the
-                                fastest execution (best-of-K timing
-                                for perf rows; default: 1)
-  --trial-parallelism=auto|K    concurrent trials for Monte-Carlo
-                                experiments; the thread budget splits
-                                across trials, each instance's sharded
-                                rounds use the rest (default: auto;
-                                kernel experiments only)
-  --checkpoint-dir=DIR          write rbb.ckpt.v1 snapshots here
-                                (checkpoint-capable experiments only,
-                                e.g. trajectory)
-  --checkpoint-every=K          checkpoint period in rounds (0 = only
-                                the SIGINT/exit checkpoint; requires
-                                --checkpoint-dir)
-  --checkpoint-keep=K           retain the newest K periodic
-                                checkpoints (default: 3)
   --<param>=value               any parameter of the experiment
                                 (see `rbb describe <experiment>`);
                                 under `sweep`, comma-separated values
                                 become a grid axis
+
+common parameters -- an experiment takes only the ones it reads, and
+`rbb describe <experiment>` lists them; any other is an unknown option:
+  --seed=N, --trials=N          root seed; trials per sweep point
+  --backend=seq|sharded         round kernel (default: seq)
+  --threads=N                   total thread budget (0 = all); split
+                                by --trial-parallelism on Monte-Carlo
+                                experiments
+  --trial-parallelism=auto|K    concurrent trials; the thread budget
+                                splits across trials, each instance's
+                                sharded rounds use the rest
+  --repeat=K                    execute the run K times, keep the
+                                fastest execution (best-of-K timing
+                                for perf rows; default: 1)
+  --metrics                     scrape src/obs/ telemetry after the run
+                                and emit the additive `metrics` block
+                                (counters, per-phase ns, barrier-wait
+                                fraction, effective parallelism); every
+                                experiment
+  --trace=FILE                  write the run's phase spans as
+                                Chrome-trace JSON (open in Perfetto);
+                                every experiment
+  --checkpoint-dir=DIR          write rbb.ckpt.v1 snapshots here
+  --checkpoint-every=K          checkpoint period in rounds (0 = only
+                                the SIGINT/exit checkpoint; requires
+                                --checkpoint-dir)
+  --checkpoint-keep=K           retain the newest K periodic
+                                checkpoints (default: 3; requires
+                                --checkpoint-dir)
 
 `rbb docs --check` exits 1 if the committed file differs from the
 registry (the CI docs-drift gate).

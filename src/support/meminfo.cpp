@@ -1,5 +1,7 @@
 #include "support/meminfo.hpp"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <cstring>
 
@@ -43,6 +45,16 @@ MemReading parse_anon_huge_smaps(const char* path) noexcept {
 
 MemReading anon_huge_bytes() noexcept {
   return parse_anon_huge_smaps("/proc/self/smaps_rollup");
+}
+
+double process_cpu_seconds() noexcept {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) * 1e-6;
+  };
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
 }  // namespace rbb

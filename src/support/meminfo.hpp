@@ -1,4 +1,5 @@
-// Process memory introspection for the perf experiments.
+// Process memory and CPU-time introspection for the perf experiments
+// and the run metadata.
 #pragma once
 
 #include <cstdint>
@@ -30,5 +31,11 @@ using PeakRss = MemReading;
 /// Parses AnonHugePages out of an smaps_rollup file at `path` (testing
 /// seam for anon_huge_bytes).
 [[nodiscard]] MemReading parse_anon_huge_smaps(const char* path) noexcept;
+
+/// User + system CPU seconds the current process has used so far, over
+/// all its threads (getrusage(RUSAGE_SELF)); 0 where getrusage fails.
+/// Its growth over an interval divided by the interval's wall seconds
+/// is the number of cores the interval kept busy.
+[[nodiscard]] double process_cpu_seconds() noexcept;
 
 }  // namespace rbb

@@ -31,7 +31,7 @@ TEST(RepeatedDChoices, IncrementalStatsStayExact) {
   RepeatedDChoicesProcess proc(
       make_config(InitialConfig::kAllInOne, 32, 32, rng), 3, rng);
   for (int t = 0; t < 200; ++t) {
-    const DChoicesRoundStats s = proc.step();
+    const RoundStats s = proc.step();
     ASSERT_EQ(s.max_load, max_load(proc.loads()));
     ASSERT_EQ(s.empty_bins, empty_bins(proc.loads()));
   }
@@ -77,7 +77,7 @@ TEST(RepeatedDChoices, DOneBehavesLikeOriginalProcess) {
   std::uint32_t wmax = 0;
   for (std::uint32_t t = 0; t < 10 * n; ++t) {
     const std::uint32_t empty_before = proc.empty_bins();
-    const DChoicesRoundStats s = proc.step();
+    const RoundStats s = proc.step();
     ASSERT_EQ(s.departures, n - empty_before);
     wmax = std::max(wmax, s.max_load);
   }

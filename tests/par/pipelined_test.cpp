@@ -193,12 +193,12 @@ TEST(PipelinedParity, LeakyMatchesOracleIncludingArrivalDraws) {
 TEST(PipelinedParity, DChoicesRunMatchesOracle) {
   constexpr std::uint32_t kD = 3;
   SequentialCounterDChoicesProcess oracle(start_config(), kD, kSeed);
-  DChoicesRoundStats want{};
+  RoundStats want{};
   for (std::uint64_t r = 0; r < kRounds; ++r) want = oracle.step();
 
   for (const ShardedOptions& options : kGrid) {
     ShardedDChoicesProcess pipelined(start_config(), kD, kSeed, options);
-    const DChoicesRoundStats got = pipelined.run(kRounds);
+    const RoundStats got = pipelined.run(kRounds);
     EXPECT_EQ(got.max_load, want.max_load);
     EXPECT_EQ(got.empty_bins, want.empty_bins);
     EXPECT_EQ(got.departures, want.departures);

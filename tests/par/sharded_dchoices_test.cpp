@@ -34,7 +34,7 @@ LoadConfig start_config(InitialConfig kind = InitialConfig::kOnePerBin) {
 }
 
 struct Trajectory {
-  std::vector<DChoicesRoundStats> stats;
+  std::vector<RoundStats> stats;
   LoadConfig final_loads;
 
   bool operator==(const Trajectory& other) const {
@@ -86,8 +86,8 @@ TEST(ShardedDChoices, BitIdenticalToSequentialCounterSibling) {
   ShardedDChoicesProcess sharded(start_config(), kD, kSeed,
                                  {.threads = 2, .shard_size = 256});
   for (std::uint64_t r = 0; r < kRounds; ++r) {
-    const DChoicesRoundStats expect = reference.step();
-    const DChoicesRoundStats got = sharded.step();
+    const RoundStats expect = reference.step();
+    const RoundStats got = sharded.step();
     ASSERT_EQ(got.max_load, expect.max_load) << "round " << r;
     ASSERT_EQ(got.empty_bins, expect.empty_bins) << "round " << r;
     ASSERT_EQ(got.departures, expect.departures) << "round " << r;

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runner/docgen.hpp"
@@ -172,15 +173,21 @@ TEST(Cli, DescribeShowsParams) {
 }
 
 TEST(Cli, DescribeShowsBackendAndThreadsWithDefaults) {
-  // The common kernel-selection knobs are part of every experiment's
-  // described surface, defaults included.
-  for (const char* name : {"stability", "convergence", "sharded_scaling"}) {
+  // The kernel-selection knobs are part of the described surface of the
+  // experiments that read them, defaults included.
+  for (const char* name : {"stability", "convergence"}) {
     const CliResult r = rbb({"describe", name});
     ASSERT_EQ(r.code, 0) << name;
     EXPECT_NE(r.out.find("--backend"), std::string::npos) << name;
     EXPECT_NE(r.out.find("--threads"), std::string::npos) << name;
     EXPECT_NE(r.out.find("seq"), std::string::npos) << name;
   }
+  // sharded_scaling times every backend: its parameter table lists
+  // --threads only.
+  const CliResult r = rbb({"describe", "sharded_scaling"});
+  ASSERT_EQ(r.code, 0);
+  EXPECT_EQ(r.out.find("| --backend "), std::string::npos);
+  EXPECT_NE(r.out.find("| --threads "), std::string::npos);
 }
 
 TEST(Cli, DescribeUnknownExperimentRejected) {
@@ -233,14 +240,52 @@ TEST(Cli, RunAcceptsMegaScale) {
 // --- the sharded backend surface --------------------------------------------
 
 TEST(Cli, RunRejectsShardedBackendWithoutCapableFamily) {
-  // jackson declares no process family (kNone: continuous-time event
-  // loop, no round kernel); the rejection must name the flag and exit 1
-  // (a clean run-layer error, not std::terminate).
+  // jackson runs a continuous-time event loop, no round kernel: it
+  // declares no --backend, so the parser rejects the flag by name.
   const CliResult r = rbb({"run", "jackson", "--scale=smoke", "--trials=1",
                            "--backend=sharded"});
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown option --backend"), std::string::npos);
+}
+
+TEST(Cli, RunRejectsCommonFlagsTheExperimentDoesNotRead) {
+  // Each experiment here would ignore the flag, so it must not take it.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"exact_chain", "--trials=5"},
+      {"exact_chain", "--seed=9"},
+      {"trajectory", "--trial-parallelism=3"},
+      {"sharded_scaling", "--trial-parallelism=2"},
+      {"sharded_scaling", "--backend=sharded"},
+      {"zchain", "--checkpoint-keep=5"},
+  };
+  for (const auto& [experiment, flag] : cases) {
+    const CliResult r = rbb({"run", experiment, "--scale=smoke", flag});
+    EXPECT_EQ(r.code, 2) << experiment << " " << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(r.err.find("unknown option " + name), std::string::npos)
+        << experiment << " " << flag << ": " << r.err;
+  }
+}
+
+TEST(Cli, CheckpointKeepRequiresCheckpointDir) {
+  // Retention without a checkpoint directory has nothing to retain.
+  const CliResult r = rbb({"run", "trajectory", "--n=64", "--rounds=4",
+                           "--checkpoint-keep=5"});
   EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("does not support --backend=sharded"),
-            std::string::npos);
+  EXPECT_NE(r.err.find("--checkpoint-keep requires --checkpoint-dir"),
+            std::string::npos)
+      << r.err;
+  const CliResult every = rbb({"run", "trajectory", "--n=64", "--rounds=4",
+                               "--checkpoint-every=5"});
+  EXPECT_EQ(every.code, 1);
+  EXPECT_NE(every.err.find("--checkpoint-every requires --checkpoint-dir"),
+            std::string::npos)
+      << every.err;
+  // The default value is no request.
+  EXPECT_EQ(rbb({"run", "trajectory", "--n=64", "--rounds=4",
+                 "--checkpoint-keep=3"})
+                .code,
+            0);
 }
 
 TEST(Cli, RunAcceptsShardedBackendOnEveryKernelFamily) {
@@ -331,14 +376,14 @@ TEST(Cli, RunRejectsOversizedU32ExperimentParams) {
 }
 
 TEST(Cli, RunRejectsRepeatWithoutRoundKernel) {
-  // zchain runs no round kernel: --repeat is rejected wherever --threads
-  // is, instead of re-running an untimed computation K times.
-  for (const char* flag : {"--repeat=3", "--threads=2"}) {
+  // zchain runs no round kernel: it declares neither --repeat nor
+  // --threads, instead of re-running an untimed computation K times.
+  for (const char* flag : {"--repeat=3", "--repeat=1", "--threads=2"}) {
     const CliResult r = rbb({"run", "zchain", "--scale=smoke", flag});
-    EXPECT_EQ(r.code, 1) << flag;
-    EXPECT_NE(r.err.find("does not accept"), std::string::npos) << flag;
+    EXPECT_EQ(r.code, 2) << flag;
+    EXPECT_NE(r.err.find("unknown option"), std::string::npos) << flag;
   }
-  EXPECT_EQ(rbb({"run", "zchain", "--scale=smoke", "--repeat=1"}).code, 0);
+  EXPECT_EQ(rbb({"run", "zchain", "--scale=smoke"}).code, 0);
 }
 
 TEST(Cli, TrajectoryRejectsKnobsOfAnotherFamily) {
@@ -488,14 +533,12 @@ TEST(Cli, SweepAcceptsBackendAsAGridAxis) {
 }
 
 TEST(Cli, SweepRejectsShardedBackendWithoutCapableFamily) {
-  // The same clear run-layer error as `rbb run`, surfaced at the
-  // failing sweep point.
+  // The same parse error as `rbb run`, before any sweep point runs.
   const CliResult r = rbb({"sweep", "jackson", "--scale=smoke",
                            "--trials=1", "--seed=1,2",
                            "--backend=sharded"});
-  EXPECT_EQ(r.code, 1);
-  EXPECT_NE(r.err.find("does not support --backend=sharded"),
-            std::string::npos);
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("unknown option --backend"), std::string::npos);
 }
 
 // --- docs -------------------------------------------------------------------

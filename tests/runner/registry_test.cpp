@@ -2,6 +2,8 @@
 // the registered catalog can never drift apart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <regex>
 #include <set>
 #include <stdexcept>
@@ -31,36 +33,93 @@ TEST(Registry, HoldsAllTwentyNineExperiments) {
   EXPECT_EQ(default_registry().experiments().size(), 29u);
 }
 
-TEST(Registry, BackendCapabilityIsDerivedFromTheDeclaredFamily) {
-  // --backend=sharded is accepted exactly where the experiment's
-  // declared process family has a src/par/ instantiation of the policy
-  // core -- the capability is derived, not a hand-maintained bool.
-  std::set<std::string> capable;
+/// The common flags each kind prepends, in order (ExperimentKind).
+const std::vector<std::string>& kind_flags(ExperimentKind kind) {
+  static const std::map<ExperimentKind, std::vector<std::string>> flags = {
+      {ExperimentKind::kAnalytic, {"metrics", "trace"}},
+      {ExperimentKind::kMonteCarlo, {"seed", "trials", "metrics", "trace"}},
+      {ExperimentKind::kTrialKernel,
+       {"seed", "trials", "backend", "threads", "metrics", "trace", "repeat",
+        "trial-parallelism"}},
+      {ExperimentKind::kKernelSuite,
+       {"seed", "threads", "metrics", "trace", "repeat"}},
+      {ExperimentKind::kCheckpointed,
+       {"seed", "backend", "threads", "metrics", "trace", "repeat",
+        "checkpoint-dir", "checkpoint-every", "checkpoint-keep",
+        "resume-from"}},
+  };
+  return flags.at(kind);
+}
+
+/// Every experiment's kind, pinned by name: the eleven drivers that
+/// call ctx.trial_plan, the three single-purpose kinds, and Monte-Carlo
+/// for the rest.
+ExperimentKind expected_kind(const std::string& name) {
+  static const std::set<std::string> trial_kernel = {
+      "convergence",      "stability",    "empty_bins",
+      "tetris_stability", "dchoices",     "leaky_bins",
+      "cover_time",       "progress",     "max_load_regimes",
+      "mixed_regime",     "threshold_allocation"};
+  if (name == "exact_chain") return ExperimentKind::kAnalytic;
+  if (name == "sharded_scaling") return ExperimentKind::kKernelSuite;
+  if (name == "trajectory") return ExperimentKind::kCheckpointed;
+  return trial_kernel.count(name) != 0 ? ExperimentKind::kTrialKernel
+                                       : ExperimentKind::kMonteCarlo;
+}
+
+TEST(Registry, EachExperimentTakesExactlyTheCommonFlagsOfItsKind) {
+  // A common flag an experiment does not read is not among its specs,
+  // so the parser rejects it instead of the run ignoring it.
+  const std::vector<std::pair<std::string, std::string>> off_default = {
+      {"seed", "9"},           {"trials", "5"},
+      {"backend", "sharded"},  {"threads", "2"},
+      {"metrics", "true"},     {"trace", "t.json"},
+      {"repeat", "3"},         {"trial-parallelism", "2"},
+      {"checkpoint-dir", "c"}, {"checkpoint-every", "5"},
+      {"checkpoint-keep", "5"}, {"resume-from", "c/x.ckpt"}};
+  std::map<ExperimentKind, std::size_t> per_kind;
+  std::set<std::string> backend_takers;
   for (const Experiment& e : default_registry().experiments()) {
-    if (backend_capable(e.family)) capable.insert(e.name);
+    EXPECT_EQ(e.kind, expected_kind(e.name)) << e.name;
+    ++per_kind[e.kind];
+    const std::vector<std::string>& listed = kind_flags(e.kind);
+    for (const auto& [flag, value] : off_default) {
+      const bool takes =
+          std::find(listed.begin(), listed.end(), flag) != listed.end();
+      ParamValues values(e.params);
+      std::string error;
+      EXPECT_EQ(values.set(flag, value, &error), takes)
+          << e.name << " --" << flag << "=" << value;
+      if (!takes) {
+        EXPECT_EQ(error, "unknown option --" + flag) << e.name;
+      }
+      if (takes && flag == "backend") backend_takers.insert(e.name);
+    }
   }
-  EXPECT_EQ(capable,
+  EXPECT_EQ(per_kind[ExperimentKind::kAnalytic], 1u);
+  EXPECT_EQ(per_kind[ExperimentKind::kMonteCarlo], 15u);
+  EXPECT_EQ(per_kind[ExperimentKind::kTrialKernel], 11u);
+  EXPECT_EQ(per_kind[ExperimentKind::kKernelSuite], 1u);
+  EXPECT_EQ(per_kind[ExperimentKind::kCheckpointed], 1u);
+  // --backend: the eleven trial-kernel drivers plus trajectory;
+  // sharded_scaling times every backend and takes none.
+  EXPECT_EQ(backend_takers,
             (std::set<std::string>{"convergence", "stability", "empty_bins",
                                    "tetris_stability", "dchoices",
                                    "leaky_bins", "cover_time", "progress",
-                                   "sharded_scaling", "max_load_regimes",
-                                   "mixed_regime", "threshold_allocation",
-                                   "trajectory"}));
-}
+                                   "max_load_regimes", "mixed_regime",
+                                   "threshold_allocation", "trajectory"}));
 
-TEST(Registry, EveryKernelFamilyIsBackendCapable) {
-  // The policy refactor's payoff: every variant of the process core has
-  // a sharded instantiation, so every kernel family is capable; only
-  // kNone (no round kernel) rejects the flag.
-  EXPECT_FALSE(backend_capable(ProcessFamily::kNone));
-  EXPECT_TRUE(backend_capable(ProcessFamily::kLoadOnly));
-  EXPECT_TRUE(backend_capable(ProcessFamily::kToken));
-  EXPECT_TRUE(backend_capable(ProcessFamily::kTetris));
-  EXPECT_TRUE(backend_capable(ProcessFamily::kDChoices));
-  EXPECT_TRUE(backend_capable(ProcessFamily::kThreshold));
-  EXPECT_TRUE(backend_capable(ProcessFamily::kLeaky));
-  EXPECT_TRUE(backend_capable(ProcessFamily::kMixed));
-  EXPECT_TRUE(backend_capable(ProcessFamily::kKernelSuite));
+  // A trial-kernel experiment runs with both thread flags set.
+  const Experiment* stability = default_registry().find("stability");
+  ASSERT_NE(stability, nullptr);
+  ParamValues values(stability->params);
+  ASSERT_TRUE(values.set("trials", "2"));
+  ASSERT_TRUE(values.set("n", "32"));
+  ASSERT_TRUE(values.set("window-factor", "2"));
+  ASSERT_TRUE(values.set("threads", "2"));
+  ASSERT_TRUE(values.set("trial-parallelism", "2"));
+  EXPECT_NO_THROW((void)run_experiment(*stability, values, BenchScale::kSmoke));
 }
 
 TEST(Registry, NamesAreUniqueAndDeclarationsComplete) {
@@ -70,22 +129,22 @@ TEST(Registry, NamesAreUniqueAndDeclarationsComplete) {
     EXPECT_FALSE(e.title.empty()) << e.name << " has no title";
     EXPECT_FALSE(e.description.empty()) << e.name << " has no description";
     EXPECT_TRUE(static_cast<bool>(e.run)) << e.name << " has no run fn";
-    // The registry prepends the common Monte-Carlo, backend, and
-    // telemetry knobs.
-    ASSERT_GE(e.params.size(), 8u) << e.name;
-    EXPECT_EQ(e.params[0].name, "seed") << e.name;
-    EXPECT_EQ(e.params[1].name, "trials") << e.name;
-    EXPECT_EQ(e.params[2].name, "backend") << e.name;
-    EXPECT_EQ(e.params[2].default_value, "seq") << e.name;
-    EXPECT_EQ(e.params[3].name, "threads") << e.name;
-    EXPECT_EQ(e.params[4].name, "metrics") << e.name;
-    EXPECT_EQ(e.params[4].type, ParamSpec::Type::kFlag) << e.name;
-    EXPECT_EQ(e.params[5].name, "trace") << e.name;
-    EXPECT_EQ(e.params[6].name, "repeat") << e.name;
-    EXPECT_EQ(e.params[6].default_value, "1") << e.name;
-    EXPECT_EQ(e.params[7].name, "trial-parallelism") << e.name;
-    EXPECT_EQ(e.params[7].default_value, "auto") << e.name;
+    // The registry prepends the common specs of the kind, in order.
+    const std::vector<std::string>& common = kind_flags(e.kind);
+    ASSERT_GE(e.params.size(), common.size()) << e.name;
+    for (std::size_t i = 0; i < common.size(); ++i) {
+      EXPECT_EQ(e.params[i].name, common[i]) << e.name;
+    }
     for (const ParamSpec& spec : e.params) {
+      if (spec.name == "backend") {
+        EXPECT_EQ(spec.default_value, "seq");
+      } else if (spec.name == "repeat") {
+        EXPECT_EQ(spec.default_value, "1");
+      } else if (spec.name == "trial-parallelism") {
+        EXPECT_EQ(spec.default_value, "auto");
+      } else if (spec.name == "metrics") {
+        EXPECT_EQ(spec.type, ParamSpec::Type::kFlag);
+      }
       EXPECT_FALSE(spec.help.empty())
           << e.name << " --" << spec.name << " has no help text";
       EXPECT_TRUE(spec.type == ParamSpec::Type::kFlag ||
@@ -143,19 +202,34 @@ TEST(Registry, AddRejectsBadDeclarations) {
   redeclares.run = [](const RunContext&) { return ResultSet{}; };
   EXPECT_THROW(registry.add(redeclares), std::invalid_argument);
 
-  // CLI-reserved option names would be intercepted by `rbb run` before
-  // parameter assignment (or shadow a prepended common spec) and be
-  // silently unsettable.
-  for (const char* reserved :
-       {"backend", "threads", "metrics", "trace", "repeat",
-        "trial-parallelism", "scale", "format", "out",
-        "check", "help"}) {
+  // A name declared twice -- against a prepended common spec of the
+  // kind or within the experiment's own list -- would leave one spec
+  // unsettable, and so would a name the CLI frontends intercept.
+  for (const char* taken :
+       {"seed", "trials", "backend", "threads", "metrics", "trace", "repeat",
+        "trial-parallelism", "scale", "format", "out", "check", "help"}) {
     Experiment clash;
-    clash.name = std::string("clash_") + reserved;
-    clash.params = {{reserved, ParamSpec::Type::kString, "", "clash"}};
+    clash.name = std::string("clash_") + taken;
+    clash.kind = ExperimentKind::kTrialKernel;
+    clash.params = {{taken, ParamSpec::Type::kString, "", "clash"}};
     clash.run = [](const RunContext&) { return ResultSet{}; };
-    EXPECT_THROW(registry.add(clash), std::invalid_argument) << reserved;
+    EXPECT_THROW(registry.add(clash), std::invalid_argument) << taken;
   }
+  for (const char* taken : {"checkpoint-dir", "checkpoint-every",
+                            "checkpoint-keep", "resume-from"}) {
+    Experiment clash;
+    clash.name = std::string("clash_") + taken;
+    clash.kind = ExperimentKind::kCheckpointed;
+    clash.params = {{taken, ParamSpec::Type::kString, "", "clash"}};
+    clash.run = [](const RunContext&) { return ResultSet{}; };
+    EXPECT_THROW(registry.add(clash), std::invalid_argument) << taken;
+  }
+  Experiment twice;
+  twice.name = "twice";
+  twice.params = {{"n", ParamSpec::Type::kU64, "1", "bins"},
+                  {"n", ParamSpec::Type::kU64, "2", "bins again"}};
+  twice.run = [](const RunContext&) { return ResultSet{}; };
+  EXPECT_THROW(registry.add(twice), std::invalid_argument);
 }
 
 TEST(Registry, RunProducesTablesAtTinyScale) {
@@ -236,67 +310,6 @@ TEST(Registry, TrialPlanCarriesTheBackend) {
   EXPECT_EQ(ctx.trial_plan(4).backend, Backend::kSharded);  // legacy fan-out
   ASSERT_TRUE(values.set("threads", "4"));
   EXPECT_EQ(ctx.trial_plan(4).backend, Backend::kSharded);
-}
-
-TEST(Registry, ThreadFlagsAreRejectedWithoutARoundKernel) {
-  // --threads and --trial-parallelism size a round kernel's thread
-  // budget; an experiment that runs none must refuse them rather than
-  // silently ignore them.
-  std::size_t kernel_less = 0;
-  for (const Experiment& e : default_registry().experiments()) {
-    if (e.family != ProcessFamily::kNone) continue;
-    ++kernel_less;
-    for (const auto& [flag, value] :
-         {std::pair<const char*, const char*>{"threads", "2"},
-          {"trial-parallelism", "2"}}) {
-      ParamValues values(e.params);
-      ASSERT_TRUE(values.set(flag, value));
-      try {
-        (void)run_experiment(e, values, BenchScale::kSmoke);
-        ADD_FAILURE() << e.name << " accepted --" << flag;
-      } catch (const std::invalid_argument& err) {
-        const std::string what = err.what();
-        EXPECT_NE(what.find(e.name), std::string::npos) << what;
-        EXPECT_NE(what.find("--threads or --trial-parallelism"),
-                  std::string::npos)
-            << what;
-      }
-    }
-  }
-  EXPECT_GT(kernel_less, 0u);
-
-  // A kernel experiment still takes both.
-  const Experiment* stability = default_registry().find("stability");
-  ASSERT_NE(stability, nullptr);
-  ParamValues values(stability->params);
-  ASSERT_TRUE(values.set("trials", "2"));
-  ASSERT_TRUE(values.set("n", "32"));
-  ASSERT_TRUE(values.set("window-factor", "2"));
-  ASSERT_TRUE(values.set("threads", "2"));
-  ASSERT_TRUE(values.set("trial-parallelism", "2"));
-  EXPECT_NO_THROW((void)run_experiment(*stability, values, BenchScale::kSmoke));
-}
-
-TEST(Registry, SingleInstanceExperimentsRejectTrials) {
-  // sharded_scaling and trajectory run one instance; an explicit
-  // --trials would be silently ignored, so it must fail the run.
-  std::vector<std::string> single;
-  for (const Experiment& e : default_registry().experiments()) {
-    if (!e.single_instance) continue;
-    single.push_back(e.name);
-    ParamValues values(e.params);
-    ASSERT_TRUE(values.set("trials", "3"));
-    try {
-      (void)run_experiment(e, values, BenchScale::kSmoke);
-      ADD_FAILURE() << e.name << " accepted --trials";
-    } catch (const std::invalid_argument& err) {
-      const std::string what = err.what();
-      EXPECT_NE(what.find(e.name), std::string::npos) << what;
-      EXPECT_NE(what.find("--trials"), std::string::npos) << what;
-    }
-  }
-  EXPECT_EQ(single,
-            (std::vector<std::string>{"sharded_scaling", "trajectory"}));
 }
 
 TEST(Registry, GitRevisionIsAShortHashWithDirtyMarkerOrUnknown) {

@@ -30,7 +30,6 @@ RunMeta golden_meta() {
   meta.wall_seconds = 0.125;
   meta.parallelism = {.hardware_concurrency = 8,
                       .threads_requested = 2,
-                      .runnable_threads = 2,
                       .repeat = 3};
   return meta;
 }
@@ -60,7 +59,6 @@ TEST(SerializationGolden, Json) {
   "parallelism": {
     "hardware_concurrency": 8,
     "threads_requested": 2,
-    "runnable_threads": 2,
     "repeat": 3
   },
   "params": {
@@ -100,7 +98,7 @@ TEST(SerializationGolden, Csv) {
       "# git_rev=deadbeef\n"
       "# wall_time_s=0.125\n"
       "# parallelism hardware_concurrency=8 threads_requested=2 "
-      "runnable_threads=2 repeat=3\n"
+      "repeat=3\n"
       "# param seed=7\n"
       "# param trials=2\n"
       "# param beta=4.0\n"
@@ -146,7 +144,7 @@ TEST(SerializationGolden, MetricsBlockIsAdditive) {
   meta.metrics.phase_ns = {{"throw", 1200}, {"barrier_wait", 30}};
   meta.metrics.barrier_wait_fraction = 0.25;
   meta.metrics.pipeline_fill_fraction = 0.75;
-  meta.metrics.effective_parallelism = 2;
+  meta.metrics.effective_parallelism = 1.5;
   const std::string with = to_json(meta, rs);
   const char* expected_block =
       "  \"metrics\": {\n"
@@ -160,7 +158,7 @@ TEST(SerializationGolden, MetricsBlockIsAdditive) {
       "    },\n"
       "    \"barrier_wait_fraction\": 0.250000,\n"
       "    \"pipeline_fill_fraction\": 0.750000,\n"
-      "    \"effective_parallelism\": 2\n"
+      "    \"effective_parallelism\": 1.50\n"
       "  },\n";
   EXPECT_NE(with.find(expected_block), std::string::npos);
   // Additive: removing the block byte-reverts the document.

@@ -1,11 +1,13 @@
-// Tests for the memory probes (src/support/meminfo.*): the VmHWM and
-// AnonHugePages parses must say "unavailable" explicitly -- never a
-// silent 0 -- when the file is missing, lacks the line, or carries
-// garbage.
+// Tests for the memory and CPU-time probes (src/support/meminfo.*):
+// the VmHWM and AnonHugePages parses must say "unavailable" explicitly
+// -- never a silent 0 -- when the file is missing, lacks the line, or
+// carries garbage.
 #include "support/meminfo.hpp"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -103,6 +105,21 @@ TEST(Meminfo, LivePeakRssIsAvailableOnLinux) {
   EXPECT_GT(rss.bytes, 0u);
 }
 #endif
+
+TEST(Meminfo, ProcessCpuSecondsGrowWithBusyWork) {
+  // A busy loop on this thread must show up as CPU time; the wall-time
+  // bound ends the loop even if the clock never moved.
+  const double before = process_cpu_seconds();
+  EXPECT_GE(before, 0.0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  volatile std::uint64_t sink = 0;
+  while (process_cpu_seconds() - before < 0.02 &&
+         std::chrono::steady_clock::now() < deadline) {
+    for (int i = 0; i < 100000; ++i) sink = sink + static_cast<unsigned>(i);
+  }
+  EXPECT_GE(process_cpu_seconds() - before, 0.02);
+}
 
 }  // namespace
 }  // namespace rbb

@@ -24,7 +24,7 @@ itself informational is refused.  Baselines from before the array
 existed diff cleanly (empty set).
 
 Parallelism honesty: every document carries a "parallelism" block
-(hardware_concurrency, threads_requested, runnable_threads).  Per row
+(hardware_concurrency, threads_requested, repeat).  Per row
 the effective parallelism is min(threads column, hardware_concurrency)
 for sharded rows and 1 for sequential rows.  A shared row whose
 effective parallelism differs between OLD and NEW is REPORTED AND
