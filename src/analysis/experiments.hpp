@@ -4,10 +4,10 @@
 // engine/trials.hpp (per-trial RNG substreams -- results are independent
 // of the worker-thread count), composes an Engine with the observers and
 // stopping rule the experiment needs, reduces per-trial observables into
-// OnlineMoments, and returns a small result struct the bench binaries
-// format into tables.  DESIGN.md Sect. 4 maps experiments E1..E21 to
-// these drivers; DESIGN.md Sect. 2 describes the engine layer they sit
-// on.
+// OnlineMoments, and returns a small result struct the registry
+// experiments (src/runner/experiments/) format into tables.  DESIGN.md
+// Sect. 4 maps experiments E1..E23 to these drivers; DESIGN.md Sect. 2
+// describes the engine layer they sit on.
 #pragma once
 
 #include <cstdint>

@@ -594,20 +594,11 @@ class BallProcessCore {
       }
     } else if constexpr (kRefill) {
       // Refill on the xoshiro stream: the departing balls leave and a
-      // fresh batch lands, ball by ball or as multinomial counts.
+      // fresh batch lands ball by ball.
       departures = depart_range(0, n);
       const ball_count_t arrivals = draw_arrival_count(r);
       Rng& rng = variant_.stream_.rng();
-      bool split = false;
-      if constexpr (kKind == BallVariantKind::kTetris) {
-        split = variant_.sampling_ == ArrivalSampling::kSplit;
-      }
-      if (split) {
-        occupancy_split(arrivals, n, rng, scratch_);
-        for (bin_index_t v = 0; v < n; ++v) loads_[v] += scratch_[v];
-      } else {
-        for (ball_count_t i = 0; i < arrivals; ++i) ++loads_[rng.index(n)];
-      }
+      for (ball_count_t i = 0; i < arrivals; ++i) ++loads_[rng.index(n)];
       balls_ = balls_ - departures + arrivals;
       last_arrivals_ = arrivals;
     }

@@ -55,12 +55,6 @@ struct LeakyRoundStats {
   ball_count_t arrivals = 0;  // this round's Binomial(n, lambda) draw
 };
 
-/// How Tetris samples the per-round arrival occupancy (ablation D1).
-enum class ArrivalSampling {
-  kBallByBall,  // k independent uniform destinations, O(k) per round
-  kSplit,       // multinomial via recursive binomial splitting, O(n)
-};
-
 namespace kernel {
 
 enum class BallVariantKind {
@@ -277,20 +271,11 @@ struct Tetris {
       std::numeric_limits<std::uint64_t>::max();
 
   /// `arrivals_per_round` == 0 selects the paper's floor(3n/4).
-  Tetris(Stream stream, ball_count_t arrivals_per_round = 0,
-         ArrivalSampling sampling = ArrivalSampling::kBallByBall)
-      : stream_(std::move(stream)),
-        arrivals_(arrivals_per_round),
-        sampling_(sampling) {}
+  Tetris(Stream stream, ball_count_t arrivals_per_round = 0)
+      : stream_(std::move(stream)), arrivals_(arrivals_per_round) {}
 
   void validate(std::uint32_t /*n*/) const {
     if constexpr (Stream::kScheduleFree) {
-      if (sampling_ == ArrivalSampling::kSplit) {
-        throw std::invalid_argument(
-            "Tetris: the multinomial-split ablation draws from the "
-            "sequential stream; the schedule-free stream always draws "
-            "count-split arrivals");
-      }
       if (arrivals_ > std::numeric_limits<std::uint32_t>::max()) {
         throw std::invalid_argument(
             "Tetris: arrivals per round exceed the 32-bit leaf-draw "
@@ -321,7 +306,6 @@ struct Tetris {
 
   Stream stream_;
   ball_count_t arrivals_;
-  ArrivalSampling sampling_;
   std::vector<std::uint64_t> first_empty_;
   std::uint32_t not_yet_emptied_ = 0;
 };

@@ -115,12 +115,17 @@ MixedSpec make_mixed_spec(std::uint32_t bins, double ball_ratio,
   if (!(ball_ratio > 0.0)) {
     throw std::invalid_argument("make_mixed_spec: ball ratio must be > 0");
   }
+  const double balls = std::round(ball_ratio * static_cast<double>(bins));
+  if (!(balls <= 0xffffffffp0)) {
+    throw std::invalid_argument(
+        "make_mixed_spec: the ball ratio puts m = round(ratio * n) above "
+        "the 32-bit range at n = " + std::to_string(bins));
+  }
   validate_weights(weights);
 
   MixedSpec spec;
   spec.bins = bins;
-  spec.balls = static_cast<ball_count_t>(
-      std::llround(ball_ratio * static_cast<double>(bins)));
+  spec.balls = static_cast<ball_count_t>(balls);
   if (spec.balls == 0) spec.balls = 1;
   spec.weights = std::move(weights);
 

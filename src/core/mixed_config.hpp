@@ -79,8 +79,8 @@ struct MixedSpec {
 /// balls, class populations by largest-remainder apportionment of the
 /// profile fractions, balls dealt round-robin over the bins (so every
 /// initial load is floor(m/n) or ceil(m/n), under any capacity).
-/// Throws std::invalid_argument on n == 0, ratio <= 0, or unknown
-/// profile names.
+/// Throws std::invalid_argument on n == 0, ratio <= 0, an m above the
+/// 32-bit range, or unknown profile names.
 [[nodiscard]] MixedSpec make_mixed_spec(std::uint32_t bins, double ball_ratio,
                                         const std::string& weight_profile,
                                         const std::string& bin_profile);

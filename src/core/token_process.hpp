@@ -29,7 +29,7 @@ enum class QueuePolicy {
 
 /// One token per bin, token i starting in bin i: the canonical
 /// starting placement of the progress / delay / cover experiments and
-/// the token perf benches.
+/// the token benchmarks (sharded_scaling, perfbench token_ckpt).
 [[nodiscard]] inline std::vector<std::uint32_t> identity_placement(
     std::uint32_t n) {
   std::vector<std::uint32_t> placement(n);

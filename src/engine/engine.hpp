@@ -14,9 +14,9 @@
 // Everything is a template parameter, so a run with no observers and no
 // faults compiles to exactly the bare `for (...) p.step();` loop the
 // per-process run() methods contain -- the parity regression test in
-// tests/engine/ verifies bit-identical trajectories, and perf_kernels
-// verifies zero overhead.  Monte-Carlo parallelism lives one level up, in
-// engine/trials.hpp.
+// tests/engine/ verifies bit-identical trajectories, and perfbench's
+// engine.observer_overhead_frac (mc_claims) tracks the overhead.
+// Monte-Carlo parallelism lives one level up, in engine/trials.hpp.
 #pragma once
 
 #include <cstdint>

@@ -36,8 +36,7 @@ class ShardedTetrisProcess
                                      kernel::ShardedExecution> {
  public:
   /// `arrivals_per_round` == 0 selects the paper's floor(3n/4).
-  /// Count-split arrivals (core/kernel/count_split.hpp); the D1
-  /// multinomial-split ablation stays on the sequential stream.
+  /// Count-split arrivals (core/kernel/count_split.hpp).
   explicit ShardedTetrisProcess(LoadConfig initial, std::uint64_t seed,
                                 std::uint64_t arrivals_per_round = 0,
                                 ShardedOptions options = {})

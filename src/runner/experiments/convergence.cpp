@@ -1,6 +1,6 @@
 // E2 -- Theorem 1 (self-stabilization): from ANY configuration the system
 // reaches a legitimate configuration within O(n) rounds.
-#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -36,6 +36,12 @@ void register_convergence(Registry& registry) {
   };
   e.run = [](const RunContext& ctx) {
     const std::uint32_t trials = ctx.trials_or(3, 8, 20);
+    // No configuration is legitimate at beta <= 0: every trial would run
+    // to its cap before the fit rejects the data.
+    if (!(ctx.params.f64("beta") > 0)) {
+      throw std::invalid_argument("--beta=" + ctx.params.text("beta") +
+                                  " must be > 0");
+    }
 
     ResultSet rs;
     Table& table = rs.add_table(
@@ -54,10 +60,7 @@ void register_convergence(Registry& registry) {
         p.seed = ctx.seed();
         p.start = start;
         p.beta = ctx.params.f64("beta");
-        if (ctx.params.f64("ball-ratio") != 0) {
-          p.balls = static_cast<std::uint64_t>(
-              std::llround(ctx.params.f64("ball-ratio") * n));
-        }
+        p.balls = ctx.params.balls_for_ratio("ball-ratio", n);
         p.plan = ctx.trial_plan(trials);
         const ConvergenceResult r = run_convergence(p);
         table.row()

@@ -57,10 +57,7 @@ void register_empty_bins(Registry& registry) {
         p.trials = trials;
         p.seed = seed;
         p.start = start;
-        if (ctx.params.f64("ball-ratio") != 0) {
-          p.balls = static_cast<std::uint64_t>(
-              std::llround(ctx.params.f64("ball-ratio") * n));
-        }
+        p.balls = ctx.params.balls_for_ratio("ball-ratio", n);
         p.plan = ctx.trial_plan(trials);
         const EmptyBinsResult r = run_empty_bins(p);
         table.row()

@@ -39,19 +39,15 @@ namespace rbb::runner {
 namespace {
 
 /// Wall seconds for `rounds` rounds of `proc` after one untimed warm-up
-/// round (faults in the arrays and sizes any scatter buffers).  When the
-/// process has a batched run(), the whole block goes through it so the
-/// sharded kernels take the pipelined multi-round path -- the thing this
-/// experiment is meant to measure; step()-only processes keep the loop.
+/// round (faults in the arrays and sizes any scatter buffers).  The
+/// whole block goes through one batched run(), so the sharded kernels
+/// take the pipelined multi-round path -- the thing this experiment is
+/// meant to measure.
 template <typename Process>
 double time_rounds(Process& proc, std::uint64_t rounds) {
   proc.step();
   const auto t0 = std::chrono::steady_clock::now();
-  if constexpr (requires { proc.run(rounds); }) {
-    proc.run(rounds);
-  } else {
-    for (std::uint64_t r = 0; r < rounds; ++r) proc.step();
-  }
+  proc.run(rounds);
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }

@@ -1,8 +1,6 @@
 // E1 -- Theorem 1 (stability): from a legitimate configuration the
 // repeated balls-into-bins process visits only legitimate configurations
-// over a long window.  (Registry port of the former bench/exp_stability
-// main; the bench binary is now a shim over this registration.)
-#include <cmath>
+// over a long window.
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -60,10 +58,7 @@ void register_stability(Registry& registry) {
       p.trials = trials;
       p.seed = ctx.seed();
       p.start = InitialConfig::kOnePerBin;
-      if (ctx.params.f64("ball-ratio") != 0) {
-        p.balls = static_cast<std::uint64_t>(
-            std::llround(ctx.params.f64("ball-ratio") * n));
-      }
+      p.balls = ctx.params.balls_for_ratio("ball-ratio", n);
       p.plan = ctx.trial_plan(trials);
       const StabilityResult r = run_stability(p);
       table.row()

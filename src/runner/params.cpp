@@ -1,6 +1,7 @@
 #include "runner/params.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -11,6 +12,8 @@ namespace {
 // Both parsers pin the first character before handing to strto*: the C
 // routines skip leading whitespace themselves, which would let " -1"
 // wrap around to 2^64-1 for a u64 and " 5" sneak past validation.
+// strtod also takes "nan" and "inf" in any spelling; no parameter has a
+// meaning for them, so f64 values must be finite.
 
 bool parse_u64(const std::string& text, std::uint64_t* out) {
   if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
@@ -31,7 +34,9 @@ bool parse_f64(const std::string& text, double* out) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
+  if (errno != 0 || end != text.c_str() + text.size() || !std::isfinite(v)) {
+    return false;
+  }
   if (out != nullptr) *out = v;
   return true;
 }
@@ -140,6 +145,27 @@ std::uint32_t ParamValues::u32(const std::string& name) const {
                                 "supports");
   }
   return static_cast<std::uint32_t>(v);
+}
+
+std::uint64_t ParamValues::balls_for_ratio(const std::string& name,
+                                           std::uint32_t n) const {
+  const double ratio = f64(name);
+  if (ratio < 0) {
+    throw std::invalid_argument("--" + name + "=" + text(name) +
+                                " is negative; the ball ratio must be >= 0");
+  }
+  const double balls = std::round(ratio * n);
+  if (ratio > 0 && balls < 1) {
+    throw std::invalid_argument("--" + name + "=" + text(name) +
+                                " gives m = round(ratio * n) = 0 balls at "
+                                "n = " + std::to_string(n));
+  }
+  if (balls > 0xffffffffp0) {
+    throw std::invalid_argument("--" + name + "=" + text(name) +
+                                " gives m = round(ratio * n) above the "
+                                "32-bit range at n = " + std::to_string(n));
+  }
+  return static_cast<std::uint64_t>(balls);
 }
 
 double ParamValues::f64(const std::string& name) const {

@@ -51,6 +51,13 @@ class ParamValues {
   /// CLI input fails loudly instead of silently truncating.
   [[nodiscard]] std::uint32_t u32(const std::string& name) const;
   [[nodiscard]] double f64(const std::string& name) const;
+  /// Ball count m = round(ratio * n) for the f64 ball-ratio parameter
+  /// `name`; 0 when the ratio is 0 (the drivers' m = n default).  Throws
+  /// std::invalid_argument (with the parameter name) on a negative ratio,
+  /// on a positive one that rounds to no balls, and on an m above the
+  /// 32-bit range.
+  [[nodiscard]] std::uint64_t balls_for_ratio(const std::string& name,
+                                              std::uint32_t n) const;
   [[nodiscard]] const std::string& str(const std::string& name) const;
   [[nodiscard]] bool flag(const std::string& name) const;
 

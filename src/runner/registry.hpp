@@ -155,8 +155,8 @@ struct CompletedRun {
 
 /// Runs `experiment` with `values` at `scale` under a wall-time clock
 /// and assembles the metadata -- the one execution path shared by
-/// `rbb run`, `rbb sweep`, and the back-compat bench mains.  Propagates
-/// whatever the run function throws (callers own the error boundary).
+/// `rbb run`, `rbb sweep` and `rbb resume`.  Propagates whatever the run
+/// function throws (callers own the error boundary).
 [[nodiscard]] CompletedRun run_experiment(const Experiment& experiment,
                                           const ParamValues& values,
                                           BenchScale scale);
@@ -169,8 +169,7 @@ struct CompletedRun {
 /// register_* function per file; see register_all.cpp).
 void register_all_experiments(Registry& registry);
 
-/// The n-sweep most experiments share, by scale (the old
-/// bench_common.hpp helper, now owned by the runner layer).
+/// The n-sweep most experiments share, by scale.
 [[nodiscard]] std::vector<std::uint32_t> default_n_sweep(BenchScale scale);
 
 /// Compile-time git revision baked in by CMake ("unknown" outside a

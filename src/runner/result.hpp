@@ -5,7 +5,7 @@
 // in RunMeta -- which experiment, which parameters, seed, scale, git
 // revision, wall time -- and serializes the pair to one of three formats:
 //
-//   table  the human markdown tables the bench binaries always printed,
+//   table  human-readable markdown tables,
 //   json   a schema-stable document ("rbb.result.v1", fixed key order)
 //          for sweep tooling and trajectory tracking (BENCH_*.json),
 //   csv    per-table RFC-4180-ish CSV with `#`-prefixed metadata lines.
@@ -128,7 +128,7 @@ void fill_meta_params(RunMeta& meta, const ParamValues& values);
 /// line separated), then `# note:` lines.
 [[nodiscard]] std::string to_csv(const RunMeta& meta, const ResultSet& rs);
 
-/// The human rendering the bench binaries print: a `===` banner and a
+/// The human rendering (`--format=table`): a `===` banner and a
 /// markdown table per entry, then the notes.
 [[nodiscard]] std::string to_text(const RunMeta& meta, const ResultSet& rs);
 

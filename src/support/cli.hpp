@@ -1,7 +1,7 @@
-// Tiny command-line option parser shared by the examples and the
-// experiment benches.  Supports `--name=value` and `--name value` forms,
-// boolean flags, and prints a generated usage text.  Deliberately minimal:
-// no subcommands, no positional arguments.
+// Tiny command-line option parser shared by the example programs.
+// Supports `--name=value` and `--name value` forms, boolean flags, and
+// prints a generated usage text.  Deliberately minimal: no subcommands,
+// no positional arguments.
 #pragma once
 
 #include <cstdint>

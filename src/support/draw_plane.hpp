@@ -72,8 +72,7 @@ void reset_plane_isa() noexcept;
 /// lemire_bounded(w0[i], w1[i], n) yields, with the threshold hoisted
 /// and rejections deferred to a fix-up pass so the main loop is
 /// branch-free.  Exposed for tests (crafted words force the retry path,
-/// which no feasible number of real draws reaches) and for the
-/// perf_kernels batch-vs-per-call microbench.
+/// which no feasible number of real draws reaches).
 void lemire_bounded_batch(const std::uint64_t* w0, const std::uint64_t* w1,
                           std::size_t count, std::uint32_t n,
                           std::uint32_t* out) noexcept;

@@ -209,40 +209,6 @@ std::vector<std::uint32_t> occupancy_throw(std::uint64_t balls,
   return counts;
 }
 
-namespace {
-
-void occupancy_split_rec(std::uint64_t balls, std::uint32_t lo,
-                         std::uint32_t hi, std::vector<std::uint32_t>& counts,
-                         Rng& rng) {
-  if (balls == 0) return;
-  const std::uint32_t width = hi - lo;
-  if (width == 1) {
-    counts[lo] = static_cast<std::uint32_t>(balls);
-    return;
-  }
-  const std::uint32_t mid = lo + width / 2;
-  const double p_left = static_cast<double>(mid - lo) / width;
-  const std::uint64_t left = binomial_sample(balls, p_left, rng);
-  occupancy_split_rec(left, lo, mid, counts, rng);
-  occupancy_split_rec(balls - left, mid, hi, counts, rng);
-}
-
-}  // namespace
-
-std::vector<std::uint32_t> occupancy_split(std::uint64_t balls,
-                                           std::uint32_t bins, Rng& rng) {
-  std::vector<std::uint32_t> counts;
-  occupancy_split(balls, bins, rng, counts);
-  return counts;
-}
-
-void occupancy_split(std::uint64_t balls, std::uint32_t bins, Rng& rng,
-                     std::vector<std::uint32_t>& counts) {
-  if (bins == 0) throw std::invalid_argument("occupancy_split: bins == 0");
-  counts.assign(bins, 0);
-  occupancy_split_rec(balls, 0, bins, counts, rng);
-}
-
 std::vector<std::uint32_t> sample_distinct(std::uint32_t n, std::uint32_t k,
                                            Rng& rng) {
   if (k > n) throw std::invalid_argument("sample_distinct: k > n");

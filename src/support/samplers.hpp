@@ -1,12 +1,10 @@
 // Exact discrete samplers used by the balls-into-bins processes.
 //
 // The Tetris analysis (paper, Sect. 3.4) is driven by Binomial(3n/4, 1/n)
-// variates; the leaky-bins extension uses Binomial(n, lambda); the
-// multinomial-occupancy sampler is the D1 ablation alternative to
-// ball-by-ball throwing.  All samplers are *exact* (no normal
-// approximations): statistical fidelity is part of what the reproduction
-// must guarantee, and the test suite chi-square-checks each sampler
-// against the exact pmf.
+// variates; the leaky-bins extension uses Binomial(n, lambda).  All
+// samplers are *exact* (no normal approximations): statistical fidelity
+// is part of what the reproduction must guarantee, and the test suite
+// chi-square-checks each sampler against the exact pmf.
 #pragma once
 
 #include <cstdint>
@@ -71,24 +69,10 @@ class BinomialSampler {
 [[nodiscard]] std::uint64_t geometric_sample(double p, Rng& rng);
 
 /// Occupancy vector of throwing `balls` balls u.a.r. into `bins` bins,
-/// computed ball-by-ball.  O(balls) time.  This is the reference
-/// implementation (ablation D1 baseline).
+/// computed ball-by-ball.  O(balls) time.
 [[nodiscard]] std::vector<std::uint32_t> occupancy_throw(std::uint64_t balls,
                                                          std::uint32_t bins,
                                                          Rng& rng);
-
-/// Same distribution as occupancy_throw, computed by recursive binomial
-/// splitting: counts(left half) ~ Bin(balls, |left|/|total|).  O(bins)
-/// binomial draws; faster when balls >> bins (ablation D1 alternative).
-[[nodiscard]] std::vector<std::uint32_t> occupancy_split(std::uint64_t balls,
-                                                         std::uint32_t bins,
-                                                         Rng& rng);
-
-/// occupancy_split() into a caller buffer, resized to `bins` entries:
-/// the same recursion and the same draws, without a fresh allocation
-/// per call.
-void occupancy_split(std::uint64_t balls, std::uint32_t bins, Rng& rng,
-                     std::vector<std::uint32_t>& counts);
 
 /// k distinct values sampled u.a.r. from [0, n), in unspecified order.
 /// Floyd's algorithm; O(k) expected.  Requires k <= n.

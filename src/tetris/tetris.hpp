@@ -10,10 +10,9 @@
 // load dominates w.h.p.; Lemma 4 shows every bin empties within 5n rounds
 // from any start; Lemma 6 gives the O(log n) stability window.
 //
-// The arrivals-per-round count and the arrival sampling strategy
-// (ball-by-ball vs. multinomial splitting, ablation D1) are exposed as
-// parameters; the critical-drift sweep (arrivals = mu * n for mu -> 1)
-// is an ablation bench showing why 3/4 works.
+// The arrivals-per-round count is a parameter; the tetris_stability
+// experiment's critical-drift sweep (arrivals = mu * n for mu -> 1)
+// shows why 3/4 works.
 //
 // Since the policy refactor (DESIGN.md Sect. 5), TetrisProcess is a thin
 // constructor adapter over the process core (Tetris variant, sequential
@@ -37,12 +36,11 @@ class TetrisProcess
  public:
   /// `arrivals_per_round` == 0 selects the paper's floor(3n/4).
   TetrisProcess(LoadConfig initial, Rng rng,
-                std::uint64_t arrivals_per_round = 0,
-                ArrivalSampling sampling = ArrivalSampling::kBallByBall)
+                std::uint64_t arrivals_per_round = 0)
       : BallProcessCore(std::move(initial),
                         kernel::Tetris<kernel::SequentialStream>(
-                            kernel::SequentialStream(rng), arrivals_per_round,
-                            sampling)) {}
+                            kernel::SequentialStream(rng),
+                            arrivals_per_round)) {}
 };
 
 }  // namespace rbb

@@ -39,7 +39,6 @@ namespace rbb::testing {
 enum class RefCore {
   kLoad,          // complete graph, or a uniform neighbour when graph set
   kTetris,        // `arrivals` fresh balls, ball by ball
-  kTetrisSplit,   // `arrivals` fresh balls as recursive binomial counts
   kLeaky,         // Binomial(n, lambda) fresh balls
   kDChoices,      // least loaded of d candidates
   kThreshold,     // first of `probes` candidates at or below `threshold`
@@ -122,12 +121,6 @@ class ReferenceBallProcess {
         }
         balls_ += out.arrivals;
         break;
-      case RefCore::kTetrisSplit:
-        balls_ -= out.departures;
-        out.arrivals = rule_.arrivals;
-        split(out.arrivals, 0, n);
-        balls_ += out.arrivals;
-        break;
       case RefCore::kLeaky: {
         balls_ -= out.departures;
         const BinomialSampler law(n, rule_.lambda);
@@ -196,21 +189,6 @@ class ReferenceBallProcess {
       probe = candidate(j, u, r);
     }
     return probe;
-  }
-
-  /// Multinomial arrivals by recursive halving: the left half of
-  /// [lo, hi) gets Binomial(balls, |left| / |[lo, hi)|).
-  void split(std::uint64_t balls, std::uint32_t lo, std::uint32_t hi) {
-    if (balls == 0) return;
-    if (hi - lo == 1) {
-      loads_[lo] += static_cast<load_t>(balls);
-      return;
-    }
-    const std::uint32_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t left = binomial_sample(
-        balls, static_cast<double>(mid - lo) / (hi - lo), rng_);
-    split(left, lo, mid);
-    split(balls - left, mid, hi);
   }
 
   LoadConfig loads_;

@@ -2,10 +2,10 @@
 // seq_reference.hpp, every round and bit for bit: the load vector, the
 // round statistics, total_balls() and the Tetris first-empty rounds.
 // Covered: load-only on the complete graph and a ring, Tetris ball by
-// ball and by multinomial split, leaky bins, d-choices and threshold
-// (online on the xoshiro stream; batch-snapshot on the counter stream,
-// sequential and sharded), at n in {2, 17, 4097} (the ring needs n >= 3)
-// from the one-per-bin, all-in-one and random starts.
+// ball, leaky bins, d-choices and threshold (online on the xoshiro
+// stream; batch-snapshot on the counter stream, sequential and
+// sharded), at n in {2, 17, 4097} (the ring needs n >= 3) from the
+// one-per-bin, all-in-one and random starts.
 #include "seq_reference.hpp"
 
 #include <gtest/gtest.h>
@@ -131,12 +131,6 @@ TEST(SeqReference, TetrisBallByBallAboveCriticalRate) {
     expect_tracks(core, ref, 50, label(InitialConfig::kRandom, n));
     if (HasFatalFailure()) return;
   }
-}
-
-TEST(SeqReference, TetrisSplit) {
-  check_all({.core = RefCore::kTetrisSplit}, [](const LoadConfig& q, Rng rng) {
-    return TetrisProcess(q, rng, 0, ArrivalSampling::kSplit);
-  });
 }
 
 TEST(SeqReference, LeakyBins) {

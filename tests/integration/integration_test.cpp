@@ -1,4 +1,4 @@
-// Cross-module integration tests: the full pipelines a bench binary runs,
+// Cross-module integration tests: the full pipelines an experiment runs,
 // exercised end-to-end at reduced scale, plus cross-validation between
 // independent implementations of the same quantity.
 #include <gtest/gtest.h>

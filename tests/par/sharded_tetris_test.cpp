@@ -136,20 +136,6 @@ TEST(ShardedTetris, DrainsFromWorstStart) {
   EXPECT_EQ(drained, proc.max_first_empty_round());
 }
 
-TEST(ShardedTetris, RejectsSplitSamplingUnderCounterStream) {
-  // The multinomial-split ablation is inherently sequential; the
-  // counter-stream instantiations accept ball-by-ball only (the
-  // sequential-stream TetrisProcess keeps kSplit).  The par adapters
-  // never expose kSplit, so probe the core directly.
-  using TetrisCounter = kernel::Tetris<kernel::CounterStream>;
-  using Core =
-      kernel::BallProcessCore<TetrisCounter, kernel::SequentialExecution>;
-  EXPECT_THROW(Core(LoadConfig(kN, 1),
-                    TetrisCounter(kernel::CounterStream(kSeed), 0,
-                                  ArrivalSampling::kSplit)),
-               std::invalid_argument);
-}
-
 TEST(ShardedTetris, RejectsArrivalsBeyondTheLeafDrawIndex) {
   // Count-split arrival i of a leaf draws on slot field i < 2^32.
   EXPECT_THROW(ShardedTetrisProcess(LoadConfig(kN, 1), kSeed,

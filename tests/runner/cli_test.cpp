@@ -375,6 +375,71 @@ TEST(Cli, RunRejectsOversizedU32ExperimentParams) {
   }
 }
 
+TEST(Cli, RunRejectsNonFiniteF64Flags) {
+  // strtod accepts nan and inf; a NaN or negative ball ratio once sent
+  // make_config looping over ~2^64 balls, and an infinite mixed ratio
+  // did the same.  Every f64 flag now fails at parse time, exit 2.
+  const std::vector<std::vector<std::string>> cases = {
+      {"run", "stability", "--n=64", "--ball-ratio=nan"},
+      {"run", "convergence", "--ball-ratio=inf"},
+      {"run", "convergence", "--beta=-Infinity"},
+      {"run", "empty_bins", "--ball-ratio=NAN"},
+      {"run", "mixed_regime", "--ball-ratio=INF"},
+      {"run", "trajectory", "--family=mixed", "--ratio=inf"},
+      {"run", "trajectory", "--family=leaky", "--lambda=nan"},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    const CliResult r = rbb(args);
+    EXPECT_EQ(r.code, 2) << args[1] << " " << args.back();
+    EXPECT_NE(r.err.find("expects a f64 value"), std::string::npos)
+        << args[1] << " " << args.back() << ": " << r.err;
+  }
+}
+
+TEST(Cli, RunRejectsOutOfRangeBallRatiosByName) {
+  // A negative ratio, or an m = round(c * n) past 32 bits, exits 1
+  // naming the flag before any trial runs.
+  const std::vector<std::vector<std::string>> cases = {
+      {"run", "stability", "--scale=smoke", "--n=64", "--trials=1",
+       "--ball-ratio=-1"},
+      {"run", "stability", "--scale=smoke", "--n=64", "--trials=1",
+       "--ball-ratio=1e300"},
+      {"run", "convergence", "--scale=smoke", "--trials=1",
+       "--ball-ratio=-0.5"},
+      {"run", "empty_bins", "--scale=smoke", "--trials=1",
+       "--ball-ratio=1e12"},
+  };
+  for (const std::vector<std::string>& args : cases) {
+    const CliResult r = rbb(args);
+    EXPECT_EQ(r.code, 1) << args[1] << " " << args.back();
+    EXPECT_NE(r.err.find("--ball-ratio="), std::string::npos)
+        << args[1] << " " << args.back() << ": " << r.err;
+  }
+  const std::vector<std::vector<std::string>> mixed = {
+      {"run", "trajectory", "--family=mixed", "--n=64", "--rounds=4",
+       "--ratio=1e300"},
+      {"run", "mixed_regime", "--scale=smoke", "--trials=1",
+       "--ball-ratio=1e12"},
+  };
+  for (const std::vector<std::string>& args : mixed) {
+    const CliResult r = rbb(args);
+    EXPECT_EQ(r.code, 1) << args[1] << " " << args.back();
+    EXPECT_NE(r.err.find("above the 32-bit range"), std::string::npos)
+        << args[1] << " " << args.back() << ": " << r.err;
+  }
+}
+
+TEST(Cli, ConvergenceRejectsNonPositiveBeta) {
+  // At beta <= 0 no configuration is legitimate: every trial ran to its
+  // 64n cap before the power-law fit failed.
+  for (const char* beta : {"--beta=-1", "--beta=0"}) {
+    const CliResult r =
+        rbb({"run", "convergence", "--scale=smoke", "--trials=2", beta});
+    EXPECT_EQ(r.code, 1) << beta;
+    EXPECT_NE(r.err.find("--beta="), std::string::npos) << r.err;
+  }
+}
+
 TEST(Cli, RunRejectsRepeatWithoutRoundKernel) {
   // zchain runs no round kernel: it declares neither --repeat nor
   // --threads, instead of re-running an untimed computation K times.

@@ -87,6 +87,42 @@ TEST(ParamValues, U32AccessorRejectsOversizedValues) {
   EXPECT_THROW((void)values.u32("count"), std::invalid_argument);
 }
 
+TEST(ParamValues, F64RejectsNonFiniteSpellings) {
+  // strtod reads every one of these; none is a usable parameter value.
+  const auto s = specs();
+  ParamValues values(s);
+  std::string error;
+  for (const char* text : {"nan", "NaN", "-nan", "nan(0x1)", "inf", "-inf",
+                           "INF", "Infinity", "-INFINITY", "1e400"}) {
+    EXPECT_FALSE(values.set("rate", text, &error)) << text;
+    EXPECT_NE(error.find("expects a f64"), std::string::npos) << text;
+    EXPECT_FALSE(parses_as(text, ParamSpec::Type::kF64)) << text;
+  }
+  EXPECT_DOUBLE_EQ(values.f64("rate"), 0.5);
+}
+
+TEST(ParamValues, BallsForRatioRoundsAndBoundsM) {
+  const auto s = specs();
+  ParamValues values(s);
+  EXPECT_TRUE(values.set("rate", "0"));
+  EXPECT_EQ(values.balls_for_ratio("rate", 64), 0u);  // the m = n default
+  EXPECT_TRUE(values.set("rate", "1.5"));
+  EXPECT_EQ(values.balls_for_ratio("rate", 64), 96u);
+  EXPECT_TRUE(values.set("rate", "67108863.984375"));  // m = 2^32 - 1
+  EXPECT_EQ(values.balls_for_ratio("rate", 64), 4294967295u);
+  // Each rejection names the parameter.
+  for (const char* text : {"-1", "-0.5", "67108864", "1e300", "0.001"}) {
+    EXPECT_TRUE(values.set("rate", text)) << text;
+    try {
+      (void)values.balls_for_ratio("rate", 64);
+      ADD_FAILURE() << text << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--rate="), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ParamValues, FlagValueIsCanonicalizedInMetadataText) {
   const auto s = specs();
   ParamValues values(s);

@@ -171,53 +171,23 @@ TEST(Occupancy, ThrowConservesBalls) {
   EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0u), 1000u);
 }
 
-TEST(Occupancy, SplitConservesBalls) {
-  Rng rng(12);
-  const auto counts = occupancy_split(1000, 64, rng);
-  EXPECT_EQ(counts.size(), 64u);
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0u), 1000u);
-}
-
-TEST(Occupancy, SplitZeroBalls) {
-  Rng rng(13);
-  const auto counts = occupancy_split(0, 16, rng);
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), 0u), 0u);
-}
-
-TEST(Occupancy, SplitIntoAReusedBufferMatchesAFreshVector) {
-  // The caller buffer arrives dirty and of the wrong size: every entry
-  // is overwritten, and the draws are the allocating overload's.
-  Rng fresh_rng(16);
-  Rng buffer_rng(16);
-  std::vector<std::uint32_t> buffer(100, 7);
-  for (const std::uint32_t bins : {64u, 3u, 64u}) {
-    const auto fresh = occupancy_split(500, bins, fresh_rng);
-    occupancy_split(500, bins, buffer_rng, buffer);
-    EXPECT_EQ(buffer, fresh) << bins << " bins";
-  }
-}
-
 TEST(Occupancy, SingleBinGetsEverything) {
   Rng rng(14);
   EXPECT_EQ(occupancy_throw(42, 1, rng)[0], 42u);
-  EXPECT_EQ(occupancy_split(42, 1, rng)[0], 42u);
 }
 
-TEST(Occupancy, BothSamplersAgreeInDistribution) {
-  // Compare first-bin marginal: both should be Binomial(balls, 1/bins).
+TEST(Occupancy, ThrowFirstBinMeanIsBinomial) {
+  // The first-bin marginal is Binomial(balls, 1/bins).
   Rng rng(15);
   constexpr std::uint64_t kBalls = 96;
   constexpr std::uint32_t kBins = 8;
   constexpr int kDraws = 60000;
   double sum_throw = 0.0;
-  double sum_split = 0.0;
   for (int i = 0; i < kDraws; ++i) {
     sum_throw += occupancy_throw(kBalls, kBins, rng)[0];
-    sum_split += occupancy_split(kBalls, kBins, rng)[0];
   }
   const double expected = static_cast<double>(kBalls) / kBins;
   EXPECT_NEAR(sum_throw / kDraws, expected, 0.1);
-  EXPECT_NEAR(sum_split / kDraws, expected, 0.1);
 }
 
 TEST(SampleDistinct, ProducesDistinctValuesInRange) {

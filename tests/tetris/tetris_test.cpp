@@ -128,26 +128,6 @@ TEST(Tetris, SupercriticalArrivalsGrowMass) {
   EXPECT_GT(proc.total_balls(), before);
 }
 
-TEST(Tetris, SplitSamplingStatisticallyEquivalent) {
-  // D1 ablation: ball-by-ball vs multinomial splitting give the same
-  // mean empty fraction in equilibrium.
-  constexpr std::uint32_t n = 256;
-  auto mean_empty = [](ArrivalSampling sampling) {
-    Rng rng(10);
-    TetrisProcess proc(LoadConfig(n, 1), rng, 0, sampling);
-    proc.run(200);  // burn-in
-    double sum = 0.0;
-    constexpr int kWindow = 800;
-    for (int t = 0; t < kWindow; ++t) sum += proc.step().empty_bins;
-    return sum / kWindow / n;
-  };
-  const double throw_mean = mean_empty(ArrivalSampling::kBallByBall);
-  const double split_mean = mean_empty(ArrivalSampling::kSplit);
-  EXPECT_NEAR(throw_mean, split_mean, 0.03);
-  // Both must exceed the Lemma-1 floor of 1/4 comfortably in equilibrium.
-  EXPECT_GT(throw_mean, 0.25);
-}
-
 TEST(Tetris, DeterministicForSeed) {
   auto run = [] {
     Rng rng(11);
