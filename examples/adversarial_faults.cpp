@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   cli.add_u64("period", 0, "rounds between faults (0 = 8n, i.e. gamma = 8)");
   cli.add_string("strategy", "all-to-one",
                  "all-to-one | random | half-bins | reverse-sort");
-  if (!cli.parse(argc, argv)) return EXIT_SUCCESS;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   const auto n = static_cast<std::uint32_t>(cli.u64("n"));
   const std::uint64_t period =

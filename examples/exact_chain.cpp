@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   using namespace rbb;
   Cli cli("exact_chain: closed-form analysis of a small RBB system");
   cli.add_u64("n", 4, "number of balls and bins (2..6)");
-  if (!cli.parse(argc, argv)) return EXIT_SUCCESS;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   const auto n = static_cast<std::uint32_t>(cli.u64("n"));
   if (n < 2 || n > 6) {

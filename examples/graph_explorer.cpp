@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   cli.add_u64("n", 1024, "nodes (power of 4 fits every topology)");
   cli.add_u64("seed", 5, "RNG seed");
   cli.add_u64("window-factor", 10, "window = factor * n rounds");
-  if (!cli.parse(argc, argv)) return EXIT_SUCCESS;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   const auto n = static_cast<std::uint32_t>(cli.u64("n"));
   const std::uint64_t window = cli.u64("window-factor") * n;

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   Cli cli("quickstart: watch repeated balls-into-bins self-stabilize");
   cli.add_u64("n", 1024, "number of balls and bins");
   cli.add_u64("seed", 1, "RNG seed");
-  if (!cli.parse(argc, argv)) return EXIT_SUCCESS;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   const auto n = static_cast<std::uint32_t>(cli.u64("n"));
   Rng rng(cli.u64("seed"));

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   cli.add_u64("n", 256, "system size");
   cli.add_u64("trials", 40, "Monte-Carlo trials");
   cli.add_u64("seed", 7, "RNG seed");
-  if (!cli.parse(argc, argv)) return EXIT_SUCCESS;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   const auto n = static_cast<std::uint32_t>(cli.u64("n"));
   const std::uint64_t trials = cli.u64("trials");

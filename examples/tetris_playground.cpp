@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   Cli cli("tetris_playground: the paper's auxiliary process, hands-on");
   cli.add_u64("n", 1024, "bins");
   cli.add_u64("seed", 2, "RNG seed");
-  if (!cli.parse(argc, argv)) return EXIT_SUCCESS;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   const auto n = static_cast<std::uint32_t>(cli.u64("n"));
   const std::uint64_t seed = cli.u64("seed");

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   cli.add_string("policy", "fifo", "queue policy: fifo | lifo | random");
   cli.add_string("graph", "complete",
                  "topology: complete | cycle | torus | hypercube | regular8");
-  if (!cli.parse(argc, argv)) return EXIT_SUCCESS;
+  if (!cli.parse(argc, argv)) return cli.exit_status();
 
   const auto n = static_cast<std::uint32_t>(cli.u64("n"));
   const std::uint64_t seed = cli.u64("seed");

@@ -153,7 +153,7 @@ ConvergenceResult run_convergence(const ConvergenceParams& p) {
     const auto converge = [&](auto process) {
       Engine engine(std::move(process));
       const EngineResult r =
-          engine.run(cap, UntilLegitimate{p.beta * log2n(p.n)}, NoFaults{});
+          engine.run(cap, UntilLegitimate{p.beta * log2n(p.n)});
       if (r.goal_reached) rounds[trial] = static_cast<double>(r.rounds);
     };
     p.plan.with_kernel<RepeatedBallsProcess, par::ShardedRepeatedBallsProcess>(
@@ -308,7 +308,7 @@ TetrisDrainResult run_tetris_drain(const TetrisDrainParams& p) {
   for_each_trial(p.trials, p.seed, [&](std::uint32_t trial, Rng& rng) {
     LoadConfig config = make_config(p.start, p.n, p.n, rng);
     Engine engine(TetrisProcess(std::move(config), rng));
-    const EngineResult r = engine.run(cap, UntilAllEmptiedOnce{}, NoFaults{});
+    const EngineResult r = engine.run(cap, UntilAllEmptiedOnce{});
     if (r.goal_reached) {
       drain[trial] =
           static_cast<double>(engine.process().max_first_empty_round());
@@ -620,7 +620,7 @@ LoadProfileResult run_load_profile(const LoadProfileParams& p) {
       engine.run_rounds(burn_in);
       for (std::uint32_t s = 0; s < samples; ++s) {
         engine.run_rounds(gap);
-        h.merge(occupancy_histogram(engine_loads(engine.process())));
+        h.merge(occupancy_histogram(engine.process().loads()));
       }
     };
     switch (p.process) {

@@ -8,8 +8,7 @@
 // core (ball_kernel.hpp) keeps its anonymous-ball representation --
 // this sibling template tracks per-bin PER-CLASS counts instead, the
 // smallest state that makes weighted accounting exact while staying
-// load-shaped (SimProcess-conforming: loads() is still the plain
-// per-bin ball count).
+// load-shaped (loads() is still the plain per-bin ball count).
 //
 // Round semantics:
 //   1. departures -- bin u releases min(load_u, rate_u) balls.  The
@@ -658,7 +657,7 @@ class MixedProcessCore {
   Stream stream_;
   Exec exec_;
 
-  LoadConfig loads_;                    // per-bin ball counts (SimProcess)
+  LoadConfig loads_;                    // per-bin ball counts (loads())
   std::vector<weighted_load_t> wload_;  // per-bin weighted loads
 
   ball_count_t balls_ = 0;

@@ -11,10 +11,9 @@
 #pragma once
 
 #include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <vector>
-
-#include "engine/process.hpp"
 
 namespace rbb {
 
@@ -23,7 +22,7 @@ namespace rbb {
 ///
 /// `round()` is 1-based and counts rounds executed by the current
 /// Engine::run call (checkpoint observers index off it).  `max_load()`
-/// and `empty_bins()` evaluate their customization point at most once
+/// and `empty_bins()` call the process member of that name at most once
 /// per round no matter how many observers ask: all observers of one run
 /// share one context, so a token process's O(n) load scan happens once,
 /// or never if nobody asks.  An observer is any type with a
@@ -37,19 +36,17 @@ class RoundContext {
 
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
   [[nodiscard]] const P& process() const noexcept { return process_; }
-  [[nodiscard]] std::uint32_t bins() const {
-    return engine_bin_count(process_);
-  }
+  [[nodiscard]] std::uint32_t bins() const { return process_.bin_count(); }
   [[nodiscard]] std::uint32_t max_load() const {
     if (!have_max_) {
-      max_ = engine_max_load(process_);
+      max_ = process_.max_load();
       have_max_ = true;
     }
     return max_;
   }
   [[nodiscard]] std::uint32_t empty_bins() const {
     if (!have_empty_) {
-      empty_ = engine_empty_bins(process_);
+      empty_ = process_.empty_bins();
       have_empty_ = true;
     }
     return empty_;
@@ -102,28 +99,6 @@ struct MeanEmptyFraction {
 
   [[nodiscard]] double mean() const {
     return rounds == 0 ? 0.0 : sum / static_cast<double>(rounds);
-  }
-};
-
-/// Legitimacy over the window: whether every observed round satisfied
-/// M(q) <= threshold, and how many did (threshold = beta * log2 n).
-struct LegitimacyWindow {
-  double threshold = 0.0;
-  std::uint64_t legitimate_rounds = 0;
-  std::uint64_t total_rounds = 0;
-
-  explicit LegitimacyWindow(double threshold_) : threshold(threshold_) {}
-
-  template <typename P>
-  void observe(const RoundContext<P>& ctx) {
-    ++total_rounds;
-    if (static_cast<double>(ctx.max_load()) <= threshold) {
-      ++legitimate_rounds;
-    }
-  }
-
-  [[nodiscard]] bool whole_window_legitimate() const {
-    return legitimate_rounds == total_rounds;
   }
 };
 
@@ -206,19 +181,6 @@ struct WindowMaxWeightedLoad {
   }
 };
 
-/// Records the full max-weighted-load trajectory, one entry per round.
-struct WeightedLoadTrajectory {
-  std::vector<std::uint64_t> values;
-
-  template <typename P>
-    requires requires(const P& p) {
-      { p.max_weighted_load() } -> std::convertible_to<std::uint64_t>;
-    }
-  void observe(const RoundContext<P>& ctx) {
-    values.push_back(ctx.process().max_weighted_load());
-  }
-};
-
 /// Window maximum of the capacity utilization (load / capacity over
 /// capacity-bounded bins; 0 when every bin is unbounded) -- the
 /// normalized-by-capacity statistic of heterogeneous-bin scenarios.
@@ -239,7 +201,9 @@ struct WindowMaxUtilization {
 struct InvariantCheck {
   template <typename P>
   void observe(const RoundContext<P>& ctx) {
-    engine_check_invariants(ctx.process());
+    if constexpr (requires { ctx.process().check_invariants(); }) {
+      ctx.process().check_invariants();
+    }
   }
 };
 

@@ -9,9 +9,8 @@
 // signature work too.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
-
-#include "engine/process.hpp"
 
 namespace rbb {
 
@@ -31,7 +30,7 @@ struct UntilLegitimate {
 
   template <typename P>
   [[nodiscard]] bool operator()(const P& p, std::uint64_t) const {
-    return static_cast<double>(engine_max_load(p)) <= threshold;
+    return static_cast<double>(p.max_load()) <= threshold;
   }
 };
 
@@ -44,30 +43,6 @@ struct UntilAllEmptiedOnce {
     }
   [[nodiscard]] bool operator()(const P& p, std::uint64_t) const {
     return p.all_emptied_once();
-  }
-};
-
-/// Stops once every token has visited every bin (Corollary 1's parallel
-/// cover event; requires the token process's visit tracking).
-struct UntilAllCovered {
-  template <typename P>
-    requires requires(const P& p) {
-      { p.all_covered() } -> std::convertible_to<bool>;
-    }
-  [[nodiscard]] bool operator()(const P& p, std::uint64_t) const {
-    return p.all_covered();
-  }
-};
-
-/// Stops when at most one token survives (Israeli-Jalfon coalescence --
-/// the mutual-exclusion legitimacy predicate).
-struct UntilSingleToken {
-  template <typename P>
-    requires requires(const P& p) {
-      { p.token_count() } -> std::convertible_to<std::uint32_t>;
-    }
-  [[nodiscard]] bool operator()(const P& p, std::uint64_t) const {
-    return p.token_count() <= 1;
   }
 };
 

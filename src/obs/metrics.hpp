@@ -45,7 +45,7 @@ enum class Counter : unsigned {
                           // fill_packed16 takes eight from one block
   kChunkFlushes,          // sharded-kernel draw-chunk flushes (kDrawChunk)
   kMixedDrops,            // balls dropped by the mixed-regime kernel
-  kFaultsInjected,        // engine fault-policy injections
+  kFaultsInjected,        // adversarial reassignments injected
   kPoolBatches,           // ThreadPool for_each batches submitted
   kPoolTasks,             // ThreadPool tasks executed
   kTraceEventsDropped,    // spans lost to a full per-thread trace buffer

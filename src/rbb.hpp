@@ -10,7 +10,7 @@
 //             core under core/kernel/ (shard, exec, stream, variants,
 //             ball_kernel, token_kernel)
 //   par/      sharded_process, sharded_token_process, sharded_variants
-//   engine/   process, engine, observers, stop, faults, trials
+//   engine/   engine, observers, stop, trials
 //   tetris/   tetris, zchain, leaky
 //   coupling/ coupling
 //   baselines/ oneshot, independent_walks, repeated_dchoices, jackson
@@ -23,9 +23,7 @@
 
 #include "analysis/experiments.hpp"
 #include "engine/engine.hpp"
-#include "engine/faults.hpp"
 #include "engine/observers.hpp"
-#include "engine/process.hpp"
 #include "engine/stop.hpp"
 #include "engine/trials.hpp"
 #include "baselines/independent_walks.hpp"

@@ -3,6 +3,7 @@
 // most a constant factor; plus the bounded-budget severity ablation.
 #include "analysis/experiments.hpp"
 #include "core/process.hpp"
+#include "obs/metrics.hpp"
 #include "runner/registry.hpp"
 
 namespace rbb::runner {
@@ -90,6 +91,7 @@ void register_adversarial(Registry& registry) {
             make_config(InitialConfig::kOnePerBin, n, n, rng), rng);
         proc.run(4ull * n);  // reach equilibrium
         proc.reassign(apply_partial_fault(proc.loads(), k));
+        obs::add(obs::Counter::kFaultsInjected);
         spike.add(static_cast<double>(proc.max_load()));
         std::uint64_t t = 0;
         while (!proc.is_legitimate(4.0) && t < 64ull * n) {

@@ -1,6 +1,7 @@
 // E2 -- Theorem 1 (self-stabilization): from ANY configuration the system
 // reaches a legitimate configuration within O(n) rounds.
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/experiments.hpp"
@@ -50,6 +51,7 @@ void register_convergence(Registry& registry) {
          "rounds / n (mean)", "timeouts"});
     std::vector<double> xs;
     std::vector<double> worst_rounds;
+    std::string timed_out;  // all-in-one sizes with no converged trial
     for (const std::uint32_t n : default_n_sweep(ctx.scale)) {
       for (const InitialConfig start :
            {InitialConfig::kAllInOne, InitialConfig::kGeometric,
@@ -71,11 +73,25 @@ void register_convergence(Registry& registry) {
             .cell(r.rounds_to_legitimate.max(), 0)
             .cell(r.normalized.mean(), 3)
             .cell(std::uint64_t{r.timeouts});
-        if (start == InitialConfig::kAllInOne) {
+        // The fit needs positive data: a size whose every trial timed
+        // out has no mean, one legitimate from the start reads 0.
+        if (start != InitialConfig::kAllInOne) continue;
+        if (r.rounds_to_legitimate.count() == 0) {
+          timed_out += (timed_out.empty() ? "" : ", ") + std::to_string(n);
+        } else if (r.rounds_to_legitimate.mean() > 0) {
           xs.push_back(static_cast<double>(n));
           worst_rounds.push_back(r.rounds_to_legitimate.mean());
         }
       }
+    }
+    if (!timed_out.empty()) {
+      rs.note("every all-in-one trial timed out (64n-round cap) at n = " +
+              timed_out);
+    }
+    if (xs.size() < 2) {
+      rs.note("growth-law fit skipped: fewer than two sizes with a "
+              "positive all-in-one convergence time");
+      return rs;
     }
     const PowerLawFit fit = fit_power_law(xs, worst_rounds);
     rs.note("fitted growth law (all-in-one start): convergence ~ n^" +

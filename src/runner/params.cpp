@@ -1,45 +1,13 @@
 #include "runner/params.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "support/cli.hpp"
 
 namespace rbb::runner {
 
 namespace {
-
-// Both parsers pin the first character before handing to strto*: the C
-// routines skip leading whitespace themselves, which would let " -1"
-// wrap around to 2^64-1 for a u64 and " 5" sneak past validation.
-// strtod also takes "nan" and "inf" in any spelling; no parameter has a
-// meaning for them, so f64 values must be finite.
-
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size()) return false;
-  if (out != nullptr) *out = static_cast<std::uint64_t>(v);
-  return true;
-}
-
-bool parse_f64(const std::string& text, double* out) {
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) != 0) {
-    return false;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size() || !std::isfinite(v)) {
-    return false;
-  }
-  if (out != nullptr) *out = v;
-  return true;
-}
 
 bool parse_flag(const std::string& text, bool* out) {
   bool value = false;

@@ -1,5 +1,8 @@
 #include "support/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -18,6 +21,38 @@ const char* kind_name(int kind) {
 }
 
 }  // namespace
+
+// Both parsers pin the first character before handing to strto*: the C
+// routines skip leading whitespace themselves, which would let " -1"
+// wrap around to 2^64-1 for a u64 and " 5" sneak past validation.
+// strtod also takes "nan" and "inf" in any spelling; no option has a
+// meaning for them, so f64 values must be finite.
+
+bool parse_u64(const std::string& text, std::uint64_t* out) {
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+  if (errno != 0 || end != text.c_str() + text.size()) return false;
+  if (out != nullptr) *out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+bool parse_f64(const std::string& text, double* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) != 0) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (errno != 0 || end != text.c_str() + text.size() || !std::isfinite(v)) {
+    return false;
+  }
+  if (out != nullptr) *out = v;
+  return true;
+}
 
 Cli::Cli(std::string program_description)
     : description_(std::move(program_description)) {}
@@ -48,16 +83,19 @@ void Cli::add_flag(const std::string& name, const std::string& help) {
 }
 
 bool Cli::parse(int argc, const char* const* argv) {
+  const auto reject = [&](const std::string& message) {
+    std::cerr << message << '\n' << usage(argv[0]);
+    exit_status_ = 2;
+    return false;
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::cout << usage(argv[0]);
+      exit_status_ = 0;
       return false;
     }
-    if (arg.rfind("--", 0) != 0) {
-      std::cerr << "unexpected argument: " << arg << '\n' << usage(argv[0]);
-      return false;
-    }
+    if (arg.rfind("--", 0) != 0) return reject("unexpected argument: " + arg);
     arg.erase(0, 2);
     std::string value;
     bool have_value = false;
@@ -67,20 +105,20 @@ bool Cli::parse(int argc, const char* const* argv) {
       have_value = true;
     }
     const auto it = options_.find(arg);
-    if (it == options_.end()) {
-      std::cerr << "unknown option: --" << arg << '\n' << usage(argv[0]);
-      return false;
-    }
-    if (it->second.kind == Kind::kFlag) {
+    if (it == options_.end()) return reject("unknown option: --" + arg);
+    const Kind kind = it->second.kind;
+    if (kind == Kind::kFlag) {
       it->second.value = have_value ? value : "1";
       continue;
     }
     if (!have_value) {
-      if (i + 1 >= argc) {
-        std::cerr << "option --" << arg << " needs a value\n";
-        return false;
-      }
+      if (i + 1 >= argc) return reject("option --" + arg + " needs a value");
       value = argv[++i];
+    }
+    if ((kind == Kind::kU64 && !parse_u64(value, nullptr)) ||
+        (kind == Kind::kDouble && !parse_f64(value, nullptr))) {
+      return reject("option --" + arg + ": '" + value + "' is not a " +
+                    kind_name(static_cast<int>(kind)));
     }
     it->second.value = value;
   }

@@ -1,7 +1,8 @@
 // Tiny command-line option parser shared by the example programs.
 // Supports `--name=value` and `--name value` forms, boolean flags, and
 // prints a generated usage text.  Deliberately minimal: no subcommands,
-// no positional arguments.
+// no positional arguments.  Numeric values are validated at parse time
+// with the strict parsers below, which the rbb runner shares.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +11,14 @@
 #include <vector>
 
 namespace rbb {
+
+/// Strict decimal u64: digits only (no sign, no leading whitespace), the
+/// whole text consumed, no overflow.  Writes `*out` when non-null.
+[[nodiscard]] bool parse_u64(const std::string& text, std::uint64_t* out);
+
+/// Strict finite double: no leading whitespace, the whole text consumed,
+/// no overflow, no nan/inf.  Writes `*out` when non-null.
+[[nodiscard]] bool parse_f64(const std::string& text, double* out);
 
 /// Declarative option set: register options with defaults, then parse().
 class Cli {
@@ -25,9 +34,12 @@ class Cli {
                   const std::string& help);
   void add_flag(const std::string& name, const std::string& help);
 
-  /// Parses argv.  Returns false (after printing usage) on --help or on a
-  /// malformed/unknown option; callers should exit(0) / exit(2) then.
+  /// Parses argv.  Returns false on --help (usage to stdout) or on an
+  /// unknown option or malformed value (message to stderr); the caller
+  /// then exits with exit_status().
   [[nodiscard]] bool parse(int argc, const char* const* argv);
+  /// 0 after --help, 2 after a rejected command line.
+  [[nodiscard]] int exit_status() const noexcept { return exit_status_; }
 
   [[nodiscard]] std::uint64_t u64(const std::string& name) const;
   [[nodiscard]] double f64(const std::string& name) const;
@@ -49,6 +61,7 @@ class Cli {
   std::string description_;
   std::map<std::string, Option> options_;
   std::vector<std::string> order_;
+  int exit_status_ = 0;
 };
 
 }  // namespace rbb

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "core/kernel/token_kernel.hpp"
+#include "obs/metrics.hpp"
 #include "support/bounds.hpp"
 
 namespace rbb {
@@ -72,6 +73,7 @@ TraversalResult run_traversal(const TraversalParams& params,
     if (faults.fires_at(process.round())) {
       process.reassign(apply_fault_tokens(params.fault_strategy, params.n,
                                           params.n, fault_rng));
+      obs::add(obs::Counter::kFaultsInjected);
       result.max_load_seen =
           std::max(result.max_load_seen, process.max_load());
     }

@@ -1,6 +1,6 @@
 // Unit tests for the engine layer: stopping rules vs the round budget,
-// fault plans, observer composition, the lazy RoundContext, and the
-// customization points of the Process interface.
+// observer composition, the lazy RoundContext, and the member surface
+// of the SimProcess concept.
 #include "engine/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -8,10 +8,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "baselines/independent_walks.hpp"
 #include "core/process.hpp"
 #include "core/kernel/token_kernel.hpp"
-#include "selfstab/israeli_jalfon.hpp"
 #include "support/bounds.hpp"
 #include "tetris/tetris.hpp"
 
@@ -28,16 +26,13 @@ TEST(Engine, FixedWindowRunsExactlyThatManyRounds) {
   const EngineResult r = engine.run_rounds(100);
   EXPECT_EQ(r.rounds, 100u);
   EXPECT_FALSE(r.goal_reached);
-  EXPECT_EQ(r.faults_injected, 0u);
   EXPECT_EQ(engine.process().round(), 100u);
-  EXPECT_EQ(engine.rounds_driven(), 100u);
 }
 
 TEST(Engine, RoundsDrivenAccumulatesAcrossRuns) {
   Engine engine(worst_case(32, 2));
   engine.run_rounds(10);
   engine.run_rounds(15);
-  EXPECT_EQ(engine.rounds_driven(), 25u);
   EXPECT_EQ(engine.process().round(), 25u);
 }
 
@@ -46,7 +41,7 @@ TEST(Engine, UntilLegitimateStopsEarlyAndReportsGoal) {
   Engine engine(worst_case(n, 3));
   const double threshold = 4.0 * log2n(n);
   const EngineResult r =
-      engine.run(64ull * n, UntilLegitimate{threshold}, NoFaults{});
+      engine.run(64ull * n, UntilLegitimate{threshold});
   EXPECT_TRUE(r.goal_reached);
   EXPECT_LT(r.rounds, 64ull * n);
   EXPECT_TRUE(engine.process().is_legitimate(4.0));
@@ -57,7 +52,7 @@ TEST(Engine, UntilLegitimateFromLegitimateStartRunsZeroRounds) {
   LoadConfig start = make_config(InitialConfig::kOnePerBin, 64, 64, rng);
   Engine engine(RepeatedBallsProcess(std::move(start), rng.split()));
   const EngineResult r =
-      engine.run(1000, UntilLegitimate{4.0 * log2n(64)}, NoFaults{});
+      engine.run(1000, UntilLegitimate{4.0 * log2n(64)});
   EXPECT_TRUE(r.goal_reached);
   EXPECT_EQ(r.rounds, 0u);
 }
@@ -66,8 +61,7 @@ TEST(Engine, BudgetCapReportsNoGoal) {
   // An impossible goal: the budget must end the run.
   Engine engine(worst_case(32, 5));
   const EngineResult r = engine.run(
-      7, [](const RepeatedBallsProcess&, std::uint64_t) { return false; },
-      NoFaults{});
+      7, [](const RepeatedBallsProcess&, std::uint64_t) { return false; });
   EXPECT_EQ(r.rounds, 7u);
   EXPECT_FALSE(r.goal_reached);
 }
@@ -82,18 +76,9 @@ TEST(Engine, UntilAllEmptiedOnceMatchesLegacyTetrisHelper) {
   Engine engine(TetrisProcess(std::move(start_b), rng_b.split()));
   const std::uint64_t cap = 64ull * n;
   const std::uint64_t legacy_round = legacy.run_until_all_emptied(cap);
-  const EngineResult r = engine.run(cap, UntilAllEmptiedOnce{}, NoFaults{});
+  const EngineResult r = engine.run(cap, UntilAllEmptiedOnce{});
   ASSERT_TRUE(r.goal_reached);
   EXPECT_EQ(engine.process().max_first_empty_round(), legacy_round);
-}
-
-TEST(Engine, UntilSingleTokenCoalescesIsraeliJalfon) {
-  Engine engine(IsraeliJalfonProcess(nullptr, 32, TokenPlacement::kEveryNode,
-                                     Rng(7), 0.0));
-  const EngineResult r = engine.run(100000, UntilSingleToken{}, NoFaults{});
-  ASSERT_TRUE(r.goal_reached);
-  EXPECT_EQ(engine.process().token_count(), 1u);
-  EXPECT_TRUE(engine.process().is_legitimate());
 }
 
 TEST(Engine, ObserversSeeEveryRound) {
@@ -111,18 +96,6 @@ TEST(Engine, ObserversSeeEveryRound) {
   }
 }
 
-TEST(Engine, WindowMaxAndLegitimacyAgree) {
-  const std::uint32_t n = 64;
-  Engine engine(worst_case(n, 9));
-  WindowMaxLoad wmax;
-  LegitimacyWindow legit(4.0 * log2n(n));
-  engine.run_rounds(200, wmax, legit);
-  EXPECT_EQ(legit.total_rounds, 200u);
-  EXPECT_EQ(legit.whole_window_legitimate(),
-            static_cast<double>(wmax.window_max) <= 4.0 * log2n(n));
-  EXPECT_GE(wmax.window_max, wmax.final_max);
-}
-
 TEST(Engine, RunningMaxAtCheckpointsMatchesTrajectory) {
   Engine engine(worst_case(32, 10));
   RunningMaxAtCheckpoints checkpoints({1, 5, 25});
@@ -135,51 +108,6 @@ TEST(Engine, RunningMaxAtCheckpointsMatchesTrajectory) {
     if (t + 1 == 1 || t + 1 == 5 || t + 1 == 25) expected.push_back(running);
   }
   EXPECT_EQ(checkpoints.values(), expected);
-}
-
-TEST(Engine, PeriodicLoadFaultsFireOnSchedule) {
-  const std::uint32_t n = 32;
-  Engine engine(worst_case(n, 11));
-  auto plan = make_load_fault_plan(10, FaultStrategy::kAllToOne, Rng(99));
-  const EngineResult r = engine.run(35, RunForRounds{}, plan);
-  EXPECT_EQ(r.rounds, 35u);
-  EXPECT_EQ(r.faults_injected, 3u);  // after rounds 10, 20, 30
-  EXPECT_EQ(engine.process().ball_count(), n);
-  engine.check_invariants();
-}
-
-TEST(Engine, FaultScheduleUsesTotalDrivenRounds) {
-  // Chunked runs must not reset the fault clock: 2 x 10 rounds with
-  // period 10 fires at absolute rounds 10 and 20.
-  Engine engine(worst_case(32, 12));
-  auto plan = make_load_fault_plan(10, FaultStrategy::kRandom, Rng(98));
-  std::uint64_t faults = 0;
-  faults += engine.run(10, RunForRounds{}, plan).faults_injected;
-  faults += engine.run(10, RunForRounds{}, plan).faults_injected;
-  EXPECT_EQ(faults, 2u);
-}
-
-TEST(Engine, TokenFaultPlanReassignsAllTokens) {
-  const std::uint32_t n = 16;
-  std::vector<std::uint32_t> placement(n);
-  for (std::uint32_t i = 0; i < n; ++i) placement[i] = i;
-  Engine engine(kernel::SequentialTokenProcess(n, placement, Rng(13)));
-  auto plan = make_token_fault_plan(5, FaultStrategy::kAllToOne, Rng(97));
-  const EngineResult r = engine.run(5, RunForRounds{}, plan);
-  EXPECT_EQ(r.faults_injected, 1u);
-  // kAllToOne piles every token into bin 0.
-  EXPECT_EQ(engine.process().load(0), n);
-  engine.check_invariants();
-}
-
-TEST(Engine, TokenFaultPlanWorksOnIndependentWalks) {
-  std::vector<std::uint32_t> placement(24, 0);
-  Engine engine(IndependentWalksProcess(24, placement, nullptr, Rng(14)));
-  auto plan = make_token_fault_plan(3, FaultStrategy::kRandom, Rng(96));
-  const EngineResult r = engine.run(9, RunForRounds{}, plan);
-  EXPECT_EQ(r.faults_injected, 3u);
-  EXPECT_EQ(engine.process().ball_count(), 24u);
-  engine.check_invariants();
 }
 
 TEST(RoundContext, LazyStatsMatchProcessAndMemoize) {
@@ -200,16 +128,8 @@ TEST(ProcessInterface, LoadSnapshotsForTokenCarryingVariants) {
   // Token core: loads come from the per-bin queue lengths.
   std::vector<std::uint32_t> placement{0, 0, 3};
   const kernel::SequentialTokenProcess token(4, placement, Rng(16));
-  EXPECT_EQ(engine_loads(token), (LoadConfig{2, 0, 0, 1}));
-  EXPECT_EQ(engine_bin_count(token), 4u);
-
-  // Israeli-Jalfon: loads are the 0/1 token-presence flags.
-  IsraeliJalfonProcess ij(nullptr, 3, std::vector<std::uint8_t>{1, 0, 1},
-                          Rng(17), 0.0);
-  EXPECT_EQ(engine_loads(ij), (LoadConfig{1, 0, 1}));
-  EXPECT_EQ(engine_bin_count(ij), 3u);
-  EXPECT_EQ(engine_max_load(ij), 1u);
-  EXPECT_EQ(engine_empty_bins(ij), 1u);
+  EXPECT_EQ(token.loads(), (LoadConfig{2, 0, 0, 1}));
+  EXPECT_EQ(token.bin_count(), 4u);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 // straight-line unit tests cannot reach.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
 #include "baselines/jackson.hpp"
 #include "baselines/repeated_dchoices.hpp"
@@ -231,12 +233,49 @@ TEST_P(FuzzSweep, MixedRegimeConservesWeightedMass) {
       spec, static_cast<std::uint64_t>(seed) * 1299709 + n));
 }
 
+// Drives `engine` for `rounds` rounds with InvariantCheck after every
+// round, and after each round whose index (counted across calls in
+// `driven`) is a multiple of the schedule's period lets `inject`
+// reassign the process -- the periodic adversary of Sect. 4.1, injected
+// right after the round's observation.  Returns the faults injected.
+template <typename P, typename Inject>
+std::uint64_t run_with_faults(Engine<P>& engine, std::uint64_t rounds,
+                              const FaultSchedule& schedule,
+                              std::uint64_t& driven, Inject& inject) {
+  InvariantCheck check;
+  std::uint64_t faults = 0;
+  for (std::uint64_t t = 0; t < rounds; ++t) {
+    engine.run_rounds(1, check);
+    if (schedule.fires_at(++driven)) {
+      inject(engine.process());
+      ++faults;
+    }
+  }
+  return faults;
+}
+
+// The mixed fault family: an adversarial per-class census that keeps
+// per-class totals and honors capacities (apply_fault_mixed).
+template <typename P>
+void inject_mixed_fault(P& p, FaultStrategy strategy, Rng& rng) {
+  const std::uint32_t n = p.bin_count();
+  const std::uint32_t k = p.class_count();
+  std::vector<load_t> current(static_cast<std::size_t>(n) * k);
+  std::vector<load_t> caps(n);
+  for (std::uint32_t u = 0; u < n; ++u) {
+    caps[u] = p.capacity(u);
+    for (std::uint32_t c = 0; c < k; ++c) {
+      current[static_cast<std::size_t>(u) * k + c] = p.class_load(u, c);
+    }
+  }
+  p.reassign(apply_fault_mixed(strategy, n, k, current, caps, rng));
+}
+
 // Engine-driven mixed fuzz: the same revalidation through the Engine's
-// observer path (InvariantCheck after *every* round), now with the
-// mixed fault family injecting adversarial per-class censuses -- the
-// plan preserves per-class totals and honors capacities
-// (apply_fault_mixed), so conservation must survive every fault on top
-// of the drops the capped/stalled profiles already force.
+// observer path (InvariantCheck after *every* round), now with mixed
+// faults injecting adversarial per-class censuses, so conservation must
+// survive every fault on top of the drops the capped/stalled profiles
+// already force.
 TEST_P(FuzzSweep, EngineMixedRegimeSurvivesRandomRuns) {
   const auto [n, seed] = GetParam();
   Rng op_rng(static_cast<std::uint64_t>(seed) * 75353 + n);
@@ -245,15 +284,15 @@ TEST_P(FuzzSweep, EngineMixedRegimeSurvivesRandomRuns) {
   Engine engine(par::ShardedMixedProcess(
       spec, static_cast<std::uint64_t>(seed) * 7 + n,
       par::ShardedOptions{.threads = 2, .shard_size = 64}));
-  auto plan =
-      make_mixed_fault_plan(1 + op_rng.below(4),
-                            static_cast<FaultStrategy>(op_rng.below(4)),
-                            op_rng.split());
-  InvariantCheck check;
+  const FaultSchedule schedule(1 + op_rng.below(4));
+  const auto strategy = static_cast<FaultStrategy>(op_rng.below(4));
+  Rng fault_rng = op_rng.split();
+  auto inject = [&](auto& p) { inject_mixed_fault(p, strategy, fault_rng); };
+  std::uint64_t driven = 0;
   std::uint64_t faults = 0;
   for (int op = 0; op < 20; ++op) {
-    faults += engine.run(op_rng.below(12), RunForRounds{}, plan, check)
-                  .faults_injected;
+    faults += run_with_faults(engine, op_rng.below(12), schedule, driven,
+                              inject);
     ASSERT_NO_THROW(engine.check_invariants()) << "op " << op;
     ASSERT_EQ(engine.process().total_balls() +
                   engine.process().dropped_balls(),
@@ -275,11 +314,12 @@ TEST_P(FuzzSweep, MixedFaultCheckpointResumeConserves) {
   const std::uint64_t proc_seed = static_cast<std::uint64_t>(seed) * 13 + n;
 
   Engine engine(par::SequentialCounterMixedProcess(spec, proc_seed));
-  auto plan = make_mixed_fault_plan(
-      3, static_cast<FaultStrategy>(op_rng.below(4)), op_rng.split());
-  InvariantCheck check;
-  const auto summary = engine.run(17, RunForRounds{}, plan, check);
-  EXPECT_GT(summary.faults_injected, 0u);
+  const auto strategy = static_cast<FaultStrategy>(op_rng.below(4));
+  Rng fault_rng = op_rng.split();
+  auto inject = [&](auto& p) { inject_mixed_fault(p, strategy, fault_rng); };
+  std::uint64_t driven = 0;
+  EXPECT_GT(run_with_faults(engine, 17, FaultSchedule(3), driven, inject),
+            0u);
 
   serial::ByteWriter w;
   engine.process().snapshot(w);
@@ -293,7 +333,7 @@ TEST_P(FuzzSweep, MixedFaultCheckpointResumeConserves) {
   ASSERT_EQ(restored.total_weight(), engine.process().total_weight());
 
   // Same continuation on both sides -> identical final snapshots.
-  engine.run(23, RunForRounds{}, NoFaults{}, check);
+  engine.run_rounds(23, InvariantCheck{});
   restored.run(23);
   serial::ByteWriter wa;
   engine.process().snapshot(wa);
@@ -302,12 +342,12 @@ TEST_P(FuzzSweep, MixedFaultCheckpointResumeConserves) {
   EXPECT_EQ(wa.str(), wb.str());
 }
 
-// Engine-driven fuzz: random run-lengths with a periodic adversarial
-// fault plan, revalidating the incremental max-load / empty-bin
-// bookkeeping after *every* round via the InvariantCheck observer.  This
-// exercises check_invariants() in exactly the state a production engine
-// run sees (fault immediately after observation), which the per-op loops
-// above cannot reach.
+// Engine-driven fuzz: random run-lengths with periodic adversarial
+// faults, revalidating the incremental max-load / empty-bin bookkeeping
+// after *every* round via the InvariantCheck observer.  This exercises
+// check_invariants() in exactly the state a faulty run sees (fault
+// immediately after observation), which the per-op loops above cannot
+// reach.
 TEST_P(FuzzSweep, EngineSurvivesRandomRunsUnderFaultInjection) {
   const auto [n, seed] = GetParam();
   Rng op_rng(static_cast<std::uint64_t>(seed) * 2654435761ULL + n);
@@ -317,13 +357,17 @@ TEST_P(FuzzSweep, EngineSurvivesRandomRunsUnderFaultInjection) {
   LoadConfig start = make_config(InitialConfig::kRandom, n, n, op_rng);
   Engine engine(RepeatedBallsProcess(std::move(start), op_rng.split()));
   const auto strategy = static_cast<FaultStrategy>(op_rng.below(4));
-  auto plan = make_load_fault_plan(1 + op_rng.below(7), strategy,
-                                   op_rng.split());
-  InvariantCheck check;
+  const FaultSchedule schedule(1 + op_rng.below(7));
+  Rng fault_rng = op_rng.split();
+  auto inject = [&](RepeatedBallsProcess& p) {
+    p.reassign(apply_fault(strategy, p.bin_count(), p.ball_count(),
+                           p.loads(), fault_rng));
+  };
+  std::uint64_t driven = 0;
   std::uint64_t faults = 0;
   for (int op = 0; op < 40; ++op) {
-    faults += engine.run(op_rng.below(20), RunForRounds{}, plan, check)
-                  .faults_injected;
+    faults += run_with_faults(engine, op_rng.below(20), schedule, driven,
+                              inject);
     ASSERT_NO_THROW(engine.check_invariants()) << "op " << op;
     ASSERT_EQ(total_balls(engine.process().loads()), n) << "op " << op;
   }
@@ -340,11 +384,15 @@ TEST_P(FuzzSweep, EngineTokenCoreSurvivesFaultInjection) {
   Engine engine(kernel::SequentialTokenProcess(n, std::move(placement),
                                                op_rng.split(), options));
   const auto strategy = static_cast<FaultStrategy>(op_rng.below(4));
-  auto plan = make_token_fault_plan(1 + op_rng.below(5), strategy,
-                                    op_rng.split());
-  InvariantCheck check;
+  const FaultSchedule schedule(1 + op_rng.below(5));
+  Rng fault_rng = op_rng.split();
+  auto inject = [&](kernel::SequentialTokenProcess& p) {
+    p.reassign(apply_fault_tokens(strategy, p.bin_count(), p.token_count(),
+                                  fault_rng));
+  };
+  std::uint64_t driven = 0;
   for (int op = 0; op < 30; ++op) {
-    engine.run(op_rng.below(15), RunForRounds{}, plan, check);
+    run_with_faults(engine, op_rng.below(15), schedule, driven, inject);
     ASSERT_NO_THROW(engine.check_invariants()) << "op " << op;
   }
 }

@@ -156,7 +156,7 @@ TEST(ShardedTetris, EngineDrivesItWithStoppingRule) {
                                      kSeed, 0,
                                      {.threads = 2, .shard_size = 256}));
   const EngineResult r =
-      engine.run(64ull * kN, UntilAllEmptiedOnce{}, NoFaults{});
+      engine.run(64ull * kN, UntilAllEmptiedOnce{});
   EXPECT_TRUE(r.goal_reached);
   EXPECT_TRUE(engine.process().all_emptied_once());
 }

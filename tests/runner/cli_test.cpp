@@ -440,6 +440,25 @@ TEST(Cli, ConvergenceRejectsNonPositiveBeta) {
   }
 }
 
+TEST(Cli, ConvergenceSkipsTheFitWithoutTwoPositiveSizes) {
+  // Both runs used to fail with a bare fit error.  At beta = 0.1,
+  // beta*log2(n) < 1 at every smoke size: every trial hits its 64n cap,
+  // and the timed-out sizes are named.  At ball-ratio 0.01 the all-in-one
+  // start is legitimate from round 0, so every size reads 0 rounds.
+  for (const char* knob : {"--beta=0.1", "--ball-ratio=0.01"}) {
+    const CliResult r =
+        rbb({"run", "convergence", "--scale=smoke", "--trials=2", knob});
+    EXPECT_EQ(r.code, 0) << knob << ": " << r.err;
+    EXPECT_NE(r.out.find("growth-law fit skipped"), std::string::npos)
+        << knob << ": " << r.out;
+    EXPECT_EQ(r.out.find("fitted growth law"), std::string::npos) << knob;
+    EXPECT_EQ(r.out.find("every all-in-one trial timed out") !=
+                  std::string::npos,
+              std::string(knob) == "--beta=0.1")
+        << knob << ": " << r.out;
+  }
+}
+
 TEST(Cli, RunRejectsRepeatWithoutRoundKernel) {
   // zchain runs no round kernel: it declares neither --repeat nor
   // --threads, instead of re-running an untimed computation K times.

@@ -295,9 +295,9 @@ TEST(Registry, TrialPlanSplitsTheThreadBudget) {
 
   // Malformed values fail loudly.
   ASSERT_TRUE(values.set("trial-parallelism", "fast"));
-  EXPECT_THROW(ctx.trial_plan(4), std::invalid_argument);
+  EXPECT_THROW((void)ctx.trial_plan(4), std::invalid_argument);
   ASSERT_TRUE(values.set("trial-parallelism", "0"));
-  EXPECT_THROW(ctx.trial_plan(4), std::invalid_argument);
+  EXPECT_THROW((void)ctx.trial_plan(4), std::invalid_argument);
 }
 
 TEST(Registry, TrialPlanCarriesTheBackend) {

@@ -58,21 +58,46 @@ TEST(Cli, FlagForms) {
 TEST(Cli, UnknownOptionFails) {
   Cli cli = make_cli();
   EXPECT_FALSE(parse(cli, {"--bogus=1"}));
+  EXPECT_EQ(cli.exit_status(), 2);
 }
 
 TEST(Cli, MissingValueFails) {
   Cli cli = make_cli();
   EXPECT_FALSE(parse(cli, {"--n"}));
+  EXPECT_EQ(cli.exit_status(), 2);
+}
+
+TEST(Cli, MalformedNumbersFail) {
+  // Each used to parse (as 0, a wrapped 2^64-3, a prefix or nan) and
+  // fail later in the program, if at all.
+  for (const std::vector<const char*>& args :
+       std::vector<std::vector<const char*>>{
+           {"--n", "abc"}, {"--n=-3"}, {"--n= 5"}, {"--n=12x"}, {"--n="},
+           {"--n=99999999999999999999999"}, {"--beta=nan"},
+           {"--beta", "inf"}, {"--beta=2.5.1"}, {"--beta="}}) {
+    Cli cli = make_cli();
+    EXPECT_FALSE(parse(cli, args)) << args.back();
+    EXPECT_EQ(cli.exit_status(), 2) << args.back();
+  }
+}
+
+TEST(Cli, NumbersInRangeParse) {
+  Cli cli = make_cli();
+  ASSERT_TRUE(parse(cli, {"--n=18446744073709551615", "--beta=-1e-3"}));
+  EXPECT_EQ(cli.u64("n"), 18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(cli.f64("beta"), -1e-3);
 }
 
 TEST(Cli, HelpReturnsFalse) {
   Cli cli = make_cli();
   EXPECT_FALSE(parse(cli, {"--help"}));
+  EXPECT_EQ(cli.exit_status(), 0);
 }
 
 TEST(Cli, PositionalArgumentFails) {
   Cli cli = make_cli();
   EXPECT_FALSE(parse(cli, {"stray"}));
+  EXPECT_EQ(cli.exit_status(), 2);
 }
 
 TEST(Cli, WrongTypeAccessThrows) {

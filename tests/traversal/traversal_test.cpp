@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "support/bounds.hpp"
 
 namespace rbb {
@@ -95,6 +96,29 @@ TEST(Traversal, AdversarialFaultsStillCover) {
   EXPECT_LT(static_cast<double>(*r.cover_time),
             10.0 * static_cast<double>(*base.cover_time) +
                 10.0 * static_cast<double>(faulty.n));
+}
+
+TEST(Traversal, TelemetryCountsEveryInjectedFault) {
+  // One fault after every fault_period-th round: floor(rounds / period)
+  // of them, each counted where it happens (zero in a no-op build).
+  TraversalParams params;
+  params.n = 32;
+  params.fault_period = 5;
+  params.fault_strategy = FaultStrategy::kRandom;
+  obs::set_enabled(false);
+  obs::reset();
+  obs::set_enabled(true);
+  const TraversalResult r = run_traversal(params, 13);
+  obs::set_enabled(false);
+  const std::uint64_t faults =
+      obs::scrape().counter(obs::Counter::kFaultsInjected);
+  obs::reset();
+  ASSERT_GE(r.rounds_run, params.fault_period);
+#if RBB_TELEMETRY
+  EXPECT_EQ(faults, r.rounds_run / params.fault_period);
+#else
+  EXPECT_EQ(faults, 0u);
+#endif
 }
 
 TEST(Traversal, AllPoliciesCover) {
