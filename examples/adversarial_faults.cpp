@@ -15,8 +15,8 @@
 #include "core/config.hpp"
 #include "core/faults.hpp"
 #include "core/process.hpp"
+#include "runner/params.hpp"
 #include "support/bounds.hpp"
-#include "support/cli.hpp"
 #include "support/stats.hpp"
 
 namespace {
@@ -36,28 +36,17 @@ std::string sparkline(const std::vector<std::uint32_t>& samples,
   return line;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const rbb::runner::ParamValues& flags) {
   using namespace rbb;
-  Cli cli("adversarial_faults: Sect. 4.1 fault injection and recovery");
-  cli.add_u64("n", 512, "balls and bins");
-  cli.add_u64("seed", 3, "RNG seed");
-  cli.add_u64("faults", 4, "number of adversarial faults to inject");
-  cli.add_u64("period", 0, "rounds between faults (0 = 8n, i.e. gamma = 8)");
-  cli.add_string("strategy", "all-to-one",
-                 "all-to-one | random | half-bins | reverse-sort");
-  if (!cli.parse(argc, argv)) return cli.exit_status();
-
-  const auto n = static_cast<std::uint32_t>(cli.u64("n"));
+  const std::uint32_t n = flags.u32("n");
   const std::uint64_t period =
-      cli.u64("period") != 0 ? cli.u64("period") : 8ull * n;
+      flags.u64("period") != 0 ? flags.u64("period") : 8ull * n;
   const FaultStrategy strategy =
-      fault_strategy_from_string(cli.str("strategy"));
+      fault_strategy_from_string(flags.str("strategy"));
   const double legit_threshold = 4.0 * log2n(n);
 
-  Rng rng(cli.u64("seed"));
-  Rng fault_rng(cli.u64("seed"), 0xfa17);
+  Rng rng(flags.u64("seed"));
+  Rng fault_rng(flags.u64("seed"), 0xfa17);
   RepeatedBallsProcess process(
       make_config(InitialConfig::kOnePerBin, n, n, rng), rng);
 
@@ -69,7 +58,7 @@ int main(int argc, char** argv) {
 
   OnlineMoments recovery;
   constexpr std::uint32_t kColumns = 72;
-  for (std::uint64_t fault = 0; fault < cli.u64("faults"); ++fault) {
+  for (std::uint64_t fault = 0; fault < flags.u64("faults"); ++fault) {
     // Inject.
     process.reassign(
         apply_fault(strategy, n, n, process.loads(), fault_rng));
@@ -105,4 +94,23 @@ int main(int argc, char** argv) {
             << "Sect. 4.1 needs recovery well under the period "
             << period << ")\n";
   return EXIT_SUCCESS;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using rbb::runner::ParamSpec;
+  const std::vector<ParamSpec> flags = {
+      {"n", ParamSpec::Type::kU64, "512", "balls and bins"},
+      {"seed", ParamSpec::Type::kU64, "3", "RNG seed"},
+      {"faults", ParamSpec::Type::kU64, "4",
+       "number of adversarial faults to inject"},
+      {"period", ParamSpec::Type::kU64, "0",
+       "rounds between faults (0 = 8n, i.e. gamma = 8)"},
+      {"strategy", ParamSpec::Type::kString, "all-to-one",
+       "all-to-one | random | half-bins | reverse-sort"},
+  };
+  return rbb::runner::example_main(
+      argc, argv, "adversarial_faults: Sect. 4.1 fault injection and recovery",
+      flags, run, std::cout, std::cerr);
 }

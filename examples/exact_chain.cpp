@@ -10,21 +10,21 @@
 //   ./examples/exact_chain [--n 4]
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "markov/rbb_chain.hpp"
-#include "support/cli.hpp"
+#include "runner/params.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rbb;
-  Cli cli("exact_chain: closed-form analysis of a small RBB system");
-  cli.add_u64("n", 4, "number of balls and bins (2..6)");
-  if (!cli.parse(argc, argv)) return cli.exit_status();
+namespace {
 
-  const auto n = static_cast<std::uint32_t>(cli.u64("n"));
+int run(const rbb::runner::ParamValues& flags) {
+  using namespace rbb;
+  const std::uint32_t n = flags.u32("n");
   if (n < 2 || n > 6) {
-    std::cerr << "exact enumeration is feasible for n in 2..6\n";
-    return EXIT_FAILURE;
+    throw std::invalid_argument("--n=" + flags.text("n") +
+                                ": exact enumeration is feasible for n in "
+                                "2..6");
   }
 
   const StateSpace space(n, n);
@@ -83,4 +83,16 @@ int main(int argc, char** argv) {
                "                      association fails and standard "
                "concentration tools do not apply)\n";
   return EXIT_SUCCESS;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using rbb::runner::ParamSpec;
+  const std::vector<ParamSpec> flags = {
+      {"n", ParamSpec::Type::kU64, "4", "number of balls and bins (2..6)"},
+  };
+  return rbb::runner::example_main(
+      argc, argv, "exact_chain: closed-form analysis of a small RBB system",
+      flags, run, std::cout, std::cerr);
 }

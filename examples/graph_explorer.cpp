@@ -16,21 +16,17 @@
 #include "core/config.hpp"
 #include "core/process.hpp"
 #include "graph/graph.hpp"
+#include "runner/params.hpp"
 #include "support/bounds.hpp"
-#include "support/cli.hpp"
 #include "support/table.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rbb;
-  Cli cli("graph_explorer: RBB max loads across topologies (Sect. 5)");
-  cli.add_u64("n", 1024, "nodes (power of 4 fits every topology)");
-  cli.add_u64("seed", 5, "RNG seed");
-  cli.add_u64("window-factor", 10, "window = factor * n rounds");
-  if (!cli.parse(argc, argv)) return cli.exit_status();
+namespace {
 
-  const auto n = static_cast<std::uint32_t>(cli.u64("n"));
-  const std::uint64_t window = cli.u64("window-factor") * n;
-  Rng graph_rng(cli.u64("seed") + 1);
+int run(const rbb::runner::ParamValues& flags) {
+  using namespace rbb;
+  const std::uint32_t n = flags.u32("n");
+  const std::uint64_t window = flags.u64("window-factor") * n;
+  Rng graph_rng(flags.u64("seed") + 1);
 
   std::cout << "repeated balls-into-bins on graphs: n = " << n
             << ", window = " << window << " rounds\n"
@@ -45,7 +41,7 @@ int main(int argc, char** argv) {
                                           "star"};
   for (const std::string& name : names) {
     const Graph g = make_named_graph(name, n, graph_rng);
-    Rng rng(cli.u64("seed"));
+    Rng rng(flags.u64("seed"));
     RepeatedBallsProcess proc(
         make_config(InitialConfig::kOnePerBin, n, n, rng), &g, rng);
     std::uint32_t wmax = 0;
@@ -73,4 +69,20 @@ int main(int argc, char** argv) {
                "log2 n, far below sqrt(t);\nthe star concentrates half "
                "the balls on the hub -- regularity matters.\n";
   return EXIT_SUCCESS;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using rbb::runner::ParamSpec;
+  const std::vector<ParamSpec> flags = {
+      {"n", ParamSpec::Type::kU64, "1024",
+       "nodes (power of 4 fits every topology)"},
+      {"seed", ParamSpec::Type::kU64, "5", "RNG seed"},
+      {"window-factor", ParamSpec::Type::kU64, "10",
+       "window = factor * n rounds"},
+  };
+  return rbb::runner::example_main(
+      argc, argv, "graph_explorer: RBB max loads across topologies (Sect. 5)",
+      flags, run, std::cout, std::cerr);
 }

@@ -15,23 +15,25 @@
 //   ./examples/paper_walkthrough [--n 1024] [--seed 4]
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "coupling/coupling.hpp"
 #include "core/config.hpp"
 #include "core/process.hpp"
+#include "runner/params.hpp"
 #include "support/bounds.hpp"
-#include "support/cli.hpp"
 #include "tetris/zchain.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rbb;
-  Cli cli("paper_walkthrough: Theorem 1, executed lemma by lemma");
-  cli.add_u64("n", 1024, "balls and bins");
-  cli.add_u64("seed", 4, "RNG seed");
-  if (!cli.parse(argc, argv)) return cli.exit_status();
+namespace {
 
-  const auto n = static_cast<std::uint32_t>(cli.u64("n"));
-  const std::uint64_t seed = cli.u64("seed");
+int run(const rbb::runner::ParamValues& flags) {
+  using namespace rbb;
+  const std::uint32_t n = flags.u32("n");
+  if (n < 2) {
+    throw std::invalid_argument("--n must be at least 2 (the report divides "
+                                "by log2 n)");
+  }
+  const std::uint64_t seed = flags.u64("seed");
   const std::uint64_t window = 10ull * n;
   std::cout << "Theorem 1 walkthrough, n = " << n << ", window = " << window
             << " rounds, log2 n = " << log2n(n) << "\n\n";
@@ -101,4 +103,17 @@ int main(int argc, char** argv) {
             << " rounds = " << static_cast<double>(t) / n
             << " n   [O(n): HOLDS]\n";
   return EXIT_SUCCESS;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using rbb::runner::ParamSpec;
+  const std::vector<ParamSpec> flags = {
+      {"n", ParamSpec::Type::kU64, "1024", "balls and bins"},
+      {"seed", ParamSpec::Type::kU64, "4", "RNG seed"},
+  };
+  return rbb::runner::example_main(
+      argc, argv, "paper_walkthrough: Theorem 1, executed lemma by lemma",
+      flags, run, std::cout, std::cerr);
 }

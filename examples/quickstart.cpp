@@ -7,21 +7,23 @@
 //   ./examples/quickstart [--n 1024] [--seed 1]
 #include <cstdlib>
 #include <iostream>
+#include <stdexcept>
 
 #include "core/config.hpp"
 #include "core/process.hpp"
+#include "runner/params.hpp"
 #include "support/bounds.hpp"
-#include "support/cli.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(const rbb::runner::ParamValues& flags) {
   using namespace rbb;
-  Cli cli("quickstart: watch repeated balls-into-bins self-stabilize");
-  cli.add_u64("n", 1024, "number of balls and bins");
-  cli.add_u64("seed", 1, "RNG seed");
-  if (!cli.parse(argc, argv)) return cli.exit_status();
-
-  const auto n = static_cast<std::uint32_t>(cli.u64("n"));
-  Rng rng(cli.u64("seed"));
+  const std::uint32_t n = flags.u32("n");
+  if (n < 2) {
+    throw std::invalid_argument("--n must be at least 2 (the report divides "
+                                "by log2 n)");
+  }
+  Rng rng(flags.u64("seed"));
 
   // Worst case: every ball piled into bin 0.
   RepeatedBallsProcess process(
@@ -50,4 +52,17 @@ int main(int argc, char** argv) {
             << "empty bins right now: " << process.empty_bins() << " / " << n
             << "  (Lemma 1 predicts >= n/4)\n";
   return EXIT_SUCCESS;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using rbb::runner::ParamSpec;
+  const std::vector<ParamSpec> flags = {
+      {"n", ParamSpec::Type::kU64, "1024", "number of balls and bins"},
+      {"seed", ParamSpec::Type::kU64, "1", "RNG seed"},
+  };
+  return rbb::runner::example_main(
+      argc, argv, "quickstart: watch repeated balls-into-bins self-stabilize",
+      flags, run, std::cout, std::cerr);
 }

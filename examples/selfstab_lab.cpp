@@ -20,8 +20,8 @@
 #include "core/config.hpp"
 #include "core/process.hpp"
 #include "selfstab/certifier.hpp"
+#include "runner/params.hpp"
 #include "selfstab/israeli_jalfon.hpp"
-#include "support/cli.hpp"
 
 namespace {
 
@@ -39,19 +39,11 @@ void report(const char* name, const rbb::CertifyResult& r, std::uint32_t n) {
             << r.closure_violation_rate() << ")\n\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(const rbb::runner::ParamValues& flags) {
   using namespace rbb;
-  Cli cli("selfstab_lab: certify two self-stabilizing processes");
-  cli.add_u64("n", 256, "system size");
-  cli.add_u64("trials", 40, "Monte-Carlo trials");
-  cli.add_u64("seed", 7, "RNG seed");
-  if (!cli.parse(argc, argv)) return cli.exit_status();
-
-  const auto n = static_cast<std::uint32_t>(cli.u64("n"));
-  const std::uint64_t trials = cli.u64("trials");
-  const std::uint64_t seed = cli.u64("seed");
+  const std::uint32_t n = flags.u32("n");
+  const std::uint64_t trials = flags.u64("trials");
+  const std::uint64_t seed = flags.u64("seed");
 
   std::cout << "n = " << n << ", trials = " << trials << "\n\n";
 
@@ -90,4 +82,18 @@ int main(int argc, char** argv) {
                "their legitimate sets -- the two halves of probabilistic\n"
                "self-stabilization (paper, Sect. 1.1).\n";
   return EXIT_SUCCESS;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using rbb::runner::ParamSpec;
+  const std::vector<ParamSpec> flags = {
+      {"n", ParamSpec::Type::kU64, "256", "system size"},
+      {"trials", ParamSpec::Type::kU64, "40", "Monte-Carlo trials"},
+      {"seed", ParamSpec::Type::kU64, "7", "RNG seed"},
+  };
+  return rbb::runner::example_main(
+      argc, argv, "selfstab_lab: certify two self-stabilizing processes",
+      flags, run, std::cout, std::cerr);
 }

@@ -13,22 +13,19 @@
 #include <iostream>
 
 #include "core/config.hpp"
+#include "runner/params.hpp"
 #include "support/bounds.hpp"
-#include "support/cli.hpp"
 #include "support/stats.hpp"
 #include "tetris/leaky.hpp"
 #include "tetris/tetris.hpp"
 #include "tetris/zchain.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rbb;
-  Cli cli("tetris_playground: the paper's auxiliary process, hands-on");
-  cli.add_u64("n", 1024, "bins");
-  cli.add_u64("seed", 2, "RNG seed");
-  if (!cli.parse(argc, argv)) return cli.exit_status();
+namespace {
 
-  const auto n = static_cast<std::uint32_t>(cli.u64("n"));
-  const std::uint64_t seed = cli.u64("seed");
+int run(const rbb::runner::ParamValues& flags) {
+  using namespace rbb;
+  const std::uint32_t n = flags.u32("n");
+  const std::uint64_t seed = flags.u64("seed");
 
   // --- 1. Lemma 4: drain time from the worst start. ---
   {
@@ -96,4 +93,17 @@ int main(int argc, char** argv) {
               << static_cast<double>(leaky.empty_bins()) / n << "\n";
   }
   return EXIT_SUCCESS;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using rbb::runner::ParamSpec;
+  const std::vector<ParamSpec> flags = {
+      {"n", ParamSpec::Type::kU64, "1024", "bins"},
+      {"seed", ParamSpec::Type::kU64, "2", "RNG seed"},
+  };
+  return rbb::runner::example_main(
+      argc, argv, "tetris_playground: the paper's auxiliary process, hands-on",
+      flags, run, std::cout, std::cerr);
 }

@@ -12,35 +12,31 @@
 
 #include "baselines/independent_walks.hpp"
 #include "graph/graph.hpp"
+#include "runner/params.hpp"
 #include "support/bounds.hpp"
-#include "support/cli.hpp"
 #include "traversal/traversal.hpp"
 
-int main(int argc, char** argv) {
-  using namespace rbb;
-  Cli cli("token_traversal: the Sect. 4 multi-token traversal protocol");
-  cli.add_u64("n", 512, "nodes (= tokens)");
-  cli.add_u64("seed", 7, "RNG seed");
-  cli.add_string("policy", "fifo", "queue policy: fifo | lifo | random");
-  cli.add_string("graph", "complete",
-                 "topology: complete | cycle | torus | hypercube | regular8");
-  if (!cli.parse(argc, argv)) return cli.exit_status();
+namespace {
 
-  const auto n = static_cast<std::uint32_t>(cli.u64("n"));
-  const std::uint64_t seed = cli.u64("seed");
-  const bool clique = cli.str("graph") == "complete";
+int run(const rbb::runner::ParamValues& flags) {
+  using namespace rbb;
+  const std::uint32_t n = flags.u32("n");
+  const std::uint64_t seed = flags.u64("seed");
+  const bool clique = flags.str("graph") == "complete";
 
   Rng graph_rng(seed + 1);
   std::optional<Graph> graph;
-  if (!clique) graph.emplace(make_named_graph(cli.str("graph"), n, graph_rng));
+  if (!clique) {
+    graph.emplace(make_named_graph(flags.str("graph"), n, graph_rng));
+  }
 
   TraversalParams params;
   params.n = n;
-  params.policy = queue_policy_from_string(cli.str("policy"));
+  params.policy = queue_policy_from_string(flags.str("policy"));
   params.graph = graph ? &*graph : nullptr;
 
   std::cout << "multi-token traversal: n = " << n << ", policy = "
-            << cli.str("policy") << ", graph = " << cli.str("graph")
+            << flags.str("policy") << ", graph = " << flags.str("graph")
             << "\n\n";
 
   const TraversalResult r = run_traversal(params, seed);
@@ -76,4 +72,22 @@ int main(int argc, char** argv) {
     }
   }
   return EXIT_SUCCESS;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  using rbb::runner::ParamSpec;
+  const std::vector<ParamSpec> flags = {
+      {"n", ParamSpec::Type::kU64, "512", "nodes (= tokens)"},
+      {"seed", ParamSpec::Type::kU64, "7", "RNG seed"},
+      {"policy", ParamSpec::Type::kString, "fifo",
+       "queue policy: fifo | lifo | random"},
+      {"graph", ParamSpec::Type::kString, "complete",
+       "topology: complete | cycle | torus | hypercube | regular8"},
+  };
+  return rbb::runner::example_main(
+      argc, argv,
+      "token_traversal: the Sect. 4 multi-token traversal protocol", flags,
+      run, std::cout, std::cerr);
 }

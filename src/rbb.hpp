@@ -4,7 +4,7 @@
 // remain available for faster builds:
 //
 //   support/  rng, counter_rng, types, samplers, stats, bounds,
-//             dense_set, thread_pool, table, cli, scale
+//             dense_set, thread_pool, table, scale
 //   graph/    graph
 //   core/     config, process, token_process, faults, and the policy
 //             core under core/kernel/ (shard, exec, stream, variants,
@@ -51,7 +51,6 @@
 #include "selfstab/certifier.hpp"
 #include "selfstab/israeli_jalfon.hpp"
 #include "support/bounds.hpp"
-#include "support/cli.hpp"
 #include "support/dense_set.hpp"
 #include "support/rng.hpp"
 #include "support/samplers.hpp"

@@ -4,12 +4,15 @@
 // Every experiment declares its tunables once -- name, type, default,
 // help text -- and the same declaration drives all three consumers: the
 // `rbb run` / `rbb sweep` option parser, `rbb describe`, and the
-// generated docs/experiments.md catalog.  Values
+// generated docs/experiments.md catalog.  The example programs declare
+// their flags the same way and parse them with example_main.  Values
 // are kept as canonical text so run metadata can round-trip them without
 // a per-type variant.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -78,5 +81,31 @@ class ParamValues {
 /// Validates that `text` parses as `type` (the ParamValues::set rule,
 /// exposed for option parsers that need to pre-check sweep grids).
 [[nodiscard]] bool parses_as(const std::string& text, ParamSpec::Type type);
+
+/// Splits the option token at args[*i] into `--name=value` or
+/// `--name value`, consuming args[*i + 1] (and advancing *i) when the
+/// value is space-separated.  Bare options leave *has_value false with
+/// an empty value (flag semantics).  Returns false when args[*i] is not
+/// a `--`-prefixed option at all.
+bool split_option(const std::vector<std::string>& args, std::size_t* i,
+                  std::string* name, std::string* value, bool* has_value);
+
+/// The markdown parameter table (name, type, default, description) of
+/// `rbb describe` and of an example's --help.
+[[nodiscard]] std::string render_param_table(
+    const std::vector<ParamSpec>& specs);
+
+/// The main() of an example program.  Parses argv[1..] against `specs`
+/// and calls `run` with the values.  Returns 0 after --help/-h (the
+/// usage, `about` and the parameter table, on `out`) and 2 after a
+/// rejected command line: an unknown option, a positional argument, a
+/// malformed value, or a std::invalid_argument thrown by `run` (an
+/// out-of-range value the library refuses).  Each rejection prints
+/// "<program>: <message>" on `err`, one line.  Otherwise returns what
+/// `run` returns.
+int example_main(int argc, const char* const* argv, const std::string& about,
+                 const std::vector<ParamSpec>& specs,
+                 const std::function<int(const ParamValues&)>& run,
+                 std::ostream& out, std::ostream& err);
 
 }  // namespace rbb::runner

@@ -28,7 +28,7 @@
 namespace rbb::runner {
 
 /// What an experiment's run function sees: its parsed parameters plus
-/// the bench scale the runner resolved (CLI --scale or RBB_BENCH_SCALE).
+/// the bench scale of the run (--scale).
 struct RunContext {
   const ParamValues& params;
   BenchScale scale = BenchScale::kDefault;
@@ -108,15 +108,17 @@ enum class ExperimentKind {
                   // --threads --repeat and the checkpoint flags
 };
 
-/// One registered experiment.
+/// One registered experiment, built with designated initializers in its
+/// register_* function.  Members with a default may be left out.
 struct Experiment {
   std::string name;         // CLI name, e.g. "convergence"
-  std::string claim;        // DESIGN.md Sect. 4 E-number, "" for extras
+  std::string claim{};      // DESIGN.md Sect. 4 E-number, "" for extras
   std::string title;        // one-line claim summary (list / docs)
   std::string description;  // prose for describe / docs
   /// The common flags the run function reads (see ExperimentKind).
   ExperimentKind kind = ExperimentKind::kMonteCarlo;
-  std::vector<ParamSpec> params;  // registry prepends the kind's common specs
+  /// The experiment's own specs; add() prepends the kind's common ones.
+  std::vector<ParamSpec> params{};
   std::function<ResultSet(const RunContext&)> run;
 };
 

@@ -10,7 +10,6 @@
 #include "ckpt/io.hpp"
 #include "runner/docgen.hpp"
 #include "runner/interrupt.hpp"
-#include "runner/optparse.hpp"
 #include "runner/registry.hpp"
 #include "runner/result.hpp"
 #include "support/scale.hpp"
@@ -37,9 +36,9 @@ usage:
 
 options for run / sweep:
   --scale=smoke|default|paper|mega
-                                sweep sizes (default: $RBB_BENCH_SCALE,
-                                else "default"; mega = n >= 1e8 for the
-                                sharded single-instance experiments)
+                                sweep sizes (default: default; mega =
+                                n >= 1e8 for the sharded
+                                single-instance experiments)
   --format=table|json|csv       output rendering (default: table)
   --out=PATH                    write to PATH instead of stdout
   --<param>=value               any parameter of the experiment
@@ -89,7 +88,7 @@ set, and delivers the partial results before exiting.
 enum class Format { kTable, kJson, kCsv };
 
 struct CommonOptions {
-  BenchScale scale = bench_scale();  // env default, CLI override below
+  BenchScale scale = BenchScale::kDefault;
   Format format = Format::kTable;
   std::string out_path;
 };
@@ -171,16 +170,7 @@ int cmd_describe(const std::vector<std::string>& args, std::ostream& out,
   out << e->description << "\n\n";
   out << "run: rbb run " << e->name
       << " [--scale=smoke|default|paper|mega] [--format=table|json|csv]\n\n";
-  Table params({"parameter", "type", "default", "description"});
-  for (const ParamSpec& spec : e->params) {
-    params.row()
-        .cell("--" + spec.name)
-        .cell(std::string(to_string(spec.type)))
-        .cell(spec.default_value.empty() ? std::string("\"\"")
-                                         : spec.default_value)
-        .cell(spec.help);
-  }
-  out << params.markdown();
+  out << render_param_table(e->params);
   return 0;
 }
 

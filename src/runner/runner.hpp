@@ -7,7 +7,7 @@
 //   rbb docs [--out=PATH] [--check]   (re)generate docs/experiments.md
 //
 // Shared options for run/sweep:
-//   --scale=smoke|default|paper|mega   (default: $RBB_BENCH_SCALE, else default)
+//   --scale=smoke|default|paper|mega   (default: default)
 //   --format=table|json|csv       (default: table)
 //   --out=PATH                    write the rendering to PATH, not stdout
 //   --<param>=value               any parameter the experiment declares;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace rbb {
 namespace {
@@ -158,76 +157,12 @@ std::uint64_t binomial_sample(std::uint64_t trials, double p, Rng& rng) {
   return BinomialSampler(trials, p)(rng);
 }
 
-std::uint64_t poisson_sample(double mean, Rng& rng) {
-  if (!(mean >= 0.0)) {
-    throw std::invalid_argument("poisson_sample: mean must be >= 0");
-  }
-  std::uint64_t total = 0;
-  // Poisson(a + b) = Poisson(a) + Poisson(b): peel off chunks of 25 so the
-  // product method below never multiplies past double underflow.
-  while (mean > 30.0) {
-    constexpr double kChunk = 25.0;
-    // Knuth on the chunk.
-    const double limit = std::exp(-kChunk);
-    double prod = rng.uniform();
-    std::uint64_t k = 0;
-    while (prod > limit) {
-      prod *= rng.uniform();
-      ++k;
-    }
-    total += k;
-    mean -= kChunk;
-  }
-  if (mean > 0.0) {
-    const double limit = std::exp(-mean);
-    double prod = rng.uniform();
-    std::uint64_t k = 0;
-    while (prod > limit) {
-      prod *= rng.uniform();
-      ++k;
-    }
-    total += k;
-  }
-  return total;
-}
-
-std::uint64_t geometric_sample(double p, Rng& rng) {
-  if (!(p > 0.0 && p <= 1.0)) {
-    throw std::invalid_argument("geometric_sample: p must be in (0, 1]");
-  }
-  if (p == 1.0) return 0;
-  // floor(log(1-U) / log(1-p)), exact inversion of the failure count.
-  return static_cast<std::uint64_t>(std::log1p(-rng.uniform()) /
-                                    std::log1p(-p));
-}
-
 std::vector<std::uint32_t> occupancy_throw(std::uint64_t balls,
                                            std::uint32_t bins, Rng& rng) {
   if (bins == 0) throw std::invalid_argument("occupancy_throw: bins == 0");
   std::vector<std::uint32_t> counts(bins, 0);
   for (std::uint64_t i = 0; i < balls; ++i) counts[rng.index(bins)]++;
   return counts;
-}
-
-std::vector<std::uint32_t> sample_distinct(std::uint32_t n, std::uint32_t k,
-                                           Rng& rng) {
-  if (k > n) throw std::invalid_argument("sample_distinct: k > n");
-  // Floyd's algorithm: for j = n-k .. n-1, insert a uniform pick from
-  // [0, j], falling back to j itself on collision.
-  std::vector<std::uint32_t> result;
-  result.reserve(k);
-  std::unordered_set<std::uint32_t> seen;
-  seen.reserve(k * 2);
-  for (std::uint32_t j = n - k; j < n; ++j) {
-    const std::uint32_t t = rng.index(j + 1);
-    if (seen.insert(t).second) {
-      result.push_back(t);
-    } else {
-      seen.insert(j);
-      result.push_back(j);
-    }
-  }
-  return result;
 }
 
 }  // namespace rbb

@@ -59,25 +59,10 @@ class BinomialSampler {
 [[nodiscard]] std::uint64_t binomial_sample(std::uint64_t trials, double p,
                                             Rng& rng);
 
-/// Exact Poisson(mean) draw.  Knuth's product method for mean < 30,
-/// recursive halving (Poisson additivity) above, so the result is exact for
-/// any mean at O(mean/30) cost.  Requires mean >= 0.
-[[nodiscard]] std::uint64_t poisson_sample(double mean, Rng& rng);
-
-/// Geometric: number of failures before the first success of a
-/// Bernoulli(p) sequence, p in (0, 1].  Exact inversion.
-[[nodiscard]] std::uint64_t geometric_sample(double p, Rng& rng);
-
 /// Occupancy vector of throwing `balls` balls u.a.r. into `bins` bins,
 /// computed ball-by-ball.  O(balls) time.
 [[nodiscard]] std::vector<std::uint32_t> occupancy_throw(std::uint64_t balls,
                                                          std::uint32_t bins,
-                                                         Rng& rng);
-
-/// k distinct values sampled u.a.r. from [0, n), in unspecified order.
-/// Floyd's algorithm; O(k) expected.  Requires k <= n.
-[[nodiscard]] std::vector<std::uint32_t> sample_distinct(std::uint32_t n,
-                                                         std::uint32_t k,
                                                          Rng& rng);
 
 }  // namespace rbb

@@ -1,7 +1,5 @@
-// Benchmark scale selection.
-//
-// `rbb run` takes its --scale default from the RBB_BENCH_SCALE
-// environment variable:
+// Benchmark scale selection: the values of `rbb run --scale` (default
+// `default`; runner.cpp parses the names):
 //   smoke   -- minimal sizes, seconds per bench (CI sanity),
 //   default -- the sizes of the experiment map (DESIGN.md Sect. 4),
 //   paper   -- full sweeps matching the asymptotic regime of the theorems,
@@ -16,10 +14,6 @@
 namespace rbb {
 
 enum class BenchScale { kSmoke, kDefault, kPaper, kMega };
-
-/// Reads RBB_BENCH_SCALE (case-insensitive: "smoke", "default", "paper",
-/// "mega"); anything else / unset yields kDefault.
-[[nodiscard]] BenchScale bench_scale();
 
 [[nodiscard]] std::string to_string(BenchScale scale);
 

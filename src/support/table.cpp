@@ -1,7 +1,6 @@
 #include "support/table.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -97,14 +96,6 @@ std::string Table::csv() const {
 
 void Table::print(std::ostream& os, const std::string& title) const {
   os << "\n### " << title << "\n\n" << markdown() << '\n';
-}
-
-bool Table::write_csv(const std::string& dir, const std::string& name) const {
-  if (dir.empty()) return false;
-  std::ofstream out(dir + "/" + name + ".csv");
-  if (!out) return false;
-  out << csv();
-  return static_cast<bool>(out);
 }
 
 std::string format_double(double v, int precision) {

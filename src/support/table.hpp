@@ -2,8 +2,7 @@
 //
 // Every experiment prints its tables (DESIGN.md Sect. 4 maps them) in
 // GitHub-markdown format, so the harness output can be pasted into the
-// docs verbatim.  write_csv mirrors a table to a directory for
-// downstream plotting.
+// docs verbatim.
 #pragma once
 
 #include <cstdint>
@@ -47,10 +46,6 @@ class Table {
 
   /// Prints the markdown rendering, preceded by `title` as a heading.
   void print(std::ostream& os, const std::string& title) const;
-
-  /// Writes the CSV rendering to `<dir>/<name>.csv` if dir is non-empty,
-  /// creating the file (not the directory).  Returns true on success.
-  bool write_csv(const std::string& dir, const std::string& name) const;
 
  private:
   std::vector<std::string> headers_;

@@ -138,25 +138,25 @@ CliResult rbb(const std::vector<std::string>& args) {
 
 // --- dispatch ---------------------------------------------------------------
 
-TEST(Cli, NoArgsPrintsUsageAndFails) {
+TEST(RbbCli, NoArgsPrintsUsageAndFails) {
   const CliResult r = rbb({});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("usage:"), std::string::npos);
 }
 
-TEST(Cli, HelpSucceeds) {
+TEST(RbbCli, HelpSucceeds) {
   const CliResult r = rbb({"help"});
   EXPECT_EQ(r.code, 0);
   EXPECT_NE(r.out.find("rbb run <experiment>"), std::string::npos);
 }
 
-TEST(Cli, UnknownCommandRejected) {
+TEST(RbbCli, UnknownCommandRejected) {
   const CliResult r = rbb({"frobnicate"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown command"), std::string::npos);
 }
 
-TEST(Cli, ListShowsAllExperiments) {
+TEST(RbbCli, ListShowsAllExperiments) {
   const CliResult r = rbb({"list"});
   EXPECT_EQ(r.code, 0);
   for (const Experiment& e : default_registry().experiments()) {
@@ -165,14 +165,14 @@ TEST(Cli, ListShowsAllExperiments) {
   }
 }
 
-TEST(Cli, DescribeShowsParams) {
+TEST(RbbCli, DescribeShowsParams) {
   const CliResult r = rbb({"describe", "stability"});
   EXPECT_EQ(r.code, 0);
   EXPECT_NE(r.out.find("--window-factor"), std::string::npos);
   EXPECT_NE(r.out.find("[E1]"), std::string::npos);
 }
 
-TEST(Cli, DescribeShowsBackendAndThreadsWithDefaults) {
+TEST(RbbCli, DescribeShowsBackendAndThreadsWithDefaults) {
   // The kernel-selection knobs are part of the described surface of the
   // experiments that read them, defaults included.
   for (const char* name : {"stability", "convergence"}) {
@@ -190,7 +190,7 @@ TEST(Cli, DescribeShowsBackendAndThreadsWithDefaults) {
   EXPECT_NE(r.out.find("| --threads "), std::string::npos);
 }
 
-TEST(Cli, DescribeUnknownExperimentRejected) {
+TEST(RbbCli, DescribeUnknownExperimentRejected) {
   const CliResult r = rbb({"describe", "nope"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown experiment"), std::string::npos);
@@ -198,37 +198,37 @@ TEST(Cli, DescribeUnknownExperimentRejected) {
 
 // --- run: parse/reject ------------------------------------------------------
 
-TEST(Cli, RunRequiresExperiment) {
+TEST(RbbCli, RunRequiresExperiment) {
   EXPECT_EQ(rbb({"run"}).code, 2);
   EXPECT_EQ(rbb({"run", "--scale=smoke"}).code, 2);
 }
 
-TEST(Cli, RunRejectsUnknownExperiment) {
+TEST(RbbCli, RunRejectsUnknownExperiment) {
   const CliResult r = rbb({"run", "nope"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown experiment"), std::string::npos);
 }
 
-TEST(Cli, RunRejectsUnknownParam) {
+TEST(RbbCli, RunRejectsUnknownParam) {
   const CliResult r =
       rbb({"run", "stability", "--scale=smoke", "--bogus=1"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("unknown option --bogus"), std::string::npos);
 }
 
-TEST(Cli, RunRejectsTypeMismatch) {
+TEST(RbbCli, RunRejectsTypeMismatch) {
   const CliResult r =
       rbb({"run", "stability", "--scale=smoke", "--trials=lots"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("expects a u64"), std::string::npos);
 }
 
-TEST(Cli, RunRejectsBadScaleAndFormat) {
+TEST(RbbCli, RunRejectsBadScaleAndFormat) {
   EXPECT_EQ(rbb({"run", "stability", "--scale=huge"}).code, 2);
   EXPECT_EQ(rbb({"run", "stability", "--format=xml"}).code, 2);
 }
 
-TEST(Cli, RunAcceptsMegaScale) {
+TEST(RbbCli, RunAcceptsMegaScale) {
   // mega must parse and land in the run metadata; neg_assoc with an
   // explicit trial override keeps the run instant.
   const CliResult r = rbb({"run", "neg_assoc", "--scale=mega",
@@ -239,7 +239,7 @@ TEST(Cli, RunAcceptsMegaScale) {
 
 // --- the sharded backend surface --------------------------------------------
 
-TEST(Cli, RunRejectsShardedBackendWithoutCapableFamily) {
+TEST(RbbCli, RunRejectsShardedBackendWithoutCapableFamily) {
   // jackson runs a continuous-time event loop, no round kernel: it
   // declares no --backend, so the parser rejects the flag by name.
   const CliResult r = rbb({"run", "jackson", "--scale=smoke", "--trials=1",
@@ -248,7 +248,7 @@ TEST(Cli, RunRejectsShardedBackendWithoutCapableFamily) {
   EXPECT_NE(r.err.find("unknown option --backend"), std::string::npos);
 }
 
-TEST(Cli, RunRejectsCommonFlagsTheExperimentDoesNotRead) {
+TEST(RbbCli, RunRejectsCommonFlagsTheExperimentDoesNotRead) {
   // Each experiment here would ignore the flag, so it must not take it.
   const std::vector<std::pair<std::string, std::string>> cases = {
       {"exact_chain", "--trials=5"},
@@ -267,7 +267,7 @@ TEST(Cli, RunRejectsCommonFlagsTheExperimentDoesNotRead) {
   }
 }
 
-TEST(Cli, CheckpointKeepRequiresCheckpointDir) {
+TEST(RbbCli, CheckpointKeepRequiresCheckpointDir) {
   // Retention without a checkpoint directory has nothing to retain.
   const CliResult r = rbb({"run", "trajectory", "--n=64", "--rounds=4",
                            "--checkpoint-keep=5"});
@@ -288,7 +288,7 @@ TEST(Cli, CheckpointKeepRequiresCheckpointDir) {
             0);
 }
 
-TEST(Cli, RunAcceptsShardedBackendOnEveryKernelFamily) {
+TEST(RbbCli, RunAcceptsShardedBackendOnEveryKernelFamily) {
   // One newly capable experiment per variant family runs end-to-end
   // under --backend=sharded at smoke scale with valid JSON out.
   const std::vector<std::vector<std::string>> runs = {
@@ -312,14 +312,14 @@ TEST(Cli, RunAcceptsShardedBackendOnEveryKernelFamily) {
   }
 }
 
-TEST(Cli, RunRejectsUnknownBackendValue) {
+TEST(RbbCli, RunRejectsUnknownBackendValue) {
   const CliResult r = rbb({"run", "convergence", "--scale=smoke",
                            "--trials=1", "--backend=gpu"});
   EXPECT_EQ(r.code, 1);
   EXPECT_NE(r.err.find("expects seq or sharded"), std::string::npos);
 }
 
-TEST(Cli, RunAcceptsShardedBackendOnCapableExperiment) {
+TEST(RbbCli, RunAcceptsShardedBackendOnCapableExperiment) {
   const CliResult r = rbb({"run", "convergence", "--scale=smoke",
                            "--trials=1", "--backend=sharded", "--threads=2",
                            "--format=json"});
@@ -328,7 +328,7 @@ TEST(Cli, RunAcceptsShardedBackendOnCapableExperiment) {
   EXPECT_NE(r.out.find("\"backend\": \"sharded\""), std::string::npos);
 }
 
-TEST(Cli, ShardedRunsAreSeedReproducible) {
+TEST(RbbCli, ShardedRunsAreSeedReproducible) {
   auto run_json = [&] {
     return rbb({"run", "convergence", "--scale=smoke", "--trials=2",
                 "--backend=sharded", "--format=csv"});
@@ -343,7 +343,7 @@ TEST(Cli, ShardedRunsAreSeedReproducible) {
   EXPECT_EQ(body(a.out), body(b.out));
 }
 
-TEST(Cli, RunReportsOversizedU32CleanlyInsteadOfTruncating) {
+TEST(RbbCli, RunReportsOversizedU32CleanlyInsteadOfTruncating) {
   // 2^32 passes u64 validation but exceeds what the drivers accept;
   // must fail with a message and exit 1, not truncate to trials=0 or
   // terminate on an uncaught exception.
@@ -353,7 +353,7 @@ TEST(Cli, RunReportsOversizedU32CleanlyInsteadOfTruncating) {
   EXPECT_NE(r.err.find("exceeds the 32-bit range"), std::string::npos);
 }
 
-TEST(Cli, RunRejectsOversizedU32ExperimentParams) {
+TEST(RbbCli, RunRejectsOversizedU32ExperimentParams) {
   // Each value passes u64 validation; truncated to 32 bits it would
   // silently run another instance (--n=4294967300 as 4 bins holding
   // 4294967300 balls), so every one must exit 1 naming the range.
@@ -375,7 +375,7 @@ TEST(Cli, RunRejectsOversizedU32ExperimentParams) {
   }
 }
 
-TEST(Cli, RunRejectsNonFiniteF64Flags) {
+TEST(RbbCli, RunRejectsNonFiniteF64Flags) {
   // strtod accepts nan and inf; a NaN or negative ball ratio once sent
   // make_config looping over ~2^64 balls, and an infinite mixed ratio
   // did the same.  Every f64 flag now fails at parse time, exit 2.
@@ -396,7 +396,7 @@ TEST(Cli, RunRejectsNonFiniteF64Flags) {
   }
 }
 
-TEST(Cli, RunRejectsOutOfRangeBallRatiosByName) {
+TEST(RbbCli, RunRejectsOutOfRangeBallRatiosByName) {
   // A negative ratio, or an m = round(c * n) past 32 bits, exits 1
   // naming the flag before any trial runs.
   const std::vector<std::vector<std::string>> cases = {
@@ -429,7 +429,7 @@ TEST(Cli, RunRejectsOutOfRangeBallRatiosByName) {
   }
 }
 
-TEST(Cli, ConvergenceRejectsNonPositiveBeta) {
+TEST(RbbCli, ConvergenceRejectsNonPositiveBeta) {
   // At beta <= 0 no configuration is legitimate: every trial ran to its
   // 64n cap before the power-law fit failed.
   for (const char* beta : {"--beta=-1", "--beta=0"}) {
@@ -440,7 +440,7 @@ TEST(Cli, ConvergenceRejectsNonPositiveBeta) {
   }
 }
 
-TEST(Cli, ConvergenceSkipsTheFitWithoutTwoPositiveSizes) {
+TEST(RbbCli, ConvergenceSkipsTheFitWithoutTwoPositiveSizes) {
   // Both runs used to fail with a bare fit error.  At beta = 0.1,
   // beta*log2(n) < 1 at every smoke size: every trial hits its 64n cap,
   // and the timed-out sizes are named.  At ball-ratio 0.01 the all-in-one
@@ -459,7 +459,28 @@ TEST(Cli, ConvergenceSkipsTheFitWithoutTwoPositiveSizes) {
   }
 }
 
-TEST(Cli, RunRejectsRepeatWithoutRoundKernel) {
+TEST(RbbCli, ConvergenceRowsWithoutAConvergedTrialPrintDashes) {
+  // At beta = 0.1 every trial times out.  Such a row used to read a 0.0
+  // mean, a -inf max and a 0.000 normalized mean ("-inf" in JSON).
+  const CliResult r = rbb({"run", "convergence", "--scale=smoke",
+                           "--trials=2", "--beta=0.1", "--format=json"});
+  ASSERT_EQ(r.code, 0) << r.err;
+  EXPECT_TRUE(JsonChecker(r.out).valid());
+  EXPECT_EQ(r.out.find("inf"), std::string::npos) << r.out;
+  std::istringstream lines(r.out);
+  std::string line;
+  int rows = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("        [", 0) != 0) continue;  // a table row
+    ++rows;
+    // trials, the three time cells, timeouts = trials.
+    EXPECT_NE(line.find(", 2, \"-\", \"-\", \"-\", 2]"), std::string::npos)
+        << line;
+  }
+  EXPECT_EQ(rows, 6);  // 2 smoke sizes x 3 starts
+}
+
+TEST(RbbCli, RunRejectsRepeatWithoutRoundKernel) {
   // zchain runs no round kernel: it declares neither --repeat nor
   // --threads, instead of re-running an untimed computation K times.
   for (const char* flag : {"--repeat=3", "--repeat=1", "--threads=2"}) {
@@ -470,7 +491,7 @@ TEST(Cli, RunRejectsRepeatWithoutRoundKernel) {
   EXPECT_EQ(rbb({"run", "zchain", "--scale=smoke"}).code, 0);
 }
 
-TEST(Cli, TrajectoryRejectsKnobsOfAnotherFamily) {
+TEST(RbbCli, TrajectoryRejectsKnobsOfAnotherFamily) {
   // A knob of another family would be ignored by the run and left out
   // of the checkpoint digest; it fails loudly instead.
   const CliResult policy =
@@ -498,7 +519,7 @@ TEST(Cli, TrajectoryRejectsKnobsOfAnotherFamily) {
             0);
 }
 
-TEST(Cli, RunReportsDriverRejectionsCleanly) {
+TEST(RbbCli, RunReportsDriverRejectionsCleanly) {
   // n = 1 is rejected inside run_stability ("n < 2"); the CLI must turn
   // that into exit 1 + message, not std::terminate.
   const CliResult r =
@@ -508,7 +529,7 @@ TEST(Cli, RunReportsDriverRejectionsCleanly) {
   EXPECT_NE(r.err.find("n < 2"), std::string::npos);
 }
 
-TEST(Cli, RunAcceptsSpaceSeparatedOptionValues) {
+TEST(RbbCli, RunAcceptsSpaceSeparatedOptionValues) {
   const CliResult r = rbb({"run", "stability", "--scale", "smoke",
                            "--trials", "1", "--n", "32",
                            "--window-factor", "2", "--format", "json"});
@@ -516,7 +537,7 @@ TEST(Cli, RunAcceptsSpaceSeparatedOptionValues) {
   EXPECT_TRUE(JsonChecker(r.out).valid());
 }
 
-TEST(Cli, RunJsonIsValidAndSchemaTagged) {
+TEST(RbbCli, RunJsonIsValidAndSchemaTagged) {
   const CliResult r = rbb({"run", "stability", "--scale=smoke",
                            "--trials=1", "--n=32", "--window-factor=2",
                            "--format=json"});
@@ -527,7 +548,7 @@ TEST(Cli, RunJsonIsValidAndSchemaTagged) {
   EXPECT_NE(r.out.find("\"scale\": \"smoke\""), std::string::npos);
 }
 
-TEST(Cli, RunCsvCarriesMetadata) {
+TEST(RbbCli, RunCsvCarriesMetadata) {
   const CliResult r = rbb({"run", "stability", "--scale=smoke",
                            "--trials=1", "--n=32", "--window-factor=2",
                            "--format=csv"});
@@ -537,7 +558,7 @@ TEST(Cli, RunCsvCarriesMetadata) {
   EXPECT_NE(r.out.find("# table E1_stability"), std::string::npos);
 }
 
-TEST(Cli, RunWritesToOutFile) {
+TEST(RbbCli, RunWritesToOutFile) {
   const std::string path = ::testing::TempDir() + "rbb_out_test.json";
   const CliResult r = rbb({"run", "stability", "--scale=smoke",
                            "--trials=1", "--n=32", "--window-factor=2",
@@ -554,7 +575,7 @@ TEST(Cli, RunWritesToOutFile) {
 
 // --- sweep ------------------------------------------------------------------
 
-TEST(Cli, SweepGridIsCartesianAndValidJson) {
+TEST(RbbCli, SweepGridIsCartesianAndValidJson) {
   const CliResult r = rbb({"sweep", "stability", "--scale=smoke",
                            "--trials=1", "--window-factor=2",
                            "--n=16,32", "--seed=1,2", "--format=json"});
@@ -570,14 +591,14 @@ TEST(Cli, SweepGridIsCartesianAndValidJson) {
   EXPECT_EQ(count, 4u);
 }
 
-TEST(Cli, SweepRejectsBadGridValue) {
+TEST(RbbCli, SweepRejectsBadGridValue) {
   const CliResult r =
       rbb({"sweep", "stability", "--scale=smoke", "--n=16,banana"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("expects a u64"), std::string::npos);
 }
 
-TEST(Cli, SweepRejectsDuplicateParam) {
+TEST(RbbCli, SweepRejectsDuplicateParam) {
   // A later --n would silently shadow the axis; must be an error.
   const CliResult r = rbb(
       {"sweep", "stability", "--scale=smoke", "--n=16,32", "--n=64"});
@@ -585,7 +606,7 @@ TEST(Cli, SweepRejectsDuplicateParam) {
   EXPECT_NE(r.err.find("given more than once"), std::string::npos);
 }
 
-TEST(Cli, SweepForwardsBackendAndThreadsLikeRun) {
+TEST(RbbCli, SweepForwardsBackendAndThreadsLikeRun) {
   // The prepended kernel knobs ride through `sweep` exactly as through
   // `run`: a fixed --backend=sharded --threads=1 override applies to
   // every grid point and lands in each embedded result document.
@@ -604,7 +625,7 @@ TEST(Cli, SweepForwardsBackendAndThreadsLikeRun) {
   EXPECT_EQ(count, 2u);  // one per sweep point
 }
 
-TEST(Cli, SweepAcceptsBackendAsAGridAxis) {
+TEST(RbbCli, SweepAcceptsBackendAsAGridAxis) {
   // backend=seq,sharded is a legitimate axis on a capable experiment:
   // the same measurement on both kernels, two embedded documents.
   const CliResult r =
@@ -616,7 +637,7 @@ TEST(Cli, SweepAcceptsBackendAsAGridAxis) {
   EXPECT_NE(r.out.find("\"backend\": \"sharded\""), std::string::npos);
 }
 
-TEST(Cli, SweepRejectsShardedBackendWithoutCapableFamily) {
+TEST(RbbCli, SweepRejectsShardedBackendWithoutCapableFamily) {
   // The same parse error as `rbb run`, before any sweep point runs.
   const CliResult r = rbb({"sweep", "jackson", "--scale=smoke",
                            "--trials=1", "--seed=1,2",
@@ -627,13 +648,13 @@ TEST(Cli, SweepRejectsShardedBackendWithoutCapableFamily) {
 
 // --- docs -------------------------------------------------------------------
 
-TEST(Cli, DocsStdoutMatchesRenderer) {
+TEST(RbbCli, DocsStdoutMatchesRenderer) {
   const CliResult r = rbb({"docs"});
   ASSERT_EQ(r.code, 0);
   EXPECT_EQ(r.out, render_experiment_docs(default_registry()));
 }
 
-TEST(Cli, DocsCheckPassesOnFreshFileAndFailsOnDrift) {
+TEST(RbbCli, DocsCheckPassesOnFreshFileAndFailsOnDrift) {
   const std::string path = ::testing::TempDir() + "rbb_docs_test.md";
   ASSERT_EQ(rbb({"docs", "--out=" + path}).code, 0);
   EXPECT_EQ(rbb({"docs", "--check", "--out=" + path}).code, 0);
@@ -644,19 +665,19 @@ TEST(Cli, DocsCheckPassesOnFreshFileAndFailsOnDrift) {
   std::remove(path.c_str());
 }
 
-TEST(Cli, DocsCheckFailsWithoutFile) {
+TEST(RbbCli, DocsCheckFailsWithoutFile) {
   const CliResult r =
       rbb({"docs", "--check", "--out=/nonexistent/rbb_docs.md"});
   EXPECT_EQ(r.code, 1);
 }
 
-TEST(Cli, DocsCheckTakesNoValue) {
+TEST(RbbCli, DocsCheckTakesNoValue) {
   const CliResult r = rbb({"docs", "--check=false"});
   EXPECT_EQ(r.code, 2);
   EXPECT_NE(r.err.find("--check takes no value"), std::string::npos);
 }
 
-TEST(Cli, DocsCatalogIsDeterministicAndComplete) {
+TEST(RbbCli, DocsCatalogIsDeterministicAndComplete) {
   const std::string a = render_experiment_docs(default_registry());
   const std::string b = render_experiment_docs(default_registry());
   EXPECT_EQ(a, b);

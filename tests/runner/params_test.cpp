@@ -2,7 +2,11 @@
 // every experiment's run function.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "runner/params.hpp"
 
@@ -40,6 +44,11 @@ TEST(ParamValues, SetParsesEachType) {
   EXPECT_TRUE(values.flag("fast"));
   EXPECT_TRUE(values.set("fast", "false"));
   EXPECT_FALSE(values.flag("fast"));
+  // The ends of the ranges.
+  EXPECT_TRUE(values.set("count", "18446744073709551615"));
+  EXPECT_EQ(values.u64("count"), 18446744073709551615ull);
+  EXPECT_TRUE(values.set("rate", "-1e-3"));
+  EXPECT_DOUBLE_EQ(values.f64("rate"), -1e-3);
 }
 
 TEST(ParamValues, RejectsUnknownNameWithMessage) {
@@ -142,6 +151,135 @@ TEST(ParamValues, AccessorsThrowOnUnknownName) {
 TEST(ParsesAs, StringAcceptsAnything) {
   EXPECT_TRUE(parses_as("", ParamSpec::Type::kString));
   EXPECT_TRUE(parses_as("anything at all", ParamSpec::Type::kString));
+}
+
+// --- example_main: the example programs' command line ----------------------
+
+struct ExampleRun {
+  int code = 0;
+  bool ran = false;  // whether the run function was called
+  std::string out;
+  std::string err;
+};
+
+/// Runs example_main as the program "bin/prog" over `args`; `run` sees
+/// the parsed values and returns 0 unless it throws.
+ExampleRun example(const std::vector<std::string>& args,
+                   const std::function<void(const ParamValues&)>& run =
+                       [](const ParamValues&) {}) {
+  std::vector<const char*> argv = {"bin/prog"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  const auto s = specs();
+  std::ostringstream out;
+  std::ostringstream err;
+  ExampleRun result;
+  result.code = example_main(
+      static_cast<int>(argv.size()), argv.data(), "prog: a test program", s,
+      [&](const ParamValues& values) {
+        result.ran = true;
+        run(values);
+        return 0;
+      },
+      out, err);
+  result.out = out.str();
+  result.err = err.str();
+  return result;
+}
+
+TEST(ExampleMain, DefaultsApply) {
+  const ExampleRun r = example({}, [](const ParamValues& v) {
+    EXPECT_EQ(v.u64("count"), 42u);
+    EXPECT_DOUBLE_EQ(v.f64("rate"), 0.5);
+    EXPECT_EQ(v.str("name"), "dflt");
+    EXPECT_FALSE(v.flag("fast"));
+  });
+  EXPECT_EQ(r.code, 0);
+  EXPECT_TRUE(r.ran);
+  EXPECT_EQ(r.out, "");
+  EXPECT_EQ(r.err, "");
+}
+
+TEST(ExampleMain, EqualsAndSpaceForms) {
+  const ExampleRun r = example(
+      {"--count=64", "--rate", "2.5", "--name", "torus"},
+      [](const ParamValues& v) {
+        EXPECT_EQ(v.u64("count"), 64u);
+        EXPECT_DOUBLE_EQ(v.f64("rate"), 2.5);
+        EXPECT_EQ(v.str("name"), "torus");
+      });
+  EXPECT_EQ(r.code, 0) << r.err;
+  EXPECT_TRUE(r.ran);
+}
+
+TEST(ExampleMain, FlagForms) {
+  EXPECT_TRUE(example({"--fast"}, [](const ParamValues& v) {
+                EXPECT_TRUE(v.flag("fast"));
+              }).ran);
+  EXPECT_TRUE(example({"--fast", "--count=1"}, [](const ParamValues& v) {
+                EXPECT_TRUE(v.flag("fast"));
+                EXPECT_EQ(v.u64("count"), 1u);
+              }).ran);
+  EXPECT_TRUE(example({"--fast=false"}, [](const ParamValues& v) {
+                EXPECT_FALSE(v.flag("fast"));
+              }).ran);
+}
+
+TEST(ExampleMain, RejectedCommandLinesExit2WithOneLine) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"--bogus=1"},
+                                             {"--count"},
+                                             {"--count", "abc"},
+                                             {"--count=4", "stray"},
+                                             {"stray"}}) {
+    const ExampleRun r = example(args);
+    EXPECT_EQ(r.code, 2) << args.back();
+    EXPECT_FALSE(r.ran) << args.back();
+    EXPECT_EQ(r.err.rfind("prog: ", 0), 0u) << r.err;
+    EXPECT_EQ(r.err.find('\n'), r.err.size() - 1) << r.err;
+    EXPECT_EQ(r.out, "");
+  }
+  EXPECT_NE(example({"--bogus=1"}).err.find("unknown option --bogus"),
+            std::string::npos);
+  EXPECT_NE(example({"stray"}).err.find("unexpected argument \"stray\""),
+            std::string::npos);
+}
+
+TEST(ExampleMain, InvalidArgumentFromTheRunExits2) {
+  const ExampleRun r = example({}, [](const ParamValues&) {
+    throw std::invalid_argument("n must be at least 2");
+  });
+  EXPECT_EQ(r.code, 2);
+  EXPECT_EQ(r.err, "prog: n must be at least 2\n");
+}
+
+TEST(ExampleMain, OversizedU32NamesItsFlag) {
+  const ExampleRun r = example(
+      {"--count=4294967297"},
+      [](const ParamValues& v) { (void)v.u32("count"); });
+  EXPECT_EQ(r.code, 2);
+  EXPECT_NE(r.err.find("prog: --count=4294967297 exceeds the 32-bit range"),
+            std::string::npos)
+      << r.err;
+}
+
+TEST(ExampleMain, HelpPrintsEveryOptionWithItsDefault) {
+  for (const char* help : {"--help", "-h"}) {
+    const ExampleRun r = example({"--count=1", help});
+    EXPECT_EQ(r.code, 0) << help;
+    EXPECT_FALSE(r.ran) << help;
+    EXPECT_EQ(r.err, "");
+    EXPECT_EQ(
+        r.out.rfind("prog: a test program\n\nusage: prog [options]\n", 0), 0u)
+        << r.out;
+    EXPECT_NE(r.out.find(render_param_table(specs())), std::string::npos);
+    for (const ParamSpec& spec : specs()) {
+      const std::size_t row = r.out.find("| --" + spec.name + " ");
+      ASSERT_NE(row, std::string::npos) << spec.name;
+      EXPECT_NE(r.out.find(" " + spec.default_value + " ", row),
+                std::string::npos)
+          << spec.name;
+    }
+  }
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <set>
 #include <vector>
 
 #include "support/bounds.hpp"
@@ -111,59 +110,6 @@ INSTANTIATE_TEST_SUITE_P(
                       BinomialCase{400, 0.9},     // flipped p > 1/2
                       BinomialCase{64, 0.25}));
 
-TEST(Poisson, MeanAndVarianceMatch) {
-  Rng rng(5);
-  for (const double mean : {0.5, 3.0, 25.0, 80.0}) {
-    constexpr int kDraws = 100000;
-    double sum = 0.0;
-    double sumsq = 0.0;
-    for (int i = 0; i < kDraws; ++i) {
-      const double x = static_cast<double>(poisson_sample(mean, rng));
-      sum += x;
-      sumsq += x * x;
-    }
-    const double m = sum / kDraws;
-    const double var = sumsq / kDraws - m * m;
-    const double tol = 5.0 * std::sqrt(mean / kDraws) + 0.02 * mean;
-    EXPECT_NEAR(m, mean, tol) << "mean=" << mean;
-    EXPECT_NEAR(var, mean, 0.1 * mean + 0.05) << "mean=" << mean;
-  }
-}
-
-TEST(Poisson, ZeroMeanIsZero) {
-  Rng rng(6);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(poisson_sample(0.0, rng), 0u);
-}
-
-TEST(Poisson, RejectsNegativeMean) {
-  Rng rng(7);
-  EXPECT_THROW((void)poisson_sample(-1.0, rng), std::invalid_argument);
-}
-
-TEST(Geometric, MatchesMean) {
-  Rng rng(8);
-  for (const double p : {0.1, 0.5, 0.9}) {
-    constexpr int kDraws = 200000;
-    double sum = 0.0;
-    for (int i = 0; i < kDraws; ++i) {
-      sum += static_cast<double>(geometric_sample(p, rng));
-    }
-    const double expected = (1.0 - p) / p;
-    EXPECT_NEAR(sum / kDraws, expected, 0.05 * expected + 0.01) << "p=" << p;
-  }
-}
-
-TEST(Geometric, POneIsZero) {
-  Rng rng(9);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(geometric_sample(1.0, rng), 0u);
-}
-
-TEST(Geometric, RejectsBadP) {
-  Rng rng(10);
-  EXPECT_THROW((void)geometric_sample(0.0, rng), std::invalid_argument);
-  EXPECT_THROW((void)geometric_sample(1.5, rng), std::invalid_argument);
-}
-
 TEST(Occupancy, ThrowConservesBalls) {
   Rng rng(11);
   const auto counts = occupancy_throw(1000, 64, rng);
@@ -188,41 +134,6 @@ TEST(Occupancy, ThrowFirstBinMeanIsBinomial) {
   }
   const double expected = static_cast<double>(kBalls) / kBins;
   EXPECT_NEAR(sum_throw / kDraws, expected, 0.1);
-}
-
-TEST(SampleDistinct, ProducesDistinctValuesInRange) {
-  Rng rng(16);
-  for (int i = 0; i < 200; ++i) {
-    const auto sample = sample_distinct(50, 10, rng);
-    ASSERT_EQ(sample.size(), 10u);
-    std::set<std::uint32_t> unique(sample.begin(), sample.end());
-    EXPECT_EQ(unique.size(), 10u);
-    for (const auto v : sample) EXPECT_LT(v, 50u);
-  }
-}
-
-TEST(SampleDistinct, FullRangeIsPermutation) {
-  Rng rng(17);
-  const auto sample = sample_distinct(12, 12, rng);
-  std::set<std::uint32_t> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 12u);
-}
-
-TEST(SampleDistinct, RejectsKGreaterThanN) {
-  Rng rng(18);
-  EXPECT_THROW(sample_distinct(5, 6, rng), std::invalid_argument);
-}
-
-TEST(SampleDistinct, MarginalIsUniform) {
-  Rng rng(19);
-  constexpr int kDraws = 50000;
-  std::vector<int> hits(10, 0);
-  for (int i = 0; i < kDraws; ++i) {
-    for (const auto v : sample_distinct(10, 3, rng)) ++hits[v];
-  }
-  for (const int h : hits) {
-    EXPECT_NEAR(static_cast<double>(h) / kDraws, 0.3, 0.02);
-  }
 }
 
 }  // namespace

@@ -1,67 +1,10 @@
-// Tests for the bench-scale environment plumbing.
+// Tests for the bench-scale value pickers.
 #include "support/scale.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 namespace rbb {
 namespace {
-
-/// RAII environment-variable override.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_value_) {
-      ::setenv(name_, saved_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_value_ = false;
-};
-
-TEST(Scale, UnsetIsDefault) {
-  const ScopedEnv env("RBB_BENCH_SCALE", nullptr);
-  EXPECT_EQ(bench_scale(), BenchScale::kDefault);
-}
-
-TEST(Scale, RecognizesValuesCaseInsensitive) {
-  {
-    const ScopedEnv env("RBB_BENCH_SCALE", "smoke");
-    EXPECT_EQ(bench_scale(), BenchScale::kSmoke);
-  }
-  {
-    const ScopedEnv env("RBB_BENCH_SCALE", "PAPER");
-    EXPECT_EQ(bench_scale(), BenchScale::kPaper);
-  }
-  {
-    const ScopedEnv env("RBB_BENCH_SCALE", "Default");
-    EXPECT_EQ(bench_scale(), BenchScale::kDefault);
-  }
-  {
-    const ScopedEnv env("RBB_BENCH_SCALE", "MeGa");
-    EXPECT_EQ(bench_scale(), BenchScale::kMega);
-  }
-  {
-    const ScopedEnv env("RBB_BENCH_SCALE", "bogus");
-    EXPECT_EQ(bench_scale(), BenchScale::kDefault);
-  }
-}
 
 TEST(Scale, BySkaleSelectsCorrectValue) {
   EXPECT_EQ(by_scale(BenchScale::kSmoke, 1, 2, 3), 1);

@@ -3,8 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace rbb {
@@ -67,20 +65,6 @@ TEST(Table, PrintIncludesTitle) {
   t.print(out, "My Experiment");
   EXPECT_NE(out.str().find("### My Experiment"), std::string::npos);
   EXPECT_NE(out.str().find("| h |"), std::string::npos);
-}
-
-TEST(Table, WriteCsvToDirectory) {
-  Table t({"a"});
-  t.row().cell(std::uint64_t{1});
-  EXPECT_FALSE(t.write_csv("", "x"));
-  const std::string dir = ::testing::TempDir();
-  ASSERT_TRUE(t.write_csv(dir, "table_test_out"));
-  std::ifstream in(dir + "/table_test_out.csv");
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a");
-  std::remove((dir + "/table_test_out.csv").c_str());
 }
 
 TEST(FormatDouble, Precision) {
