@@ -80,19 +80,27 @@ int run(const rbb::runner::ParamValues& flags) {
         samples.push_back(s.max_load);
       }
     }
-    std::cout << "fault " << fault + 1 << ": spike to " << spike
-              << ", legitimate again after " << recovered_at << " rounds ("
-              << static_cast<double>(recovered_at) / n << " n)\n"
-              << "  [" << sparkline(samples, spike) << "]\n";
+    std::cout << "fault " << fault + 1 << ": spike to " << spike;
     if (recovered_at > 0) {
+      std::cout << ", legitimate again after " << recovered_at << " rounds ("
+                << static_cast<double>(recovered_at) / n << " n)\n";
       recovery.add(static_cast<double>(recovered_at));
+    } else {
+      std::cout << ", not legitimate again within the period\n";
     }
+    std::cout << "  [" << sparkline(samples, spike) << "]\n";
   }
 
-  std::cout << "\nmean recovery: " << recovery.mean() << " rounds = "
-            << recovery.mean() / n << " n   (Theorem 1 predicts O(n); "
-            << "Sect. 4.1 needs recovery well under the period "
-            << period << ")\n";
+  std::cout << "\nmean recovery: ";
+  if (recovery.count() > 0) {
+    std::cout << recovery.mean() << " rounds = " << recovery.mean() / n
+              << " n";
+  } else {
+    std::cout << "-";
+  }
+  std::cout << "   (" << recovery.count() << " of " << flags.u64("faults")
+            << " faults recovered; Theorem 1 predicts O(n); Sect. 4.1 needs "
+            << "recovery well under the period " << period << ")\n";
   return EXIT_SUCCESS;
 }
 

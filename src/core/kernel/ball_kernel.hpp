@@ -31,14 +31,18 @@
 // binomials, each leaf draws its in-leaf offsets and increments them in
 // cache (count_split.hpp); a scan of the end loads yields the
 // statistics and Tetris first-empty rounds.  Sequentially that is one
-// pass each over [0, n) (step_counts).  Sharded, phase 1 *throw* is
-// each stripe's departure scan, recording its k_g in a per-stripe cell
-// double-buffered by round parity; phase 2 *commit* has each owner sum
-// the k_g (or take the fresh count), walk the split tree down to its
-// own leaves and draw them shard by shard, each shard followed by its
-// scan.  A leaf cut by a stripe boundary (non-default shard sizes only)
-// is drawn whole by every stripe touching it, each applying its own
-// bins.
+// pass each over [0, n) (step_counts, the parity oracle).  Sharded, the
+// round is one pass over the loads.  Phase 1 *throw* touches no load:
+// a round's departure count is known before it runs -- every non-empty
+// bin releases one ball, so stripe g's k_g is its bin count less the
+// zeros of its previous round-end scan -- and the stripe records k_g in
+// a per-stripe cell double-buffered by round parity.  Phase 2 *commit*
+// has each owner sum the k_g (or take the fresh count), walk the split
+// tree down to its own leaves and, shard by shard, depart the bins
+// those leaves cover, draw the leaves and scan the shard while it is
+// in cache.  A leaf cut by a stripe boundary (non-default shard sizes
+// only) is drawn whole by every stripe touching it, each applying its
+// own bins.
 //
 // Per-ball rounds (every xoshiro kernel, and d-choices / threshold on
 // the counter stream; step_sequential) use the same range operations:
@@ -127,8 +131,8 @@ class BallProcessCore {
     }
     variant_.validate(bin_count());
     variant_.init(loads_);
-    recompute_stats();
     if constexpr (kShardedExec) acc_.resize(exec_.plan().stripe_count());
+    recompute_stats();
   }
 
   /// Executes one synchronous round; returns end-of-round statistics.
@@ -357,8 +361,9 @@ class BallProcessCore {
   }
 
   /// Testing hook: recomputes the kept bookkeeping (ball count, round-end
-  /// statistics, first-empty count) from scratch and throws
-  /// std::logic_error on drift.
+  /// statistics, first-empty count, and on the sharded count-split
+  /// cores each stripe's zeros, which its next throw reads) from
+  /// scratch and throws std::logic_error on drift.
   void check_invariants() const {
     if (rbb::total_balls(loads_) != balls_) {
       throw std::logic_error("BallProcessCore: ball count drifted");
@@ -380,13 +385,37 @@ class BallProcessCore {
         throw std::logic_error("BallProcessCore: scatter buffer not drained");
       }
     }
+    if constexpr (kShardedExec && kCountArrivals) {
+      const ShardPlan& plan = exec_.plan();
+      for (std::uint32_t g = 0; g < plan.stripe_count(); ++g) {
+        const auto zeros = static_cast<std::uint32_t>(
+            std::count(loads_.begin() + plan.stripe_begin_bin(g),
+                       loads_.begin() + plan.stripe_end_bin(g), load_t{0}));
+        if (zeros != acc_[g].scan.zeros) {
+          throw std::logic_error("BallProcessCore: stripe zeros out of sync");
+        }
+      }
+    }
   }
 
  private:
+  /// The round-end statistics of the current loads, from scratch.  The
+  /// sharded cores also seed each stripe's scan here: a count-split
+  /// throw takes its departure count from the stripe's last zeros.
   void recompute_stats() {
-    LoadScan scan;
-    for (const load_t load : loads_) scan.add(load);
-    stats_ = scan;
+    stats_ = LoadScan{};
+    if constexpr (kShardedExec) {
+      const ShardPlan& plan = exec_.plan();
+      for (std::uint32_t g = 0; g < plan.stripe_count(); ++g) {
+        const bin_index_t begin = plan.stripe_begin_bin(g);
+        acc_[g].scan = LoadScan{};
+        acc_[g].scan.add_range(loads_.data() + begin,
+                               plan.stripe_end_bin(g) - begin);
+        stats_.merge(acc_[g].scan);
+      }
+    } else {
+      stats_.add_range(loads_.data(), loads_.size());
+    }
   }
 
   /// Applies a materialized destination block with a prefetched
@@ -624,39 +653,50 @@ class BallProcessCore {
     std::uint64_t cum_departures = 0;
     std::uint32_t cum_newly_emptied = 0;  // Tetris first-empty bookkeeping
     // Count-split cores: k_g of the round on buffer set `set`, read by
-    // every owner's commit (the pipeline's parity argument covers it),
-    // and the owner's walk down the round's split tree.
+    // every owner's commit (the pipeline's parity argument covers it);
+    // the owner's walk down the round's split tree; and its departure
+    // cursor -- bins [stripe begin, departed_to) have departed this
+    // round, `departed` of them non-empty.
     std::uint32_t set_departures[2] = {0, 0};
     LeafSplit::Walk walk;
     std::uint32_t next_leaf = 0;
+    bin_index_t departed_to = 0;
+    std::uint32_t departed = 0;
     std::vector<bin_index_t> releasers;  // d-choices / threshold
   };
 
   using Rows = ShardRows<bin_index_t>;
 
-  /// Phase 1 (throw) of the count-split cores for stripe g: the
-  /// departure scan of the stripe's own bins.  Draws nothing; records
-  /// k_g on the round's buffer set.
-  void depart_stripe(std::uint32_t g, std::uint32_t set)
+  /// Phase 1 (throw) of the count-split cores for stripe g: publishes
+  /// k_g on the round's buffer set without touching a load.  Every
+  /// non-empty bin releases one ball, so k_g is the stripe's bin count
+  /// less the zeros of its previous round-end scan (seeded by
+  /// recompute_stats() before the first round); the commit departs.
+  void publish_departures(std::uint32_t g, std::uint32_t set)
     requires(kShardedExec && kCountArrivals)
   {
     const ShardPlan& plan = exec_.plan();
     StripeAcc& acc = acc_[g];
     acc.departures =
-        depart_range(plan.stripe_begin_bin(g), plan.stripe_end_bin(g));
+        plan.stripe_end_bin(g) - plan.stripe_begin_bin(g) - acc.scan.zeros;
     acc.set_departures[set] = acc.departures;
     acc.cum_departures += acc.departures;
     acc.scan = LoadScan{};
   }
 
-  /// Phase 2 (commit) arrivals of the count-split cores for owned shard
-  /// s of stripe g: applies every not yet applied leaf that overlaps s
-  /// -- the whole leaf, clipped to the stripe's bins, so a leaf spanning
-  /// several of the stripe's shards is drawn once.  The stripe's first
-  /// shard starts the walk down round r's split tree with the round's
-  /// k: `fresh` for refill variants, the sum of every stripe's k_g on
-  /// buffer set `set` for load-only.
-  void arrive_shard(std::uint32_t g, std::uint64_t r, std::uint32_t set,
+  /// Phase 2 (commit) of the count-split cores for owned shard s of
+  /// stripe g, before its scan: departs and then applies every not yet
+  /// applied leaf that overlaps s -- the whole leaf, clipped to the
+  /// stripe's bins, so a leaf spanning several of the stripe's shards is
+  /// drawn once.  The departures run ahead of the arrivals only as far
+  /// as the last of those leaves reaches (the departed_to cursor), so
+  /// each bin departs on its pre-round load, right before the first
+  /// leaf that lands on it, while its cache line is being touched
+  /// anyway.  The stripe's first shard starts the walk down round r's
+  /// split tree with the round's k: `fresh` for refill variants, the sum
+  /// of every stripe's k_g on buffer set `set` for load-only.  Its last
+  /// shard checks that the departures match the published k_g.
+  void commit_shard(std::uint32_t g, std::uint64_t r, std::uint32_t set,
                     ball_count_t fresh, std::uint32_t s)
     requires(kShardedExec && kCountArrivals)
   {
@@ -672,13 +712,24 @@ class BallProcessCore {
       acc.next_leaf = leaves_.leaf_of(lo);
       acc.walk = LeafSplit::Walk(leaves_, variant_.stream_, r, total,
                                  acc.next_leaf, leaves_.leaf_of(hi - 1) + 1);
+      acc.departed_to = lo;
+      acc.departed = 0;
     }
     const std::uint32_t through = leaves_.leaf_of(plan.shard_end(s) - 1);
+    const bin_index_t depart_end = std::min(hi, leaves_.leaf_end(through));
+    if (acc.departed_to < depart_end) {
+      acc.departed += depart_range(acc.departed_to, depart_end);
+      acc.departed_to = depart_end;
+    }
     std::uint32_t leaf = 0;
     ball_count_t count = 0;
     while (acc.next_leaf <= through && acc.walk.next(leaf, count)) {
       ++acc.next_leaf;
       apply_leaf(r, leaf, count, lo, hi);
+    }
+    if (s + 1 == plan.stripe_end_shard(g) && acc.departed != acc.departures) {
+      throw std::logic_error(
+          "BallProcessCore: a stripe departed other than its published k_g");
     }
   }
 
@@ -763,12 +814,12 @@ class BallProcessCore {
       run_rounds(
           exec_, rounds, [](bool) {},
           [&](std::uint32_t g, std::uint64_t, std::uint32_t set) {
-            depart_stripe(g, set);
+            publish_departures(g, set);
           },
           NoChoose{},
           [&](std::uint32_t g, std::uint64_t i, std::uint32_t set,
               std::uint32_t s) {
-            arrive_shard(g, r0 + i, set,
+            commit_shard(g, r0 + i, set,
                          kRefill ? arrivals_by_round[i] : ball_count_t{0}, s);
           },
           scan);

@@ -35,9 +35,14 @@
 // uniform, and the tree's conditional binomials make the leaf counts
 // Multinomial(k; |L| / n), so every bin receives Multinomial(k; 1/n)
 // arrivals -- the per-ball kernel's law, with different draws.  A
-// sharded commit owner walks only the tree paths to its own leaves
-// (LeafSplit::Walk); the sequential counter walk visits every leaf.
-// Both apply the same per-leaf draws, which keeps the two
+// load-only k is known before its round runs: it is the number of
+// non-empty bins, n less the previous round-end scan's zeros, so no
+// pass over the loads has to precede the split.  A sharded commit
+// owner walks only the tree paths to its own leaves (LeafSplit::Walk)
+// and departs each of its bins right before the first leaf that lands
+// on it (ball_kernel.hpp's commit_shard); the sequential counter walk
+// departs all of [0, n), then visits every leaf.  Both apply the same
+// per-leaf draws to the same post-departure loads, which keeps the two
 // bit-identical.
 #pragma once
 

@@ -7,7 +7,9 @@
 // choose, commit, and the per-shard rescan inside commit) -- and a core
 // supplies its per-stripe work as callbacks:
 //
-//   throw(g, i, set)              departures of stripe g's own bins
+//   throw(g, i, set)              stripe g's departures: their count
+//                                 at least, the bins themselves only
+//                                 where a payload needs them
 //   [choose(g, i, set)]           optional; reads post-departure loads
 //   fill(g, i, set, s)            the round's arrivals into shard s,
 //                                 one call per shard stripe g owns
@@ -16,11 +18,13 @@
 // where `set` is the round's buffer parity (i & 1 on a team, 0 inline).
 // The count-split cores (load-only, Tetris, leaky: core/kernel/
 // count_split.hpp) call run_rounds directly: throw records the stripe's
-// departure count k_g in its parity-`set` cell, fill walks the split
-// tree down to the shard's leaves and draws them.  The scatter cores
-// (token, mixed, d-choices, threshold) go through run_pipeline, which
-// adds the per-ball payload: throw and choose push arrivals through
-// rows.push, and
+// departure count k_g in its parity-`set` cell, read off the stripe's
+// previous scan without touching a load, and fill departs the bins of
+// the shard's leaves, walks the split tree down to them and draws
+// them, so the scan that follows finds the shard in cache.  The
+// scatter cores (token, mixed, d-choices, threshold) go through
+// run_pipeline, which adds the per-ball payload: throw and choose push
+// arrivals through rows.push, and
 //
 //   apply(g, i, buffer)           one (source stripe, shard) buffer of
 //                                 arrivals into a shard stripe g owns
@@ -61,8 +65,9 @@
 // pipelining.  Worker w may begin throw(i+1) while peers still commit
 // round i; the counter RNG stream (dest = f(seed, round, slot)) makes
 // round-(i+1) draws computable before round i retires anywhere, and the
-// only state throw(i+1) touches is w's own bins, last written by w's
-// own commit(i) in program order, and its parity-((i+1)&1) cells.
+// only state throw(i+1) touches is w's own bins and stripe scans, last
+// written by w's own commit(i) in program order, and its
+// parity-((i+1)&1) cells.
 //
 // Why reuse at parity distance 2 is still safe with no extra wait: w's
 // throw(i+2) is preceded (in w's program order) by w's round-(i+1)
@@ -90,6 +95,7 @@
 #include "core/kernel/exec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/draw_plane.hpp"
 #include "support/types.hpp"
 
 namespace rbb::kernel {
@@ -123,9 +129,21 @@ struct LoadScan {
     zeros += static_cast<std::uint32_t>((std::uint64_t{load} - 1) >> 63);
     max = std::max(max, load);
   }
-  /// add() over loads[0, count) as two separate reductions, each of
-  /// which vectorizes.
+  /// add() over loads[0, count).  The ISA follows the draw planes'
+  /// dispatch (active_plane_isa(), so RBB_DRAW_PLANE_SIMD=0 and
+  /// force_plane_isa pin this scan too): 8-lane AVX2 with an unsigned
+  /// max where available -- SSE2 has no unsigned 32-bit max, so the
+  /// portable build emulates it -- else the portable reductions.
   void add_range(const load_t* loads, std::size_t count) noexcept {
+    if (active_plane_isa() == PlaneIsa::kAvx2) {
+      add_range_avx2(loads, count);
+    } else {
+      add_range_portable(loads, count);
+    }
+  }
+  /// add_range() as two separate reductions, each of which
+  /// auto-vectorizes for the build's baseline ISA.
+  void add_range_portable(const load_t* loads, std::size_t count) noexcept {
     std::uint32_t z = 0;
     for (std::size_t u = 0; u < count; ++u) z += loads[u] == 0 ? 1u : 0u;
     load_t m = max;
@@ -133,6 +151,9 @@ struct LoadScan {
     zeros += z;
     max = m;
   }
+  /// add_range() in AVX2 (pipeline.cpp); only callable where
+  /// plane_isa_supported(PlaneIsa::kAvx2).
+  void add_range_avx2(const load_t* loads, std::size_t count) noexcept;
   void merge(const LoadScan& other) noexcept {
     max = std::max(max, other.max);
     zeros += other.zeros;

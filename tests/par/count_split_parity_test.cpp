@@ -111,6 +111,116 @@ TEST(CountSplitParity, LeakyAcrossLeaves) {
       });
 }
 
+// --- folded departures across state replacement ---------------------------
+
+// The sharded throw publishes k_g from the stripe's previous round-end
+// zeros and the commit departs; the zeros of a state that no round
+// produced -- a restore, a reassign -- come from recompute_stats().
+// n = 40000 at shard size 4096 puts four shards (four stripes) in a
+// leaf, at 32768 two leaves in a shard (one cursor step covers both),
+// and at 1024 -- 40 shards over 32 stripes -- a stripe of two shards
+// inside one leaf, where the departure cursor runs ahead of the shard
+// being filled.  After every run() the sharded state must equal the
+// sequential counter oracle.
+
+constexpr std::uint32_t kFoldN = 40000;
+
+LoadConfig fold_config(std::uint64_t seed) {
+  Rng rng(seed);
+  return make_config(InitialConfig::kRandom, kFoldN, kFoldN, rng);
+}
+
+template <typename Sharded, typename Oracle>
+void run_both(Sharded& sharded, Oracle& oracle, const std::string& where) {
+  for (const std::uint64_t rounds : {1, 3}) {
+    sharded.run(rounds);
+    oracle.run(rounds);
+    sharded.check_invariants();
+    EXPECT_EQ(snapshot_of(sharded), snapshot_of(oracle))
+        << where << ", after round " << oracle.round();
+  }
+}
+
+template <typename Proc>
+void restore_from(Proc& proc, const std::string& bytes) {
+  serial::ByteReader r(bytes);
+  proc.restore(r);
+}
+
+/// Per shard size: run, restore the sharded state into a fresh
+/// instance, run; then run, replace(sharded, oracle), run.
+template <typename MakeRef, typename MakeSharded, typename Replace>
+void ExpectFoldedParity(MakeRef make_ref, MakeSharded make_sharded,
+                        Replace replace) {
+  for (const std::uint32_t shard_size : {4096u, 32768u, 1024u}) {
+    const ShardedOptions options{.threads = 2, .shard_size = shard_size};
+    const std::string at = "shard size " + std::to_string(shard_size);
+    {
+      auto oracle = make_ref();
+      auto sharded = make_sharded(options);
+      run_both(sharded, oracle, at + ", before the snapshot");
+      auto restored = make_sharded(options);
+      restore_from(restored, snapshot_of(sharded));
+      restored.check_invariants();
+      run_both(restored, oracle, at + ", restored");
+    }
+    {
+      auto oracle = make_ref();
+      auto sharded = make_sharded(options);
+      run_both(sharded, oracle, at + ", before the replacement");
+      replace(sharded, oracle);
+      sharded.check_invariants();
+      EXPECT_EQ(snapshot_of(sharded), snapshot_of(oracle)) << at;
+      run_both(sharded, oracle, at + ", replaced");
+    }
+  }
+}
+
+/// The refill variants conserve no balls and have no reassign(): their
+/// state is replaced by a restore into the running instance, of a
+/// state from another start.
+template <typename MakeRef>
+auto restore_other_state(MakeRef make_other) {
+  return [make_other](auto& sharded, auto& oracle) {
+    auto other = make_other();
+    other.run(5);
+    const std::string bytes = snapshot_of(other);
+    restore_from(sharded, bytes);
+    restore_from(oracle, bytes);
+  };
+}
+
+TEST(CountSplitParity, FoldedDeparturesSurviveRestoreAndReassign) {
+  ExpectFoldedParity(
+      [] { return SequentialCounterProcess(fold_config(7), kSeed); },
+      [](ShardedOptions o) {
+        return ShardedRepeatedBallsProcess(fold_config(7), kSeed, o);
+      },
+      [](auto& sharded, auto& oracle) {
+        const LoadConfig q = fold_config(8);
+        sharded.reassign(q);
+        oracle.reassign(q);
+      });
+  ExpectFoldedParity(
+      [] { return SequentialCounterTetrisProcess(fold_config(7), kSeed); },
+      [](ShardedOptions o) {
+        return ShardedTetrisProcess(fold_config(7), kSeed, 0, o);
+      },
+      restore_other_state([] {
+        return SequentialCounterTetrisProcess(fold_config(8), kSeed);
+      }));
+  ExpectFoldedParity(
+      [] {
+        return SequentialCounterLeakyBinsProcess(fold_config(7), 0.9, kSeed);
+      },
+      [](ShardedOptions o) {
+        return ShardedLeakyBinsProcess(fold_config(7), 0.9, kSeed, o);
+      },
+      restore_other_state([] {
+        return SequentialCounterLeakyBinsProcess(fold_config(8), 0.9, kSeed);
+      }));
+}
+
 // --- resident state ---------------------------------------------------------
 
 // The count-split cores move no ball, so after a pipelined multi-round

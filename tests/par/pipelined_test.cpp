@@ -28,6 +28,7 @@
 #include "par/sharded_process.hpp"
 #include "par/sharded_token_process.hpp"
 #include "par/sharded_variants.hpp"
+#include "support/draw_plane.hpp"
 #include "support/serial.hpp"
 #include "support/thread_pool.hpp"
 
@@ -494,6 +495,56 @@ TEST(LoadScan, AddFindsTheMaxAtEitherEnd) {
   }
   EXPECT_EQ(add_each({0, 0, 0}).max, 0u);
   EXPECT_EQ(add_each({0, 0, 0}).zeros, 3u);
+}
+
+/// add_range on a scan already holding `seed`, under a pinned ISA.
+kernel::LoadScan add_range_on(PlaneIsa isa, const kernel::LoadScan& seed,
+                              const std::vector<load_t>& loads) {
+  force_plane_isa(isa);
+  kernel::LoadScan scan = seed;
+  scan.add_range(loads.data(), loads.size());
+  reset_plane_isa();
+  return scan;
+}
+
+// The AVX2 body (unsigned 8-lane max, four accumulators, a scalar tail)
+// against the portable reductions and add(): every length 0..67 covers
+// each tail of the 32- and 8-load steps; loads at and above 2^31 would
+// order wrongly under a signed max; all-zero arrays leave the max at
+// the seed's.  On a machine without AVX2 only the portable path runs.
+TEST(LoadScan, VectorMatchesPortable) {
+  std::vector<PlaneIsa> isas = {PlaneIsa::kPortable};
+  if (plane_isa_supported(PlaneIsa::kAvx2)) isas.push_back(PlaneIsa::kAvx2);
+  Rng rng(43);
+  const kernel::LoadScan seeds[] = {{}, {.max = 6, .zeros = 11}};
+  for (std::size_t len = 0; len <= 67; ++len) {
+    for (int shape = 0; shape < 3; ++shape) {
+      std::vector<load_t> loads(len, 0);
+      for (load_t& load : loads) {
+        if (shape == 1 && !rng.bernoulli(0.3)) {
+          load = static_cast<load_t>(rng.index(40));
+        } else if (shape == 2 && !rng.bernoulli(0.3)) {
+          load = rng.bernoulli(0.5)
+                     ? load_t{0x80000000u} |
+                           static_cast<load_t>(rng.index(1u << 31))
+                     : static_cast<load_t>(rng.index(1u << 31));
+        }
+      }
+      for (const kernel::LoadScan& seed : seeds) {
+        kernel::LoadScan want = seed;
+        for (const load_t load : loads) want.add(load);
+        for (const PlaneIsa isa : isas) {
+          const kernel::LoadScan got = add_range_on(isa, seed, loads);
+          EXPECT_EQ(got.max, want.max)
+              << "isa " << static_cast<int>(isa) << ", length " << len
+              << ", shape " << shape;
+          EXPECT_EQ(got.zeros, want.zeros)
+              << "isa " << static_cast<int>(isa) << ", length " << len
+              << ", shape " << shape;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
