@@ -1,7 +1,6 @@
 #include "markov/zchain_exact.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "support/bounds.hpp"
@@ -9,60 +8,25 @@
 namespace rbb {
 
 ZChainExactResult exact_zchain_survival(std::uint32_t n, std::uint64_t start,
-                                        std::uint64_t t_max,
-                                        std::size_t cap) {
+                                        std::uint64_t t_max) {
   if (n < 2) throw std::invalid_argument("zchain: n must be >= 2");
-  if (start >= cap) throw std::invalid_argument("zchain: start >= cap");
   const std::uint64_t b = 3ULL * n / 4;  // arrival trials, floor(3n/4)
   const double p = 1.0 / static_cast<double>(n);
-
-  // Arrival pmf, truncated where the remaining upper tail is < 1e-16.
-  // The mean is b/n ~ 3/4, so the effective support is tiny.
-  std::vector<double> pmf;
-  double cumulative = 0.0;
-  for (std::uint64_t k = 0; k <= b; ++k) {
-    pmf.push_back(binomial_pmf(b, p, k));
-    cumulative += pmf.back();
-    if (1.0 - cumulative < 1e-16 && k >= 2) break;
-  }
+  const double k = static_cast<double>(start);
 
   ZChainExactResult out;
   out.survival.reserve(t_max + 1);
-  std::vector<double> dist(cap + 1, 0.0);
-  dist[start] = 1.0;
-  std::vector<double> next(cap + 1, 0.0);
-
-  double survival = start > 0 ? 1.0 : 0.0;
-  out.survival.push_back(survival);
-  out.expected_absorption = survival;
-
-  for (std::uint64_t t = 1; t <= t_max; ++t) {
-    std::fill(next.begin(), next.end(), 0.0);
-    next[0] = dist[0];  // absorbing
-    for (std::size_t z = 1; z <= cap; ++z) {
-      const double w = dist[z];
-      if (w == 0.0) continue;
-      // z' = z - 1 + X, X ~ pmf.
-      for (std::size_t x = 0; x < pmf.size(); ++x) {
-        const std::size_t target = z - 1 + x;
-        if (target >= cap) {
-          const double lost = w * pmf[x];
-          next[cap] += lost;
-          out.saturated_mass += lost;
-        } else {
-          next[target] += w * pmf[x];
-        }
-      }
+  double absorbed = start == 0 ? 1.0 : 0.0;  // P(tau <= t)
+  for (std::uint64_t t = 0; t <= t_max; ++t) {
+    // Hitting-time theorem: tau = t needs exactly t - start arrivals in
+    // t rounds, and a (start / t) share of those paths first hits 0 at t.
+    if (start > 0 && t >= start) {
+      absorbed +=
+          k / static_cast<double>(t) * binomial_pmf(t * b, p, t - start);
     }
-    dist.swap(next);
-    survival = 1.0 - dist[0];
-    out.survival.push_back(survival);
-    out.expected_absorption += survival;
-    if (survival < 1e-15) {
-      // Numerically absorbed: the remaining curve is zero; fill and stop.
-      out.survival.resize(t_max + 1, 0.0);
-      break;
-    }
+    // Round-off in the lgamma-based pmf can carry the sum just past 1.
+    out.survival.push_back(std::max(0.0, 1.0 - absorbed));
+    out.expected_absorption += out.survival.back();
   }
   return out;
 }
@@ -74,52 +38,40 @@ LeakyQueueExact exact_leaky_queue_stationary(std::uint32_t n, double lambda,
     throw std::invalid_argument("leaky queue: lambda must be in (0, 1)");
   }
   const double p = lambda / static_cast<double>(n);
-  std::vector<double> pmf_x;
-  double cumulative = 0.0;
-  for (std::uint64_t k = 0; k <= n; ++k) {
-    pmf_x.push_back(binomial_pmf(n, p, k));
-    cumulative += pmf_x.back();
-    if (1.0 - cumulative < 1e-16 && k >= 2) break;
+  // tail[m] = P(X >= m) for m = 0 .. n + 1, summed from the top.
+  std::vector<double> tail(std::size_t{n} + 2, 0.0);
+  for (std::size_t m = std::size_t{n} + 1; m-- > 0;) {
+    tail[m] = tail[m + 1] + binomial_pmf(n, p, m);
   }
-
-  // Power iteration on the 1-D reflecting chain; the drift -(1 - lambda)
-  // makes it geometrically ergodic, so O(tail-length / (1 - lambda))
-  // iterations suffice.  The L1 threshold must sit above the ~1e-13
-  // summation round-off floor of a few thousand states, or the loop
-  // would spin to the iteration cap doing nothing.
-  std::vector<double> dist(cap + 1, 0.0);
-  dist[0] = 1.0;
-  std::vector<double> next(cap + 1, 0.0);
-  // Near-critical relaxation needs ~1/(1 - lambda)^2 iterations (the
-  // queue equilibrates by diffusion against the weak drift).
-  const double slack = 1.0 - lambda;
-  const std::uint64_t max_iters =
-      10000 + static_cast<std::uint64_t>(100.0 / (slack * slack));
-  for (std::uint64_t iter = 0; iter < max_iters; ++iter) {
-    std::fill(next.begin(), next.end(), 0.0);
-    for (std::size_t z = 0; z <= cap; ++z) {
-      const double w = dist[z];
-      if (w == 0.0) continue;
-      const std::size_t base = z == 0 ? 0 : z - 1;
-      for (std::size_t x = 0; x < pmf_x.size(); ++x) {
-        const std::size_t target = base + x;
-        next[target >= cap ? cap : target] += w * pmf_x[x];
-      }
-    }
-    double delta = 0.0;
-    for (std::size_t z = 0; z <= cap; ++z) delta += std::abs(next[z] - dist[z]);
-    dist.swap(next);
-    if (delta < 1e-12) break;
-  }
+  const double p_none = binomial_pmf(n, p, 0);
 
   LeakyQueueExact out;
-  out.pmf = dist;
-  out.p_empty = dist[0];
-  double tail = 1.0;
+  out.pmf.assign(cap + 1, 0.0);
+  out.pmf[0] = 1.0 - lambda;
+  for (std::size_t j = 0; j < cap; ++j) {
+    // Flow up across the cut {0..j} | {j+1, ...}: from i the queue keeps
+    // max(i - 1, 0) balls and needs j + 1 - max(i - 1, 0) or more arrivals
+    // (more than n when i < j + 1 - n, so those terms are zero).  Flow
+    // down is j+1 -> j with no arrival.
+    double up = 0.0;
+    for (std::size_t i = j > n ? j + 1 - n : 0; i <= j; ++i) {
+      up += out.pmf[i] * tail[j + 1 - (i == 0 ? 0 : i - 1)];
+    }
+    out.pmf[j + 1] = up / p_none;
+  }
+  out.p_empty = out.pmf[0];
   for (std::size_t k = 0; k <= cap; ++k) {
-    out.mean += static_cast<double>(k) * dist[k];
-    tail -= dist[k];
-    if (tail > 1e-9) out.q999 = k + 1;
+    out.mean += static_cast<double>(k) * out.pmf[k];
+  }
+  // P(queue >= k) summed from the top of the pmf, so the 1e-9 threshold
+  // never sits on a difference of two numbers near 1.
+  double at_least = 0.0;
+  for (std::size_t k = cap; k > 0; --k) {
+    at_least += out.pmf[k];
+    if (at_least > 1e-9) {
+      out.q999 = k;
+      break;
+    }
   }
   return out;
 }

@@ -212,8 +212,9 @@ void register_exact_chain(Registry& registry) {
       // ---- Table 7: leaky bins ([18]), the single queue exactly ----
       // Stationary law of one leaky bin (arrivals Bin(n, lambda/n), one
       // departure when non-empty).  Rate conservation forces P(empty) =
-      // 1 - lambda exactly; the solved law confirms it and shows the queue
-      // blow-up as lambda -> 1 (E16 sweeps the full n-bin system).
+      // 1 - lambda exactly; the cut-balance recursion starts from it, and
+      // the law shows the queue blow-up as lambda -> 1 (E16 sweeps the
+      // full n-bin system).
       {
         const std::uint32_t n =
             by_scale<std::uint32_t>(ctx.scale, 64, 256, 1024);

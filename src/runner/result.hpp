@@ -139,4 +139,8 @@ void fill_meta_params(RunMeta& meta, const ParamValues& values);
 /// JSON string escaping (quotes not included).
 [[nodiscard]] std::string json_escape(const std::string& text);
 
+/// A cell / parameter value as a JSON scalar: numbers stay numbers,
+/// everything else becomes a quoted, escaped string.
+[[nodiscard]] std::string json_scalar(const std::string& text);
+
 }  // namespace rbb::runner

@@ -389,10 +389,7 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
               << json_escape(axes[a].name) << "\": [";
       for (std::size_t v = 0; v < axes[a].values.size(); ++v) {
         if (v != 0) payload << ", ";
-        const std::string& text = axes[a].values[v];
-        payload << (is_json_number(text)
-                        ? text
-                        : "\"" + json_escape(text) + "\"");
+        payload << json_scalar(axes[a].values[v]);
       }
       payload << "]";
     }
@@ -420,9 +417,9 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
                                     inv.common.format);
     } catch (const std::exception& e) {
       err << "rbb: " << experiment.name << " failed at sweep point "
-          << (point + 1) << "/" << points
-          << (label.tellp() > 0 ? " (" + label.str() + ")" : "") << ": "
-          << e.what() << "\n";
+          << (point + 1) << "/" << points;
+      if (label.tellp() > 0) err << " (" << label.str() << ")";
+      err << ": " << e.what() << "\n";
       return 1;
     }
     switch (inv.common.format) {
@@ -440,14 +437,14 @@ int cmd_sweep(const std::vector<std::string>& args, std::ostream& out,
       }
       case Format::kCsv:
         if (point != 0) payload << "\n";
-        payload << "# sweep point " << (point + 1) << "/" << points
-                << (label.tellp() > 0 ? " " + label.str() : "") << "\n";
-        payload << rendered;
+        payload << "# sweep point " << (point + 1) << "/" << points;
+        if (label.tellp() > 0) payload << " " << label.str();
+        payload << "\n" << rendered;
         break;
       case Format::kTable:
-        payload << "\n#### sweep point " << (point + 1) << "/" << points
-                << (label.tellp() > 0 ? ": " + label.str() : "") << "\n";
-        payload << rendered;
+        payload << "\n#### sweep point " << (point + 1) << "/" << points;
+        if (label.tellp() > 0) payload << ": " << label.str();
+        payload << "\n" << rendered;
         break;
     }
   }

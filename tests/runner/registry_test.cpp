@@ -23,7 +23,8 @@ TEST(Registry, EveryDesignClaimHasARegisteredExperiment) {
     if (!e.claim.empty()) claimed.insert(e.claim);
   }
   for (int i = 1; i <= 23; ++i) {
-    const std::string claim = "E" + std::to_string(i);
+    std::string claim = "E";
+    claim += std::to_string(i);
     EXPECT_TRUE(claimed.count(claim) == 1)
         << claim << " from DESIGN.md Sect. 4 has no registered experiment";
   }
